@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from .noise import NoiseModel, SubordinatorSpec
 from .spectral import PhysicsParams
-from .stepping import Stepper, StepScheme
+from .stepping import KickSchedule, Stepper, StepScheme
 
 
 class ConfigError(ValueError):
@@ -67,9 +67,10 @@ class RunConfig:
             raise ConfigError("run.horizon must be nonnegative")
         if self.level < 1:
             raise ConfigError("run.level starts at 1")
-        q = self.grid_step / self.dt
-        if abs(q - round(q)) > 1e-9 * max(1.0, q) or round(q) < 1:
-            raise ConfigError("grid.dt must divide noise.grid_step")
+        try:
+            KickSchedule.steps_per_cell(self.grid_step, self.dt)
+        except ValueError as exc:
+            raise ConfigError(f"grid.dt vs noise.grid_step: {exc}") from exc
 
     # builders ---------------------------------------------------------
 

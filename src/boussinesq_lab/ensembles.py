@@ -2,9 +2,11 @@
 equicontinuity probes, small-ball hitting counts, and long-run averages.
 
 Trajectory batches share the clock grid, so the whole ensemble advances as
-(B, n, n) coefficient arrays through the same vectorized spectral kernels the
-single-path stepper uses; per-path randomness enters only through the clock
-increments and the Brownian draws, each from its own keyed stream.
+(B, n, n) coefficient arrays through the one step kernel and forward loop
+of the stepping module, `Stepper.advance` under `sweep`, that also runs a
+single path; a batch only adds its recording hook. Per-path randomness
+enters only through the clock increments and the Brownian draws, each from
+its own keyed stream.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .noise import (
     subordinated_increments,
 )
 from .spectral import PhysicsParams, SpectralState
-from .stepping import NORM_CEILING, Stepper
+from .stepping import NORM_CEILING, KickSchedule, Stepper, sweep
 
 
 def parallel_map(fun, items):
@@ -147,17 +149,6 @@ class BatchRunner:
         self.stepper = stepper
         self.model = model
         self.basis = model.theta_basis(stepper.n)
-        self.k1 = sp.wavenumbers(stepper.n)[0]
-
-    def explicit(self, w, t):
-        u1, u2 = sp._velocity_physical(w)
-        nw = self.stepper.params.g * (1j * self.k1) * t - sp._advect(u1, u2, w)
-        return nw, -sp._advect(u1, u2, t)
-
-    def advance(self, w, t):
-        st = self.stepper
-        nw, nt = self.explicit(w, t)
-        return st.decay_w * w + st.gain_w * nw, st.decay_t * t + st.gain_t * nt
 
     def run(self, w, t, dw, grid_step: float, record_every: int = 1,
             observables=()) -> BatchTrajectory:
@@ -165,31 +156,28 @@ class BatchRunner:
 
         dw has shape (B, cells, d); the step size must divide the clock grid
         step, and jumps are applied at the right endpoint of their cell,
-        after the deterministic substep, exactly as the single-path loop
-        does it.
+        after the deterministic substep, exactly as a single path is run.
+        Raises RuntimeError naming the step, the first offending path and
+        its energy when a recorded energy leaves the norm ceiling.
         """
         st = self.stepper
-        w = np.array(w, dtype=np.complex128, copy=True)
-        t = np.array(t, dtype=np.complex128, copy=True)
-        n_b, cells = dw.shape[0], dw.shape[1]
-        q = grid_step / st.dt
-        qi = int(round(q))
-        if abs(q - qi) > 1e-9 * max(1.0, q) or qi < 1:
-            raise ValueError("step size must divide the clock grid step")
-        kicks = {(i + 1) * qi - 1: i for i in range(cells)}
-        n_steps = cells * qi
+        w = np.asarray(w, dtype=np.complex128)
+        t = np.asarray(t, dtype=np.complex128)
+        n_b = dw.shape[0]
+        kicks = KickSchedule(grid_step, st.dt, dw.shape[1], dw=dw, basis=self.basis)
+        n_steps = kicks.n_steps
         if n_steps % record_every:
             raise ValueError("record_every must divide the step count")
         n_rec = n_steps // record_every + 1
         params = st.params
         zeta = params.zeta_star
-        scale = (2.0 * np.pi) ** 2 / float(st.n) ** 4
+        scale = sp.quad_weight(st.n)
 
         energy = np.empty((n_b, n_rec))
         observed = np.empty((len(observables), n_b, n_rec))
         times = st.dt * record_every * np.arange(n_rec)
 
-        def record(slot):
+        def record(slot, w, t):
             energy[:, slot] = scale * (
                 zeta * (np.abs(w.reshape(n_b, -1)) ** 2).sum(1)
                 + (np.abs(t.reshape(n_b, -1)) ** 2).sum(1))
@@ -197,18 +185,20 @@ class BatchRunner:
                 for b in range(n_b):
                     observed[oi, b, slot] = obs(SpectralState(w[b], t[b]), params)
 
-        record(0)
-        for step in range(n_steps):
-            w, t = self.advance(w, t)
-            cell = kicks.get(step)
-            if cell is not None:
-                t = t + np.einsum("bd,dxy->bxy", dw[:, cell], self.basis)
-            if (step + 1) % record_every == 0:
-                slot = (step + 1) // record_every
-                record(slot)
-                if not np.isfinite(energy[:, slot]).all() or \
-                        energy[:, slot].max() > NORM_CEILING**2:
-                    raise RuntimeError(f"batch blow-up at step {step + 1}")
+        def on_step(i, pre, post, cell):
+            if (i + 1) % record_every:
+                return
+            slot = (i + 1) // record_every
+            record(slot, *post)
+            bad = ~np.isfinite(energy[:, slot]) | (energy[:, slot] > NORM_CEILING**2)
+            if bad.any():
+                b = int(np.argmax(bad))
+                raise RuntimeError(f"batch blow-up at step {i + 1}: path {b} "
+                                   f"has energy {energy[b, slot]:.6g}")
+
+        record(0, w, t)
+        # copies that only `sweep` holds, so it frees them after one step
+        w, t = sweep(st, w.copy(), t.copy(), n_steps, kicks, on_step)
         return BatchTrajectory(times, energy, observed, w, t)
 
 
@@ -367,7 +357,7 @@ def eproperty_probe(seed: int, stepper: Stepper, model: NoiseModel,
     gaps, state_gaps, digests = [], [], [digest0]
     params = stepper.params
     zeta = params.zeta_star
-    scale = (2.0 * np.pi) ** 2 / float(stepper.n) ** 4
+    scale = sp.quad_weight(stepper.n)
     for delta in deltas:
         out, digest = run_from(base_state + direction * delta)
         digests.append(digest)
@@ -433,7 +423,7 @@ def irreducibility_probe(seed: int, stepper: Stepper, model: NoiseModel,
     starts = [(a, b) for a in levels for b in levels]
 
     runner = BatchRunner(stepper, model)
-    qi = int(round(spec.grid_step / stepper.dt))
+    qi = KickSchedule.steps_per_cell(spec.grid_step, stepper.dt)
     blocks_w, blocks_t, blocks_dw, norms = [], [], [], []
     for si, (a, b) in enumerate(starts):
         u0 = e_w * a + e_t * b

@@ -93,11 +93,6 @@ class SubordinatorPath:
     def total(self) -> float:
         return float(self.cumulative[-1])
 
-    def value_at(self, t: float) -> float:
-        """Right-continuous clock value at time t."""
-        idx = np.searchsorted(self.times, t + 1e-12 * max(1.0, abs(t)), side="right") - 1
-        return float(self.cumulative[min(idx, len(self.cumulative) - 1)])
-
 
 def sample_subordinator(spec: SubordinatorSpec, horizon: float,
                         rng: np.random.Generator, seed: int | None = None) -> SubordinatorPath:

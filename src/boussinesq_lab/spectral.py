@@ -147,20 +147,18 @@ def hermitize(f_hat: np.ndarray) -> np.ndarray:
     return 0.5 * (f_hat + mirror)
 
 
-def zero_mean(f_hat: np.ndarray) -> np.ndarray:
-    out = f_hat.copy()
-    out[..., 0, 0] = 0.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # inner products and norms
 
 
+def quad_weight(n: int) -> float:
+    """Coefficient-space weight (2 pi)^2 / n^4 of the continuum L2 pairing."""
+    return TWO_PI**2 / n**4
+
+
 def l2_dot(f_hat: np.ndarray, g_hat: np.ndarray) -> float:
     """Continuum L2 pairing of the real fields behind two coefficient arrays."""
-    n = f_hat.shape[-1]
-    return float(TWO_PI**2 / n**4 * np.sum(f_hat * np.conj(g_hat)).real)
+    return float(quad_weight(f_hat.shape[-1]) * np.sum(f_hat * np.conj(g_hat)).real)
 
 
 def sobolev_sq(f_hat: np.ndarray, s: float) -> float:
@@ -173,7 +171,7 @@ def sobolev_sq(f_hat: np.ndarray, s: float) -> float:
         raise ValueError("negative smoothness index not supported")
     n = f_hat.shape[-1]
     weight = ksq(n) ** s if s != 0 else 1.0
-    return float(TWO_PI**2 / n**4 * np.sum(weight * np.abs(f_hat) ** 2))
+    return float(quad_weight(n) * np.sum(weight * np.abs(f_hat) ** 2))
 
 
 def state_dot(a: SpectralState, b: SpectralState, params: PhysicsParams) -> float:

@@ -1,4 +1,4 @@
-"""Time integration: exponential and implicit-explicit Euler with jump forcing.
+"""Time integration: one step kernel, one kick schedule, one forward sweep.
 
 Both schemes treat the dissipation exactly or implicitly and the quadratic
 and buoyancy terms explicitly. One step over dt is the deterministic substep
@@ -12,6 +12,17 @@ The deterministic substep, per coefficient:
     imex Euler:         U+ = (U + dt N(U)) / (1 + dt L)
 with L the diagonal dissipation symbol per component and
 N(U) = -B(U, U) + G U the explicit part.
+
+Every forward time loop in the package is built from three pieces here:
+  * `Stepper.advance(w, t)`, the only step kernel, on raw coefficient arrays
+    of shape (..., n, n); one path has an empty batch shape, an ensemble a
+    leading batch axis;
+  * `KickSchedule`, which owns the rule that dt divides the clock grid step,
+    the map from a step to the clock cell whose jump ends it, the check that
+    the clock path covers the sweep, and the temperature kick of each cell;
+  * `sweep`, the forward loop: advance, kick at cell ends, call the hooks.
+    `simulate`, the ensemble batches and the tangent, Gramian and control
+    sweeps of the variation module are hooks on it.
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ class Stepper:
     decay_t: np.ndarray = field(init=False)
     gain_w: np.ndarray = field(init=False)
     gain_t: np.ndarray = field(init=False)
+    buoyancy: np.ndarray = field(init=False)    # g i k1, the symbol of G
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
@@ -65,26 +77,96 @@ class Stepper:
                 raise ValueError(f"unknown scheme {self.scheme}")
             setattr(self, f"decay_{comp}", decay)
             setattr(self, f"gain_{comp}", gain)
+        self.buoyancy = self.params.g * (1j * sp.wavenumbers(self.n)[0])
 
-    def explicit_part(self, state: SpectralState) -> SpectralState:
-        return sp.apply_G(state, self.params) - sp.nonlinear_B(state)
-
-    def advance(self, state: SpectralState) -> SpectralState:
-        """One deterministic substep."""
-        nl = self.explicit_part(state)
-        return SpectralState(
-            self.decay_w * state.w_hat + self.gain_w * nl.w_hat,
-            self.decay_t * state.theta_hat + self.gain_t * nl.theta_hat,
-        )
+    def advance(self, w: np.ndarray, t: np.ndarray):
+        """One deterministic substep of coefficient arrays of shape (..., n, n)."""
+        u1, u2 = sp._velocity_physical(w)
+        nw = self.buoyancy * t - sp._advect(u1, u2, w)
+        nt = -sp._advect(u1, u2, t)
+        return self.decay_w * w + self.gain_w * nw, self.decay_t * t + self.gain_t * nt
 
 
 def step(state: SpectralState, stepper: Stepper,
          kick: SpectralState | None = None) -> SpectralState:
     """Deterministic substep, then an optional temperature kick."""
-    out = stepper.advance(state)
+    out = SpectralState(*stepper.advance(state.w_hat, state.theta_hat))
     if kick is not None:
         out = out + kick
     return out
+
+
+class KickSchedule:
+    """Where the clock jumps land on the step grid, and what they add.
+
+    Clock cells have width grid_step = q dt with q a whole number; the jump
+    of cell i sits at time (i + 1) q dt, the end of step (i + 1) q - 1. A
+    sweep of n_steps (all the cells' steps when None) must not outrun the
+    n_cells cells. dw holds one row of Brownian increments per cell, shape
+    (n_cells, d) for one path or (B, n_cells, d) for a batch; basis is the
+    model's amplitude-scaled temperature basis (d, n, n). Both are needed
+    only for `increment`.
+    """
+
+    def __init__(self, grid_step: float, dt: float, n_cells: int,
+                 n_steps: int | None = None,
+                 dw: np.ndarray | None = None, basis: np.ndarray | None = None):
+        q = self.steps_per_cell(grid_step, dt)
+        if n_steps is None:
+            n_steps = n_cells * q
+        if n_cells * q < n_steps:
+            raise ValueError("clock path too short for the requested horizon")
+        self.n_steps = n_steps
+        self.dw = dw
+        self.basis = basis
+        self.cell_at = {(i + 1) * q - 1: i for i in range(n_steps // q)}
+
+    @staticmethod
+    def steps_per_cell(grid_step: float, dt: float) -> int:
+        """q = grid_step / dt, which must be whole to within 1e-9 max(1, q)."""
+        q = grid_step / dt
+        qi = int(round(q))
+        if abs(q - qi) > 1e-9 * max(1.0, q) or qi < 1:
+            raise ValueError("step size must divide the clock grid step")
+        return qi
+
+    @classmethod
+    def along(cls, path: SubordinatorPath, stepper: Stepper, n_steps: int,
+              model: NoiseModel | None = None,
+              dw: np.ndarray | None = None) -> "KickSchedule":
+        """The jumps of one clock path over the first n_steps of stepper."""
+        basis = model.theta_basis(stepper.n) if model is not None else None
+        return cls(path.spec.grid_step, stepper.dt, len(path.increments), n_steps, dw, basis)
+
+    def increment(self, cell: int) -> np.ndarray:
+        """Temperature kick sum_j dw_j alpha_j trig_j of one cell, per path."""
+        return np.tensordot(self.dw[..., cell, :], self.basis, axes=1)
+
+
+def sweep(stepper: Stepper, w: np.ndarray, t: np.ndarray, n_steps: int,
+          kicks: KickSchedule | None = None, on_step=None, on_kick=None):
+    """The forward loop: n_steps of advance, kick at cell ends, hooks.
+
+    After step i is advanced, and if it ends a clock cell,
+    on_kick(i, cell, t, increment) sees the temperature before the kick is
+    added. Then on_step(i, pre, post, cell) gets the (w, t) pairs before and
+    after the step (post includes the kick; cell is None off the jumps). A
+    hook returning True ends the sweep after that step. The arrays are
+    never written in place. Returns the last (w, t).
+    """
+    for i in range(n_steps):
+        w1, t1 = stepper.advance(w, t)
+        cell = kicks.cell_at.get(i) if kicks is not None else None
+        if cell is not None:
+            inc = kicks.increment(cell)
+            if on_kick is not None:
+                on_kick(i, cell, t1, inc)
+            t1 = t1 + inc
+            del inc         # not held through the next step's advance
+        if on_step is not None and on_step(i, (w, t), (w1, t1), cell):
+            return w1, t1
+        w, t = w1, t1
+    return w, t
 
 
 @dataclass
@@ -118,25 +200,6 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def _kick_lookup(path: SubordinatorPath, dw: np.ndarray, dt: float, n_steps: int):
-    """Map step index -> row of dw whose jump lands at the end of that step.
-
-    Clock cells have width path.spec.grid_step = q dt; the jump of cell i
-    sits at time (i + 1) q dt, the end of step (i + 1) q - 1.
-    """
-    h = path.spec.grid_step
-    q = h / dt
-    qi = int(round(q))
-    if abs(q - qi) > 1e-9 or qi < 1:
-        raise ValueError("step size must divide the clock grid step")
-    lookup = {}
-    for i in range(len(path.increments)):
-        step_idx = (i + 1) * qi - 1
-        if step_idx < n_steps:
-            lookup[step_idx] = i
-    return lookup
-
-
 def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
              model: NoiseModel | None = None, path: SubordinatorPath | None = None,
              dw: np.ndarray | None = None,
@@ -154,27 +217,16 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
     if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be a multiple of the step size")
     p = stepper.params
-    n = u0.n
 
-    kicks = {}
-    clock_steps = np.zeros(n_steps + 1)
+    kicks = None
     if model is not None and path is not None:
         if dw is None:
             raise ValueError("Brownian increments are required alongside a clock path")
-        if path.horizon < horizon - 1e-9:
-            raise ValueError("clock path too short for the requested horizon")
-        kicks = _kick_lookup(path, dw, dt, n_steps)
-        basis = model.theta_basis(n)
+        kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
 
     times = dt * np.arange(n_steps + 1)
-    norm0 = np.zeros(n_steps + 1)
-    norm1 = np.zeros(n_steps + 1)
-    w_part = np.zeros(n_steps + 1)
-    theta_part = np.zeros(n_steps + 1)
-    grad_th = np.zeros(n_steps + 1)
-    pre_jump = np.zeros(n_steps + 1)
-    grad_pre_jump = np.zeros(n_steps + 1)
-    jump_ident = np.zeros(n_steps + 1)
+    (norm0, norm1, w_part, theta_part, grad_th, clock_steps, pre_jump,
+     grad_pre_jump, jump_ident) = np.zeros((9, n_steps + 1))
 
     def record(i: int, state: SpectralState) -> None:
         wq = p.zeta_star * sp.sobolev_sq(state.w_hat, 0)
@@ -185,49 +237,45 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
         theta_part[i] = tq
         grad_th[i] = sp.sobolev_sq(state.theta_hat, 1)
 
-    state = u0.copy()
-    record(0, state)
-    snapshots = [state.copy()]
+    record(0, u0)
+    snapshots = [u0.copy()]
     snapshot_times = [0.0]
-    states = [state.copy()] if store_full else None
-    blew_up = False
+    states = [u0.copy()] if store_full else None
     ell = 0.0
+    last = 0            # steps taken
+    blew_up = False
 
-    for i in range(n_steps):
-        state = stepper.advance(state)
-        pre = sp.sobolev_sq(state.theta_hat, 0)
-        pre_jump[i + 1] = pre
-        grad_pre_jump[i + 1] = sp.sobolev_sq(state.theta_hat, 1)
-        if i in kicks:
-            row = kicks[i]
-            kick_hat = np.tensordot(dw[row], basis, axes=([0], [0]))
-            jump_ident[i + 1] = (2.0 * sp.l2_dot(state.theta_hat, kick_hat)
-                                 + sp.l2_dot(kick_hat, kick_hat))
-            state = SpectralState(state.w_hat, state.theta_hat + kick_hat)
-            ell += path.increments[row]
-        record(i + 1, state)
-        clock_steps[i + 1] = ell
+    def on_kick(i, cell, t, kick):
+        nonlocal ell
+        pre_jump[i + 1] = sp.sobolev_sq(t, 0)
+        grad_pre_jump[i + 1] = sp.sobolev_sq(t, 1)
+        jump_ident[i + 1] = 2.0 * sp.l2_dot(t, kick) + sp.l2_dot(kick, kick)
+        ell += path.increments[cell]
+
+    def on_step(i, pre, post, cell):
+        nonlocal last, blew_up
+        last = i + 1
+        state = SpectralState(*post)
+        record(last, state)
+        if cell is None:
+            pre_jump[last] = theta_part[last]
+            grad_pre_jump[last] = grad_th[last]
+        clock_steps[last] = ell
         if store_full:
-            states.append(state.copy())
-        if (i + 1) % snapshot_stride == 0 or i == n_steps - 1:
-            snapshots.append(state.copy())
-            snapshot_times.append(times[i + 1])
-        if not np.isfinite(norm1[i + 1]) or norm1[i + 1] > ceiling:
-            blew_up = True
-            cut = i + 2
-            times = times[:cut]
-            norm0, norm1 = norm0[:cut], norm1[:cut]
-            w_part, theta_part = w_part[:cut], theta_part[:cut]
-            grad_th, clock_steps = grad_th[:cut], clock_steps[:cut]
-            pre_jump, jump_ident = pre_jump[:cut], jump_ident[:cut]
-            grad_pre_jump = grad_pre_jump[:cut]
-            break
+            states.append(state)
+        if last % snapshot_stride == 0 or last == n_steps:
+            snapshots.append(state)
+            snapshot_times.append(times[last])
+        blew_up = bool(not np.isfinite(norm1[last]) or norm1[last] > ceiling)
+        return blew_up
 
+    sweep(stepper, u0.w_hat, u0.theta_hat, n_steps, kicks, on_step, on_kick)
+    cut = last + 1
     return Trajectory(
-        times=times, norm0=norm0, norm1=norm1, w_part=w_part,
-        theta_part=theta_part, grad_theta_sq=grad_th, clock=clock_steps,
-        theta_sq_prejump=pre_jump, grad_theta_sq_prejump=grad_pre_jump,
-        jump_identity=jump_ident,
+        times=times[:cut], norm0=norm0[:cut], norm1=norm1[:cut], w_part=w_part[:cut],
+        theta_part=theta_part[:cut], grad_theta_sq=grad_th[:cut], clock=clock_steps[:cut],
+        theta_sq_prejump=pre_jump[:cut], grad_theta_sq_prejump=grad_pre_jump[:cut],
+        jump_identity=jump_ident[:cut],
         snapshots=snapshots, snapshot_times=np.asarray(snapshot_times),
         states=states, blew_up=blew_up,
     )

@@ -11,7 +11,12 @@ weight zeta* carried through, so forward/backward duality holds to roundoff
 and the two Gramian assemblies agree to machine precision.
 
 Stacks of perturbations are raw complex arrays of shape (batch, n, n) so the
-FFT work is batched.
+FFT work is batched. Every forward sweep here (tangent flow, second
+variation, Gramian columns, control windows) is a hook on the stepping
+module's one forward loop `sweep`, which advances the base with the one step
+kernel and applies the kicks of a `KickSchedule`; each hook linearizes at
+the pre-step base that `sweep` hands it. The adjoint transport is the one
+backward loop, over a stored base path.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import spectral as sp
 from .spectral import PhysicsParams, SpectralState
-from .stepping import DEFAULT_SCHEME, Stepper
+from .stepping import DEFAULT_SCHEME, KickSchedule, Stepper, sweep
 
 
 def _fft2(a):
@@ -83,10 +88,6 @@ class Linearizer:
             dt2=_ifft2r(self.ik2 * tm),
         )
 
-    def advance_base(self, base: SpectralState) -> SpectralState:
-        """Deterministic substep, bit-identical to the plain simulation loop."""
-        return self.stepper.advance(base)
-
     def drift_direction(self, prep: PreparedBase, xw: np.ndarray, xt: np.ndarray):
         """D(U) xi for a stack of perturbations (leading batch axes allowed)."""
         xwm = np.where(self.dmask, xw, 0.0)
@@ -140,42 +141,69 @@ def unstack_states(w: np.ndarray, t: np.ndarray) -> list[SpectralState]:
 # forward sweeps
 
 
-def kick_schedule(path, dt: float, n_steps: int) -> dict[int, int]:
-    """Step index -> clock cell whose jump lands at the end of that step."""
-    h = path.spec.grid_step
-    q = int(round(h / dt))
-    if abs(h / dt - q) > 1e-9 or q < 1:
-        raise ValueError("step size must divide the clock grid step")
-    return {(i + 1) * q - 1: i for i in range(len(path.increments)) if (i + 1) * q - 1 < n_steps}
+def _kicks(path, stepper: Stepper, n_steps: int, model, dw) -> KickSchedule | None:
+    # the optional noise triple of the public sweeps; no path, no kicks
+    return KickSchedule.along(path, stepper, n_steps, model, dw) if path is not None else None
 
 
 def flow_with_tangent(u0: SpectralState, n_steps: int, lin: Linearizer,
                       xw: np.ndarray, xt: np.ndarray,
-                      kicks: dict[int, int] | None = None,
-                      dw: np.ndarray | None = None, model=None,
+                      kicks: KickSchedule | None = None,
                       on_step=None, store_base: bool = False):
     """Advance base state and a perturbation stack in lockstep.
 
+    kicks carries the base path's forcing (None: unforced).
     on_step(i, base, xw, xt) is called after step i completes (post kick).
     Returns (base_final, xw, xt, bases) with bases the per-step base states
     (length n_steps + 1) when store_base, else None.
     """
-    base = u0.copy()
-    bases = [base.copy()] if store_base else None
-    basis = model.theta_basis(lin.n) if model is not None else None
-    for i in range(n_steps):
-        prep = lin.prepare(base)
-        xw, xt = lin.tangent(prep, xw, xt)
-        base = lin.advance_base(base)
-        if kicks and i in kicks:
-            row = kicks[i]
-            base = SpectralState(base.w_hat,
-                                 base.theta_hat + np.tensordot(dw[row], basis, axes=([0], [0])))
+    bases = [u0.copy()] if store_base else None
+
+    def hook(i, pre, post, cell):
+        nonlocal xw, xt
+        xw, xt = lin.tangent(lin.prepare(SpectralState(*pre)), xw, xt)
+        base = SpectralState(*post)
         if store_base:
-            bases.append(base.copy())
+            bases.append(base)
         if on_step is not None:
             on_step(i, base, xw, xt)
-    return base, xw, xt, bases
+
+    w, t = sweep(lin.stepper, u0.w_hat, u0.theta_hat, n_steps, kicks, hook)
+    return SpectralState(w, t), xw, xt, bases
+
+
+def _jump_columns(u0: SpectralState, n_steps: int, lin: Linearizer,
+                  kicks: KickSchedule, increments: np.ndarray,
+                  lead=None, sqrt_mass: bool = False):
+    """Propagate the columns J_{r, T} alpha sigma_j of every jump in a window.
+
+    The d columns of a cell with mass dl > 0 enter right after its kick as
+    alpha sigma_j (times sqrt(dl) when sqrt_mass) and then ride the tangent
+    flow, behind the optional lead stack (w, t) that starts at step 0.
+    Returns (final base, xw, xt, masses): lead rows first, then d columns
+    per jump in time order, and masses the dl of each jump.
+    """
+    sig = kicks.basis
+    d = len(sig)
+    masses = [increments[c] for c in kicks.cell_at.values() if increments[c] > 0.0]
+    n_lead = 0 if lead is None else len(lead[0])
+    xw = np.zeros((n_lead + d * len(masses), lin.n, lin.n), np.complex128)
+    xt = np.zeros_like(xw)
+    if lead is not None:
+        xw[:n_lead], xt[:n_lead] = lead
+    active = n_lead
+
+    def hook(i, pre, post, cell):
+        nonlocal active
+        if active:
+            prep = lin.prepare(SpectralState(*pre))
+            xw[:active], xt[:active] = lin.tangent(prep, xw[:active], xt[:active])
+        if cell is not None and increments[cell] > 0.0:
+            xt[active:active + d] = np.sqrt(increments[cell]) * sig if sqrt_mass else sig
+            active += d
+
+    w, t = sweep(lin.stepper, u0.w_hat, u0.theta_hat, n_steps, kicks, hook)
+    return SpectralState(w, t), xw, xt, masses
 
 
 def jacobian_forward(u0: SpectralState, horizon: float, stepper: Stepper,
@@ -187,9 +215,9 @@ def jacobian_forward(u0: SpectralState, horizon: float, stepper: Stepper,
     """
     lin = Linearizer(stepper)
     n_steps = int(round(horizon / stepper.dt))
-    kicks = kick_schedule(path, stepper.dt, n_steps) if path is not None else None
     xw, xt = stack_states(directions)
-    _, xw, xt, _ = flow_with_tangent(u0, n_steps, lin, xw, xt, kicks=kicks, dw=dw, model=model)
+    _, xw, xt, _ = flow_with_tangent(u0, n_steps, lin, xw, xt,
+                                     _kicks(path, stepper, n_steps, model, dw))
     return unstack_states(xw, xt)
 
 
@@ -226,15 +254,13 @@ def second_variation(u0: SpectralState, horizon: float, stepper: Stepper,
     lin = Linearizer(stepper)
     st = stepper
     n_steps = int(round(horizon / st.dt))
-    kicks = kick_schedule(path, st.dt, n_steps) if path is not None else None
-    basis = model.theta_basis(lin.n) if model is not None else None
-
-    base = u0.copy()
     xw, xt = stack_states([phi, psi])
     jw = np.zeros_like(u0.w_hat)
     jt = np.zeros_like(u0.theta_hat)
-    for i in range(n_steps):
-        prep = lin.prepare(base)
+
+    def hook(i, pre, post, cell):
+        nonlocal xw, xt, jw, jt
+        prep = lin.prepare(SpectralState(*pre))
         # source from the current first variations
         a = SpectralState(xw[0], xt[0])
         b = SpectralState(xw[1], xt[1])
@@ -243,11 +269,8 @@ def second_variation(u0: SpectralState, horizon: float, stepper: Stepper,
         jw = st.decay_w * jw + st.gain_w * (djw + src.w_hat)
         jt = st.decay_t * jt + st.gain_t * (djt + src.theta_hat)
         xw, xt = lin.tangent(prep, xw, xt)
-        base = lin.advance_base(base)
-        if kicks and i in kicks:
-            row = kicks[i]
-            base = SpectralState(base.w_hat,
-                                 base.theta_hat + np.tensordot(dw[row], basis, axes=([0], [0])))
+
+    sweep(st, u0.w_hat, u0.theta_hat, n_steps, _kicks(path, st, n_steps, model, dw), hook)
     return SpectralState(jw, jt)
 
 
@@ -303,7 +326,7 @@ class HNBasis:
 
     def coords(self, xw: np.ndarray, xt: np.ndarray) -> np.ndarray:
         """Weighted inner products of a stack (..., n, n) with every element."""
-        c = TWO_PI_SQ * 2.0 / self.n**4          # (2 pi)^2 / n^4
+        c = sp.quad_weight(self.n)
         zeta = self.params.zeta_star
         cw = np.einsum("...ij,dij->...d", xw, np.conj(self.w_hats)).real
         ct = np.einsum("...ij,dij->...d", xt, np.conj(self.t_hats)).real
@@ -338,50 +361,23 @@ def malliavin_forward(u0: SpectralState, n_steps: int, stepper: Stepper,
     sigma_j at its jump time; rows accumulate through the tangent flow and
     the Gramian is the outer-product sum of their band coordinates.
     """
-    lin = Linearizer(stepper)
-    kicks = kick_schedule(path, stepper.dt, n_steps)
-    d = model.dim
-    sig = model.theta_basis(lin.n)        # alpha_j already folded in
-    n = lin.n
-
-    max_rows = (len(kicks)) * d
-    xw = np.zeros((max_rows, n, n), np.complex128)
-    xt = np.zeros((max_rows, n, n), np.complex128)
-    active = 0
-    base = u0.copy()
-    n_jumps = 0
-    mass = 0.0
-    for i in range(n_steps):
-        prep = lin.prepare(base)
-        if active:
-            xw[:active], xt[:active] = lin.tangent(prep, xw[:active], xt[:active])
-        base = lin.advance_base(base)
-        if i in kicks:
-            row = kicks[i]
-            dl = path.increments[row]
-            base = SpectralState(base.w_hat,
-                                 base.theta_hat + np.tensordot(dw[row], sig, axes=([0], [0])))
-            if dl > 0.0:
-                n_jumps += 1
-                mass += dl
-                xt[active:active + d] = np.sqrt(dl) * sig
-                active += d
-    coords = basis.coords(xw[:active], xt[:active]) if active else np.zeros((0, basis.dim))
+    kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
+    _, xw, xt, masses = _jump_columns(u0, n_steps, Linearizer(stepper), kicks,
+                                      path.increments, sqrt_mass=True)
+    coords = basis.coords(xw, xt) if len(xw) else np.zeros((0, basis.dim))
     matrix = coords.T @ coords
-    return GramianResult(matrix=matrix, basis=basis, n_jumps=n_jumps,
-                         degenerate=(n_jumps == 0), clock_mass=mass)
+    return GramianResult(matrix=matrix, basis=basis, n_jumps=len(masses),
+                         degenerate=not masses, clock_mass=sum(masses, 0.0))
 
 
 def malliavin_backward(bases, stepper: Stepper, model, path,
                        basis: HNBasis) -> GramianResult:
     """Assemble the same Gramian by one adjoint sweep of the basis stack."""
-    n_steps = len(bases) - 1
-    kicks = kick_schedule(path, stepper.dt, n_steps)
-    d = model.dim
+    kicks = KickSchedule.along(path, stepper, len(bases) - 1)
     sig = model.theta_basis(stepper.n)
-    jump_steps = {i + 1: kicks[i] for i in kicks if path.increments[kicks[i]] > 0.0}
+    jump_steps = {i + 1: c for i, c in kicks.cell_at.items() if path.increments[c] > 0.0}
     rows = []
-    c = TWO_PI_SQ * 2.0 / stepper.n**4
+    c = sp.quad_weight(stepper.n)
 
     def record(idx, rw, rt):
         if idx in jump_steps:
@@ -427,7 +423,8 @@ def min_eigen_probe(matrix: np.ndarray, p_mask: np.ndarray, alpha: float,
     until the eigenvector's P-mass matches alpha within tol. Feasible
     candidates rebalanced onto the boundary supply the matching upper bound,
     which stays informative even when an eigenvalue crossing makes the
-    P-mass jump past alpha.
+    P-mass jump past alpha; every unit vector inside the P block is feasible
+    too, so the block's least eigenvalue is a candidate as well.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("boundary fraction must sit in (0, 1]")
@@ -484,7 +481,7 @@ def min_eigen_probe(matrix: np.ndarray, p_mask: np.ndarray, alpha: float,
     lam, v, pm = eig_min(mu)
     best_lower = max(best_lower, lam + mu * alpha**2)
 
-    uppers = []
+    uppers = [float(np.linalg.eigvalsh(sym[np.ix_(p_mask, p_mask)])[0])]
     cand = rebalance(v * p, v - v * p)
     if cand is not None:
         uppers.append(cand)
@@ -492,7 +489,7 @@ def min_eigen_probe(matrix: np.ndarray, p_mask: np.ndarray, alpha: float,
         cand = rebalance(v_hi * p, v_lo - v_lo * p)
         if cand is not None:
             uppers.append(cand)
-    upper = min(uppers) if uppers else float("inf")
+    upper = min(uppers)
     return EigenProbe(lower=float(min(best_lower, upper)), upper=float(upper),
                       unconstrained=lam0, mu=float(mu),
                       boundary_gap=float(abs(pm - alpha)), active=True)
@@ -525,50 +522,25 @@ def control_window(rho_in: SpectralState, u0: SpectralState, n_steps: int,
     1e-4 of the mean weighted column mass.
     """
     lin = Linearizer(stepper)
-    kicks = kick_schedule(path, stepper.dt, n_steps)
-    d = model.dim
-    sig = model.theta_basis(lin.n)
-    n = lin.n
-    p = stepper.params
-    jump_rows = [kicks[i] for i in sorted(kicks) if path.increments[kicks[i]] > 0.0]
-    q = len(jump_rows) * d
+    kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
+    n_jumps = sum(1 for c in kicks.cell_at.values() if path.increments[c] > 0.0)
+    q = n_jumps * model.dim
+    rho = stack_states([rho_in])
 
     if not controlled or q == 0:
-        xw, xt = stack_states([rho_in])
-        base, xw, xt, _ = flow_with_tangent(u0, n_steps, lin, xw, xt, kicks=kicks, dw=dw, model=model)
+        base, xw, xt, _ = flow_with_tangent(u0, n_steps, lin, *rho, kicks)
         return ControlWindow(rho_out=SpectralState(xw[0], xt[0]), base_out=base,
                              recursion_residual=0.0, v_norm_sq=0.0,
-                             n_jumps=len(jump_rows), degenerate=(q == 0), beta=0.0)
+                             n_jumps=n_jumps, degenerate=(q == 0), beta=0.0)
 
     # propagate rho and all jump columns together
-    xw = np.zeros((1 + q, n, n), np.complex128)
-    xt = np.zeros((1 + q, n, n), np.complex128)
-    xw[0] = rho_in.w_hat
-    xt[0] = rho_in.theta_hat
-    active = 1
-    weights = np.zeros(q)
-    base = u0.copy()
-    jump_ptr = 0
-    for i in range(n_steps):
-        prep = lin.prepare(base)
-        xw[:active], xt[:active] = lin.tangent(prep, xw[:active], xt[:active])
-        base = lin.advance_base(base)
-        if i in kicks:
-            row = kicks[i]
-            dl = path.increments[row]
-            base = SpectralState(base.w_hat,
-                                 base.theta_hat + np.tensordot(dw[row], sig, axes=([0], [0])))
-            if dl > 0.0:
-                xt[active:active + d] = sig
-                weights[jump_ptr * d:(jump_ptr + 1) * d] = dl
-                active += d
-                jump_ptr += 1
-
+    base, xw, xt, masses = _jump_columns(u0, n_steps, lin, kicks, path.increments, lead=rho)
+    weights = np.repeat(masses, model.dim)
     y_w, y_t = xw[0], xt[0]                  # J rho
-    cw, ct = xw[1:active], xt[1:active]      # columns J_{r_i, t} alpha sigma_j
+    cw, ct = xw[1:], xt[1:]                  # columns J_{r_i, t} alpha sigma_j
 
-    c = TWO_PI_SQ * 2.0 / n**4
-    zeta = p.zeta_star
+    c = sp.quad_weight(stepper.n)
+    zeta = stepper.params.zeta_star
 
     def pair_with_columns(aw, at):
         return c * (zeta * np.einsum("qij,ij->q", np.conj(cw), aw).real
@@ -598,7 +570,7 @@ def control_window(rho_in: SpectralState, u0: SpectralState, n_steps: int,
     v_norm_sq = float(np.sum(weights * v * v))
     return ControlWindow(rho_out=SpectralState(rho_w, rho_t), base_out=base,
                          recursion_residual=resid, v_norm_sq=v_norm_sq,
-                         n_jumps=len(jump_rows), degenerate=False, beta=float(beta))
+                         n_jumps=n_jumps, degenerate=False, beta=float(beta))
 
 
 @dataclass
@@ -625,9 +597,7 @@ def control_experiment(seed: int, n_paths: int, n_windows: int, n: int,
                         subordinated_increments)
 
     h = spec.grid_step
-    q = int(round(h / dt))
-    if abs(h / dt - q) > 1e-9 or q < 1:
-        raise ValueError("step size must divide the clock grid step")
+    q = KickSchedule.steps_per_cell(h, dt)
     stepper = Stepper(n, params, DEFAULT_SCHEME, dt)
     horizon_guess = 1.8 * (n_windows + 1) / params.nu
     horizon = h * int(np.ceil(horizon_guess / h))
@@ -695,7 +665,7 @@ def tangent_growth_experiment(seed: int, n_paths: int, horizon: float,
         clock_horizon = spec.grid_step * int(np.ceil(horizon / spec.grid_step))
         path = sample_subordinator(spec, clock_horizon, rng_stream(seed, ROLE_CLOCK, i))
         dw = subordinated_increments(path, model.dim, rng_stream(seed, ROLE_BROWNIAN, i))
-        kicks = kick_schedule(path, stepper.dt, n_steps)
+        kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
         u0 = sp.random_state(stepper.n, rng_stream(seed, ROLE_INIT, i), amplitude=amplitude)
         # probe the slow band: high modes only dissipate and hide the gain
         xi = sp.random_state(stepper.n, rng_stream(seed, ROLE_SCRATCH, i),
@@ -712,18 +682,11 @@ def tangent_growth_experiment(seed: int, n_paths: int, horizon: float,
             sup_gain = max(sup_gain, gain)
             arg.append(sp.weighted_norm(base, p, s=1.0) ** (4.0 / 3.0) + 1.0)
 
-        flow_with_tangent(u0, n_steps, lin, xw, xt, kicks=kicks, dw=dw,
-                          model=model, on_step=on_step)
+        flow_with_tangent(u0, n_steps, lin, xw, xt, kicks, on_step=on_step)
         series = np.asarray(arg)
         integral = float(np.trapezoid(series, dx=stepper.dt))
         out.append(GrowthSample(sup_gain=float(sup_gain), exponent_arg=integral))
     return out
-
-
-def default_beta(matrix: np.ndarray) -> float:
-    """Default Tikhonov level: 1e-4 of the mean diagonal mass."""
-    d = matrix.shape[0]
-    return max(1e-300, 1e-4 * float(np.trace(matrix)) / d)
 
 
 # ---------------------------------------------------------------------------
@@ -784,10 +747,10 @@ def duality_gap(u0: SpectralState, horizon: float, stepper: Stepper,
     """Relative gap of <J xi, phi> against <xi, K phi> on one window."""
     lin = Linearizer(stepper)
     n_steps = int(round(horizon / stepper.dt))
-    kicks = kick_schedule(path, stepper.dt, n_steps) if path is not None else None
     xw, xt = stack_states([xi])
-    _, xw, xt, bases = flow_with_tangent(u0, n_steps, lin, xw, xt, kicks=kicks,
-                                         dw=dw, model=model, store_base=True)
+    _, xw, xt, bases = flow_with_tangent(u0, n_steps, lin, xw, xt,
+                                         _kicks(path, stepper, n_steps, model, dw),
+                                         store_base=True)
     back = adjoint_backward(bases, stepper, [phi])
     p = stepper.params
     fwd = sp.state_dot(SpectralState(xw[0], xt[0]), phi, p)
@@ -819,7 +782,6 @@ def tail_coupling_series(u0: SpectralState, horizon: float, stepper: Stepper,
     lin = Linearizer(stepper)
     p = stepper.params
     n_steps = int(round(horizon / stepper.dt))
-    kicks = kick_schedule(path, stepper.dt, n_steps) if path is not None else None
     seeds = []
     for lv in levels:
         raw = sp.random_state(stepper.n, seed_rng, decay=1.0)
@@ -848,8 +810,8 @@ def tail_coupling_series(u0: SpectralState, horizon: float, stepper: Stepper,
         split(i + 1, w, t)
         times[i + 1] = (i + 1) * stepper.dt
 
-    flow_with_tangent(u0, n_steps, lin, xw, xt, kicks=kicks, dw=dw,
-                      model=model, on_step=on_step)
+    flow_with_tangent(u0, n_steps, lin, xw, xt, _kicks(path, stepper, n_steps, model, dw),
+                      on_step=on_step)
     return [TailCoupling(level=int(lv), times=times.copy(),
                          tail_sq=tail_sq[a].copy(), band_sq=band_sq[a].copy())
             for a, lv in enumerate(levels)]

@@ -68,6 +68,22 @@ def test_batch_rejects_bad_grid(stepper24):
         runner.run(w, w, dw, SPEC.grid_step, record_every=7)
 
 
+def test_batch_blow_up_names_path_and_energy():
+    # on a nearly inviscid flow path 1 starts at energy 8.6e9 and passes the
+    # 1e12 ceiling in its first step, while path 0 stays at rest; the error
+    # must point at path 1
+    n = 16
+    params = PhysicsParams(nu1=1e-6, nu2=1e-6, g=1.0)
+    stepper = Stepper(n, params, DEFAULT_SCHEME, 0.05)
+    big = sp.random_state(n, np.random.default_rng(4), amplitude=2e4, decay=0.5)
+    w = np.stack([np.zeros((n, n), complex), big.w_hat])
+    t = np.stack([np.zeros((n, n), complex), big.theta_hat])
+    dw = np.zeros((2, 20, MODEL.dim))
+    with pytest.raises(RuntimeError, match=r"at step \d+: path 1 has energy \S+") as err:
+        en.BatchRunner(stepper, MODEL).run(w, t, dw, grid_step=0.05)
+    assert "path 0" not in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # observables
 

@@ -4,9 +4,21 @@ import numpy as np
 import pytest
 
 from boussinesq_lab import spectral as sp
-from boussinesq_lab.noise import NoiseModel, SubordinatorSpec, rng_stream
+from boussinesq_lab import variation as var
+from boussinesq_lab.config import RunConfig
+from boussinesq_lab.ensembles import BatchRunner
+from boussinesq_lab.noise import (
+    ROLE_BROWNIAN,
+    ROLE_CLOCK,
+    NoiseModel,
+    SubordinatorSpec,
+    rng_stream,
+    sample_subordinator,
+    subordinated_increments,
+)
 from boussinesq_lab.spectral import PhysicsParams, psi_state, random_state, sigma_state
 from boussinesq_lab.stepping import (
+    KickSchedule,
     StepScheme,
     Stepper,
     energy_audit,
@@ -93,6 +105,83 @@ def test_step_size_must_divide_clock_grid(rng):
     stepper = Stepper(n, PhysicsParams(), StepScheme.ETD_EULER, 3e-3)
     with pytest.raises(ValueError):
         run_with_noise(u0, 0.3, stepper, model, spec, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# kick schedule
+
+
+def test_kick_schedule_step_to_cell():
+    # q = 1: every step ends a clock cell
+    ks = KickSchedule(1e-2, 1e-2, 4)
+    assert ks.n_steps == 4
+    assert ks.cell_at == {0: 0, 1: 1, 2: 2, 3: 3}
+    # q = 3: the jump of cell i ends step 3 (i + 1) - 1
+    ks = KickSchedule(3e-2, 1e-2, 3)
+    assert ks.n_steps == 9
+    assert ks.cell_at == {2: 0, 5: 1, 8: 2}
+    # a sweep shorter than the path sees only the cells it completes
+    assert KickSchedule(3e-2, 1e-2, 3, n_steps=8).cell_at == {2: 0, 5: 1}
+    assert KickSchedule(3e-2, 1e-2, 3, n_steps=2).cell_at == {}
+    assert KickSchedule(3e-2, 1e-2, 3, n_steps=0).cell_at == {}
+
+
+DIVIDE = "step size must divide the clock grid step"
+
+
+@pytest.mark.parametrize("entry", ["simulate", "BatchRunner.run", "malliavin_forward",
+                                   "control_experiment", "RunConfig"])
+def test_divisibility_rule_is_shared(entry):
+    # dt = 3e-3 does not divide grid_step = 1e-2 at any entry point
+    n, dt, h = 16, 3e-3, 1e-2
+    p = PhysicsParams()
+    model = NoiseModel()
+    spec = SubordinatorSpec(grid_step=h)
+    stepper = Stepper(n, p, StepScheme.ETD_EULER, dt)
+    path = sample_subordinator(spec, 0.1, rng_stream(1, ROLE_CLOCK))
+    dw = subordinated_increments(path, model.dim, rng_stream(1, ROLE_BROWNIAN))
+    u0 = sp.state_zeros(n)
+    zeros = np.zeros((1, n, n), complex)
+    calls = {
+        "simulate": lambda: simulate(u0, 30 * dt, stepper, model=model, path=path, dw=dw),
+        "BatchRunner.run": lambda: BatchRunner(stepper, model).run(zeros, zeros, dw[None], h),
+        "malliavin_forward": lambda: var.malliavin_forward(u0, 30, stepper, model, path, dw,
+                                                           var.HNBasis(n, 2, p)),
+        "control_experiment": lambda: var.control_experiment(1, 1, 1, n, p, spec, model,
+                                                             dt, 0.0),
+        "RunConfig": lambda: RunConfig(dt=dt, grid_step=h),
+    }
+    with pytest.raises(ValueError, match=DIVIDE):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("entry", ["simulate", "jacobian_forward", "second_variation",
+                                   "duality_gap", "malliavin_forward", "malliavin_backward",
+                                   "control_window"])
+def test_sweeps_reject_a_short_clock_path(entry, rng):
+    # 5 clock cells cover 10 steps of dt = 5e-3; every sweep asks for 12
+    n, dt = 16, 5e-3
+    p = PhysicsParams()
+    model = NoiseModel()
+    stepper = Stepper(n, p, StepScheme.ETD_EULER, dt)
+    path = sample_subordinator(SubordinatorSpec(grid_step=1e-2), 0.05, rng_stream(2, ROLE_CLOCK))
+    dw = subordinated_increments(path, model.dim, rng_stream(2, ROLE_BROWNIAN))
+    u0 = random_state(n, rng)
+    xi = random_state(n, rng)
+    noise = dict(model=model, path=path, dw=dw)
+    calls = {
+        "simulate": lambda: simulate(u0, 12 * dt, stepper, **noise),
+        "jacobian_forward": lambda: var.jacobian_forward(u0, 12 * dt, stepper, [xi], **noise),
+        "second_variation": lambda: var.second_variation(u0, 12 * dt, stepper, xi, xi, **noise),
+        "duality_gap": lambda: var.duality_gap(u0, 12 * dt, stepper, xi, xi, **noise),
+        "malliavin_forward": lambda: var.malliavin_forward(u0, 12, stepper, model, path, dw,
+                                                           var.HNBasis(n, 2, p)),
+        "malliavin_backward": lambda: var.malliavin_backward([u0] * 13, stepper, model, path,
+                                                             var.HNBasis(n, 2, p)),
+        "control_window": lambda: var.control_window(xi, u0, 12, stepper, model, path, dw),
+    }
+    with pytest.raises(ValueError, match="clock path too short"):
+        calls[entry]()
 
 
 def test_weak_convergence_order(rng):

@@ -16,7 +16,8 @@ from boussinesq_lab.noise import (
     subordinated_increments,
 )
 from boussinesq_lab.spectral import PhysicsParams, SpectralState
-from boussinesq_lab.stepping import DEFAULT_SCHEME, Stepper, StepScheme, simulate
+from boussinesq_lab.stepping import (DEFAULT_SCHEME, KickSchedule, Stepper, StepScheme,
+                                     simulate, sweep)
 
 
 def make_noise(seed, horizon, dim=4, h=5e-3, a=8.0, b=4.0):
@@ -282,22 +283,19 @@ def test_malliavin_fd_identity(params):
     eps = 1e-5
 
     lin = var.Linearizer(stepper)
-    kicks = var.kick_schedule(path, dt, n_steps)
+    kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
     sig = model.theta_basis(n)
-    base = u0.copy()
     cw = ct = None
-    for i in range(n_steps):
-        prep = lin.prepare(base)
+
+    def on_step(i, pre, post, cell):
+        nonlocal cw, ct
         if cw is not None:
-            cw, ct = lin.tangent(prep, cw, ct)
-        base = lin.advance_base(base)
-        if i in kicks:
-            r = kicks[i]
-            base = SpectralState(base.w_hat,
-                                 base.theta_hat + np.tensordot(dw[r], sig, axes=([0], [0])))
-            if r == row:
-                cw = np.zeros((n, n), np.complex128)
-                ct = sig[direction].copy()
+            cw, ct = lin.tangent(lin.prepare(SpectralState(*pre)), cw, ct)
+        if cell == row:
+            cw = np.zeros((n, n), np.complex128)
+            ct = sig[direction].copy()
+
+    sweep(stepper, u0.w_hat, u0.theta_hat, n_steps, kicks, on_step)
     assert cw is not None
 
     bumped = dw.copy()
@@ -330,6 +328,21 @@ def test_eigen_probe_boundary_exact():
     assert probe.lower == pytest.approx(2.28, abs=5e-3)
     assert probe.upper == pytest.approx(2.28, abs=5e-3)
     assert probe.unconstrained == pytest.approx(1.0)
+
+
+def test_eigen_probe_upper_within_p_block():
+    # every unit vector inside the P block is feasible, so the block's least
+    # eigenvalue caps the constrained minimum. Here the multiplier crosses
+    # from a mixed eigenvector (P-mass 0.2) to the P-block vector e1 without
+    # meeting the boundary, and both rebalanced candidates land far above
+    # the block minimum 1e-3
+    a, delta = 0.2, 1e-3
+    w = np.array([np.sqrt(1.0 - a * a), 0.0, -a])
+    m = np.outer(w, w) + delta * np.diag([0.0, 1.0, 0.0])
+    probe = var.min_eigen_probe(m, np.array([True, True, False]), 0.5)
+    assert probe.active
+    assert probe.upper <= delta * (1.0 + 1e-12)
+    assert probe.lower <= probe.upper
 
 
 def test_eigen_probe_random_invariants():
