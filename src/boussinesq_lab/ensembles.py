@@ -33,7 +33,7 @@ from .noise import (
     subordinated_increments,
 )
 from .spectral import PhysicsParams, SpectralState
-from .stepping import NORM_CEILING, KickSchedule, Stepper, sweep
+from .stepping import KickSchedule, Stepper, blown_up, sweep
 
 
 def parallel_map(fun, items):
@@ -158,7 +158,7 @@ class BatchRunner:
         step, and jumps are applied at the right endpoint of their cell,
         after the deterministic substep, exactly as a single path is run.
         Raises RuntimeError naming the step, the first offending path and
-        its energy when a recorded energy leaves the norm ceiling.
+        its energy when a recorded energy is `blown_up`.
         """
         st = self.stepper
         w = np.asarray(w, dtype=np.complex128)
@@ -170,17 +170,13 @@ class BatchRunner:
             raise ValueError("record_every must divide the step count")
         n_rec = n_steps // record_every + 1
         params = st.params
-        zeta = params.zeta_star
-        scale = sp.quad_weight(st.n)
 
         energy = np.empty((n_b, n_rec))
         observed = np.empty((len(observables), n_b, n_rec))
         times = st.dt * record_every * np.arange(n_rec)
 
         def record(slot, w, t):
-            energy[:, slot] = scale * (
-                zeta * (np.abs(w.reshape(n_b, -1)) ** 2).sum(1)
-                + (np.abs(t.reshape(n_b, -1)) ** 2).sum(1))
+            energy[:, slot] = sp.weighted_energy(w, t, params)
             for oi, obs in enumerate(observables):
                 for b in range(n_b):
                     observed[oi, b, slot] = obs(SpectralState(w[b], t[b]), params)
@@ -190,7 +186,7 @@ class BatchRunner:
                 return
             slot = (i + 1) // record_every
             record(slot, *post)
-            bad = ~np.isfinite(energy[:, slot]) | (energy[:, slot] > NORM_CEILING**2)
+            bad = blown_up(energy[:, slot])
             if bad.any():
                 b = int(np.argmax(bad))
                 raise RuntimeError(f"batch blow-up at step {i + 1}: path {b} "
@@ -355,18 +351,13 @@ def eproperty_probe(seed: int, stepper: Stepper, model: NoiseModel,
 
     base_out, digest0 = run_from(base_state)
     gaps, state_gaps, digests = [], [], [digest0]
-    params = stepper.params
-    zeta = params.zeta_star
-    scale = sp.quad_weight(stepper.n)
     for delta in deltas:
         out, digest = run_from(base_state + direction * delta)
         digests.append(digest)
         diff = out.observed[:, :, -1] - base_out.observed[:, :, -1]
         gaps.append(np.abs(diff.mean(axis=1)))
-        dw_hat = out.w_hat - base_out.w_hat
-        dt_hat = out.theta_hat - base_out.theta_hat
-        dist_sq = scale * (zeta * (np.abs(dw_hat.reshape(n_paths, -1)) ** 2).sum(1)
-                           + (np.abs(dt_hat.reshape(n_paths, -1)) ** 2).sum(1))
+        dist_sq = sp.weighted_energy(out.w_hat - base_out.w_hat,
+                                     out.theta_hat - base_out.theta_hat, stepper.params)
         state_gaps.append(float(np.sqrt(dist_sq).mean()))
     gaps = np.array(gaps)
     sup_gaps = gaps.max(axis=1)

@@ -8,6 +8,11 @@ here are exact on the retained Fourier modes; quadratic terms are evaluated
 pseudo-spectrally with the 2/3 dealiasing rule so that products of two
 band-limited fields are alias-free on the retained band.
 
+This is the one transform layer: no other module calls an FFT. The step
+kernel, its tangent and adjoint, the second variation and `nonlinear_B` share
+the per-n symbol table `symbols`, the six dealiased physical fields of a
+stack `physical_fields`, and the masked forward transform `masked_transform`.
+
 Conventions:
   * axis 0 of an array is x1, axis 1 is x2;
   * inner products and norms use the quadrature weight (2 pi)^2 / n^4 in
@@ -113,18 +118,28 @@ def ksq(n: int) -> np.ndarray:
     return (k1 * k1 + k2 * k2).astype(np.float64)
 
 
+@dataclass(frozen=True)
+class Symbols:
+    """Per-mode multipliers of the dealiased pseudo-spectral pipeline. The
+    Biot-Savart pair (i k2, -i k1) / |k|^2 is applied as i k2 * w * inv_ksq."""
+
+    ik1: np.ndarray          # i k1, the symbol of d/dx1
+    ik2: np.ndarray          # i k2, the symbol of d/dx2
+    neg_ik1: np.ndarray      # -i k1
+    inv_ksq: np.ndarray      # 1 / |k|^2, zero on the mean mode
+    dealias: np.ndarray      # 2/3 rule: |k_i| <= n // 3 on both axes
+    bmask: np.ndarray        # the 2/3 mask without the mean mode
+
+
 @lru_cache(maxsize=None)
-def dealias_mask(n: int) -> np.ndarray:
-    """Keep |k_i| <= n // 3 on both axes (2/3 rule)."""
-    kmax = n // 3
+def symbols(n: int) -> Symbols:
     k1, k2 = wavenumbers(n)
-    return (np.abs(k1) <= kmax) & (np.abs(k2) <= kmax)
-
-
-@lru_cache(maxsize=None)
-def _bmask(n: int) -> np.ndarray:
-    # output mask for quadratic terms: dealiased and mean-free
-    return dealias_mask(n) & (ksq(n) > 0)
+    kk = ksq(n)
+    inv = np.zeros((n, n))
+    np.divide(1.0, kk, out=inv, where=kk > 0)
+    dealias = (np.abs(k1) <= n // 3) & (np.abs(k2) <= n // 3)
+    return Symbols(ik1=1j * k1, ik2=1j * k2, neg_ik1=-1j * k1, inv_ksq=inv,
+                   dealias=dealias, bmask=dealias & (kk > 0))
 
 
 @lru_cache(maxsize=None)
@@ -134,11 +149,18 @@ def grid_points(n: int):
 
 
 def to_physical(f_hat: np.ndarray) -> np.ndarray:
-    return np.fft.ifft2(f_hat, axes=(-2, -1)).real
+    # a copy, not a view of .real, so the complex buffer is freed: the step
+    # holds all six physical fields of a batch at once
+    return np.fft.ifft2(f_hat, axes=(-2, -1)).real.copy()
 
 
 def from_physical(f: np.ndarray) -> np.ndarray:
     return np.fft.fft2(f, axes=(-2, -1))
+
+
+def masked_transform(f: np.ndarray) -> np.ndarray:
+    """Coefficients of a physical product, cut to the dealiased mean-free band."""
+    return np.where(symbols(f.shape[-1]).bmask, from_physical(f), 0.0)
 
 
 def hermitize(f_hat: np.ndarray) -> np.ndarray:
@@ -185,6 +207,14 @@ def weighted_norm(state: SpectralState, params: PhysicsParams, s: float = 0.0) -
     return float(np.sqrt(val))
 
 
+def weighted_energy(w_hat: np.ndarray, t_hat: np.ndarray, params: PhysicsParams) -> np.ndarray:
+    """zeta* |w|^2 + |theta|^2 of every state in a (..., n, n) stack."""
+    flat = w_hat.shape[:-2] + (-1,)
+    return quad_weight(w_hat.shape[-1]) * (
+        params.zeta_star * (np.abs(w_hat.reshape(flat)) ** 2).sum(-1)
+        + (np.abs(t_hat.reshape(flat)) ** 2).sum(-1))
+
+
 # ---------------------------------------------------------------------------
 # linear operators
 
@@ -197,8 +227,19 @@ def apply_A(state: SpectralState, params: PhysicsParams) -> SpectralState:
 
 def apply_G(state: SpectralState, params: PhysicsParams) -> SpectralState:
     """Buoyancy coupling: (g d(theta)/dx1, 0)."""
-    k1, _ = wavenumbers(state.n)
-    return SpectralState(params.g * (1j * k1) * state.theta_hat, np.zeros_like(state.theta_hat))
+    return SpectralState(params.g * symbols(state.n).ik1 * state.theta_hat,
+                         np.zeros_like(state.theta_hat))
+
+
+def require_mean_free(w_hat: np.ndarray) -> None:
+    """Raise ValueError unless |w_00| <= 1e-10 max(1, max_k |w_k|) over the stack."""
+    scale = np.max(np.abs(w_hat)) if w_hat.size else 0.0
+    if np.max(np.abs(w_hat[..., 0, 0])) > 1e-10 * max(1.0, scale):
+        raise ValueError("vorticity must have zero mean")
+
+
+def _biot_savart(w_hat: np.ndarray, s: Symbols):
+    return s.ik2 * w_hat * s.inv_ksq, s.neg_ik1 * w_hat * s.inv_ksq
 
 
 def biot_savart(w_hat: np.ndarray):
@@ -207,39 +248,26 @@ def biot_savart(w_hat: np.ndarray):
     u1 = +i k2 w / |k|^2, u2 = -i k1 w / |k|^2; the k = 0 mode must vanish.
     Raises ValueError on a field with a nonzero mean mode.
     """
-    n = w_hat.shape[-1]
-    scale = np.max(np.abs(w_hat)) if w_hat.size else 0.0
-    if np.max(np.abs(w_hat[..., 0, 0])) > 1e-10 * max(1.0, scale):
-        raise ValueError("vorticity must have zero mean")
-    k1, k2 = wavenumbers(n)
-    inv = np.zeros((n, n))
-    kk = ksq(n)
-    np.divide(1.0, kk, out=inv, where=kk > 0)
-    u1_hat = 1j * k2 * w_hat * inv
-    u2_hat = -1j * k1 * w_hat * inv
-    return u1_hat, u2_hat
+    require_mean_free(w_hat)
+    return _biot_savart(w_hat, symbols(w_hat.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
 # quadratic term
 
 
-def _velocity_physical(w_hat: np.ndarray):
-    m = dealias_mask(w_hat.shape[-1])
-    u1_hat, u2_hat = biot_savart(np.where(m, w_hat, 0.0))
-    return to_physical(u1_hat), to_physical(u2_hat)
+def _gradient(fm: np.ndarray, s: Symbols):
+    return to_physical(s.ik1 * fm), to_physical(s.ik2 * fm)
 
 
-def _advect(u1, u2, f_hat: np.ndarray) -> np.ndarray:
-    """Coefficients of u . grad f, dealiased and mean-free."""
-    n = f_hat.shape[-1]
-    m = dealias_mask(n)
-    k1, k2 = wavenumbers(n)
-    fm = np.where(m, f_hat, 0.0)
-    fx = to_physical(1j * k1 * fm)
-    fy = to_physical(1j * k2 * fm)
-    out = from_physical(u1 * fx + u2 * fy)
-    return hermitize(np.where(_bmask(n), out, 0.0))
+def physical_fields(w_hat: np.ndarray, t_hat: np.ndarray):
+    """The six dealiased physical fields (u1, u2, dw/dx1, dw/dx2, dtheta/dx1,
+    dtheta/dx2) of a (..., n, n) stack, u the velocity of w (mean unchecked)."""
+    s = symbols(w_hat.shape[-1])
+    wm = np.where(s.dealias, w_hat, 0.0)
+    tm = np.where(s.dealias, t_hat, 0.0)
+    u1, u2 = _biot_savart(wm, s)
+    return (to_physical(u1), to_physical(u2)) + _gradient(wm, s) + _gradient(tm, s)
 
 
 def nonlinear_B(u: SpectralState, v: SpectralState | None = None) -> SpectralState:
@@ -253,8 +281,12 @@ def nonlinear_B(u: SpectralState, v: SpectralState | None = None) -> SpectralSta
         v = u
     if u.n != v.n:
         raise ValueError("resolution mismatch")
-    u1, u2 = _velocity_physical(u.w_hat)
-    return SpectralState(_advect(u1, u2, v.w_hat), _advect(u1, u2, v.theta_hat))
+    s = symbols(u.n)
+    u1, u2 = (to_physical(c) for c in biot_savart(np.where(s.dealias, u.w_hat, 0.0)))
+    w1, w2 = _gradient(np.where(s.dealias, v.w_hat, 0.0), s)
+    t1, t2 = _gradient(np.where(s.dealias, v.theta_hat, 0.0), s)
+    return SpectralState(hermitize(masked_transform(u1 * w1 + u2 * w2)),
+                         hermitize(masked_transform(u1 * t1 + u2 * t2)))
 
 
 def drift_F(state: SpectralState, params: PhysicsParams) -> SpectralState:

@@ -16,13 +16,15 @@ N(U) = -B(U, U) + G U the explicit part.
 Every forward time loop in the package is built from three pieces here:
   * `Stepper.advance(w, t)`, the only step kernel, on raw coefficient arrays
     of shape (..., n, n); one path has an empty batch shape, an ensemble a
-    leading batch axis;
+    leading batch axis. Its quadratic term is one `sp.physical_fields` call
+    and one `sp.masked_transform` per component;
   * `KickSchedule`, which owns the rule that dt divides the clock grid step,
-    the map from a step to the clock cell whose jump ends it, the check that
-    the clock path covers the sweep, and the temperature kick of each cell;
+    the map from a step to the clock cell whose jump ends it, the checks on
+    the noise triple and on the clock covering the sweep, and the kicks;
   * `sweep`, the forward loop: advance, kick at cell ends, call the hooks.
     `simulate`, the ensemble batches and the tangent, Gramian and control
     sweeps of the variation module are hooks on it.
+`blown_up` is the one blow-up predicate of `simulate` and the batches.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class StepScheme(enum.Enum):
 
 
 DEFAULT_SCHEME = StepScheme.ETD_EULER
-NORM_CEILING = 1e6          # blow-up guard on the smoothness-1 norm
+NORM_CEILING = 1e6          # blow-up guard: weighted smoothness-0 energy > NORM_CEILING**2
 SNAPSHOT_STRIDE = 10
 
 
@@ -77,20 +79,25 @@ class Stepper:
                 raise ValueError(f"unknown scheme {self.scheme}")
             setattr(self, f"decay_{comp}", decay)
             setattr(self, f"gain_{comp}", gain)
-        self.buoyancy = self.params.g * (1j * sp.wavenumbers(self.n)[0])
+        self.buoyancy = self.params.g * sp.symbols(self.n).ik1
 
     def advance(self, w: np.ndarray, t: np.ndarray):
         """One deterministic substep of coefficient arrays of shape (..., n, n)."""
-        u1, u2 = sp._velocity_physical(w)
-        nw = self.buoyancy * t - sp._advect(u1, u2, w)
-        nt = -sp._advect(u1, u2, t)
+        u1, u2, w1, w2, t1, t2 = sp.physical_fields(w, t)
+        nw = self.buoyancy * t - sp.hermitize(sp.masked_transform(u1 * w1 + u2 * w2))
+        nt = -sp.hermitize(sp.masked_transform(u1 * t1 + u2 * t2))
         return self.decay_w * w + self.gain_w * nw, self.decay_t * t + self.gain_t * nt
+
+
+def blown_up(energy_sq, ceiling: float = NORM_CEILING):
+    """Weighted smoothness-0 energy not finite or above ceiling**2, elementwise."""
+    return ~np.isfinite(energy_sq) | (energy_sq > ceiling**2)
 
 
 def step(state: SpectralState, stepper: Stepper,
          kick: SpectralState | None = None) -> SpectralState:
-    """Deterministic substep, then an optional temperature kick."""
-    out = SpectralState(*stepper.advance(state.w_hat, state.theta_hat))
+    """Deterministic substep (a sweep of one step), then an optional temperature kick."""
+    out = SpectralState(*sweep(stepper, state.w_hat, state.theta_hat, 1))
     if kick is not None:
         out = out + kick
     return out
@@ -131,12 +138,22 @@ class KickSchedule:
         return qi
 
     @classmethod
-    def along(cls, path: SubordinatorPath, stepper: Stepper, n_steps: int,
-              model: NoiseModel | None = None,
-              dw: np.ndarray | None = None) -> "KickSchedule":
-        """The jumps of one clock path over the first n_steps of stepper."""
-        basis = model.theta_basis(stepper.n) if model is not None else None
-        return cls(path.spec.grid_step, stepper.dt, len(path.increments), n_steps, dw, basis)
+    def along(cls, path: SubordinatorPath | None, stepper: Stepper, n_steps: int,
+              model: NoiseModel | None, dw: np.ndarray | None) -> "KickSchedule | None":
+        """The kicks of one noise triple over the first n_steps of stepper, or
+        None without a clock path. A path needs its model and dw of shape
+        (cells, model.dim); a missing or misshaped piece raises ValueError."""
+        if path is None:
+            return None
+        cells = len(path.increments)
+        for piece, name in ((model, "a noise model"), (dw, "Brownian increments dw")):
+            if piece is None:
+                raise ValueError(f"clock path given without {name}")
+        if np.shape(dw) != (cells, model.dim):
+            raise ValueError(f"Brownian increments dw have shape {np.shape(dw)}, "
+                             f"expected (cells, model.dim) = {(cells, model.dim)}")
+        return cls(path.spec.grid_step, stepper.dt, cells, n_steps, dw,
+                   model.theta_basis(stepper.n))
 
     def increment(self, cell: int) -> np.ndarray:
         """Temperature kick sum_j dw_j alpha_j trig_j of one cell, per path."""
@@ -147,13 +164,16 @@ def sweep(stepper: Stepper, w: np.ndarray, t: np.ndarray, n_steps: int,
           kicks: KickSchedule | None = None, on_step=None, on_kick=None):
     """The forward loop: n_steps of advance, kick at cell ends, hooks.
 
-    After step i is advanced, and if it ends a clock cell,
+    Raises ValueError when the dealiased vorticity has a nonzero mean; the
+    step leaves the mean mode unchanged, so one check at entry covers every
+    step. After step i is advanced, and if it ends a clock cell,
     on_kick(i, cell, t, increment) sees the temperature before the kick is
     added. Then on_step(i, pre, post, cell) gets the (w, t) pairs before and
     after the step (post includes the kick; cell is None off the jumps). A
     hook returning True ends the sweep after that step. The arrays are
     never written in place. Returns the last (w, t).
     """
+    sp.require_mean_free(np.where(sp.symbols(stepper.n).dealias, w, 0.0))
     for i in range(n_steps):
         w1, t1 = stepper.advance(w, t)
         cell = kicks.cell_at.get(i) if kicks is not None else None
@@ -208,9 +228,10 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
              ceiling: float = NORM_CEILING) -> Trajectory:
     """Integrate from u0 over [0, horizon], recording scalar series.
 
-    With model/path/dw given, the dw rows are applied as temperature kicks at
-    their cells' right endpoints. horizon = 0 returns just the initial state.
-    Raises no exception on blow-up; integration stops and the flag is set.
+    With a clock path (and its model and dw) given, the dw rows are applied as
+    temperature kicks at their cells' right endpoints. horizon = 0 returns just
+    the initial state. On blow-up (`blown_up` at ceiling) integration stops and
+    the flag is set; no exception is raised.
     """
     dt = stepper.dt
     n_steps = int(round(horizon / dt))
@@ -218,11 +239,7 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
         raise ValueError("horizon must be a multiple of the step size")
     p = stepper.params
 
-    kicks = None
-    if model is not None and path is not None:
-        if dw is None:
-            raise ValueError("Brownian increments are required alongside a clock path")
-        kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
+    kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
 
     times = dt * np.arange(n_steps + 1)
     (norm0, norm1, w_part, theta_part, grad_th, clock_steps, pre_jump,
@@ -266,7 +283,7 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
         if last % snapshot_stride == 0 or last == n_steps:
             snapshots.append(state)
             snapshot_times.append(times[last])
-        blew_up = bool(not np.isfinite(norm1[last]) or norm1[last] > ceiling)
+        blew_up = bool(blown_up(w_part[last] + theta_part[last], ceiling))
         return blew_up
 
     sweep(stepper, u0.w_hat, u0.theta_hat, n_steps, kicks, on_step, on_kick)

@@ -5,10 +5,13 @@ One integrator step at frozen base state U acts on a perturbation xi as
     M(U) xi = decay . xi + gain . D(U) xi,
     D(U) xi = -B(U, xi) - B(xi, U) + G xi,
 the exact derivative of the deterministic substep (temperature kicks do not
-depend on the state, so they drop out of the tangent). The adjoint is built
-by transposing every pipeline stage literally, with the vorticity-slot
-weight zeta* carried through, so forward/backward duality holds to roundoff
-and the two Gramian assemblies agree to machine precision.
+depend on the state, so they drop out of the tangent). Both read the
+spectral module's transform layer, as the step kernel does: the base and
+the perturbations enter as `physical_fields`, and the tangent and the
+second-variation source apply the one bilinear form B(a, b) + B(b, a). The
+adjoint is built by transposing every pipeline stage literally, with the
+vorticity-slot weight zeta* carried through, so forward/backward duality
+holds to roundoff and the two Gramian assemblies agree to machine precision.
 
 Stacks of perturbations are raw complex arrays of shape (batch, n, n) so the
 FFT work is batched. Every forward sweep here (tangent flow, second
@@ -30,28 +33,17 @@ from .spectral import PhysicsParams, SpectralState
 from .stepping import DEFAULT_SCHEME, KickSchedule, Stepper, sweep
 
 
-def _fft2(a):
-    return np.fft.fft2(a, axes=(-2, -1))
-
-
-def _ifft2r(a):
-    return np.fft.ifft2(a, axes=(-2, -1)).real
-
-
 # ---------------------------------------------------------------------------
 # step linearization
 
 
-@dataclass
-class PreparedBase:
-    """Physical-space fields of a base state reused by tangent and adjoint."""
-
-    u1: np.ndarray
-    u2: np.ndarray
-    dw1: np.ndarray   # d(base w) / dx_i, dealiased
-    dw2: np.ndarray
-    dt1: np.ndarray   # d(base theta) / dx_i
-    dt2: np.ndarray
+def _symmetric_B(f, g):
+    """Both slots of B(a, b) + B(b, a), one masked transform each, from the
+    `sp.physical_fields` f of a and g of b."""
+    u1, u2, w1, w2, t1, t2 = f
+    v1, v2, x1, x2, y1, y2 = g
+    return (sp.masked_transform(u1 * x1 + u2 * x2 + v1 * w1 + v2 * w2),
+            sp.masked_transform(u1 * y1 + u2 * y2 + v1 * t1 + v2 * t2))
 
 
 class Linearizer:
@@ -59,73 +51,44 @@ class Linearizer:
 
     def __init__(self, stepper: Stepper):
         self.stepper = stepper
-        self.params = stepper.params
-        n = stepper.n
-        self.n = n
-        k1, k2 = sp.wavenumbers(n)
-        self.ik1 = 1j * k1.astype(np.float64)
-        self.ik2 = 1j * k2.astype(np.float64)
-        kk = sp.ksq(n)
-        inv = np.zeros((n, n))
-        np.divide(1.0, kk, out=inv, where=kk > 0)
-        self.m1 = 1j * k2 * inv          # velocity-from-vorticity multipliers
-        self.m2 = -1j * k1 * inv
-        self.dmask = sp.dealias_mask(n)
-        self.bmask = self.dmask & (kk > 0)
-        self.zeta = self.params.zeta_star
-        self.g = self.params.g
+        self.n = stepper.n
+        self.zeta = stepper.params.zeta_star
 
-    def prepare(self, base: SpectralState) -> PreparedBase:
-        m = self.dmask
-        wm = np.where(m, base.w_hat, 0.0)
-        tm = np.where(m, base.theta_hat, 0.0)
-        return PreparedBase(
-            u1=_ifft2r(self.m1 * wm),
-            u2=_ifft2r(self.m2 * wm),
-            dw1=_ifft2r(self.ik1 * wm),
-            dw2=_ifft2r(self.ik2 * wm),
-            dt1=_ifft2r(self.ik1 * tm),
-            dt2=_ifft2r(self.ik2 * tm),
-        )
+    def prepare(self, base: SpectralState):
+        """The base's six physical fields, which each step at that base reuses."""
+        return sp.physical_fields(base.w_hat, base.theta_hat)
 
-    def drift_direction(self, prep: PreparedBase, xw: np.ndarray, xt: np.ndarray):
+    def drift_direction(self, prep, xw: np.ndarray, xt: np.ndarray):
         """D(U) xi for a stack of perturbations (leading batch axes allowed)."""
-        xwm = np.where(self.dmask, xw, 0.0)
-        xtm = np.where(self.dmask, xt, 0.0)
-        v1 = _ifft2r(self.m1 * xwm)
-        v2 = _ifft2r(self.m2 * xwm)
-        gxw = _ifft2r(self.ik1 * xwm)
-        gyw = _ifft2r(self.ik2 * xwm)
-        gxt = _ifft2r(self.ik1 * xtm)
-        gyt = _ifft2r(self.ik2 * xtm)
-        adv_w = _fft2(prep.u1 * gxw + prep.u2 * gyw + v1 * prep.dw1 + v2 * prep.dw2)
-        adv_t = _fft2(prep.u1 * gxt + prep.u2 * gyt + v1 * prep.dt1 + v2 * prep.dt2)
-        dw_ = -np.where(self.bmask, adv_w, 0.0) + self.g * self.ik1 * xt
-        dt_ = -np.where(self.bmask, adv_t, 0.0)
-        return dw_, dt_
+        adv_w, adv_t = _symmetric_B(prep, sp.physical_fields(xw, xt))
+        return -adv_w + self.stepper.buoyancy * xt, -adv_t
 
-    def tangent(self, prep: PreparedBase, xw: np.ndarray, xt: np.ndarray):
+    def tangent(self, prep, xw: np.ndarray, xt: np.ndarray):
         """One tangent step: M(U) xi."""
         st = self.stepper
         dw_, dt_ = self.drift_direction(prep, xw, xt)
         return st.decay_w * xw + st.gain_w * dw_, st.decay_t * xt + st.gain_t * dt_
 
-    def adjoint(self, prep: PreparedBase, rw: np.ndarray, rt: np.ndarray):
+    def adjoint(self, prep, rw: np.ndarray, rt: np.ndarray):
         """One adjoint step: M(U)* rho in the weighted state inner product."""
         st = self.stepper
+        s = sp.symbols(self.n)
+        u1, u2, dw1, dw2, dt1, dt2 = prep
+        fft = sp.from_physical
         aw = st.gain_w * rw
         at = st.gain_t * rt
-        pw = _ifft2r(np.where(self.bmask, aw, 0.0))
-        pt = _ifft2r(np.where(self.bmask, at, 0.0))
+        pw = sp.to_physical(np.where(s.bmask, aw, 0.0))
+        pt = sp.to_physical(np.where(s.bmask, at, 0.0))
         # transport transpose, block diagonal
-        t1w = np.where(self.dmask, -self.ik1 * _fft2(prep.u1 * pw) - self.ik2 * _fft2(prep.u2 * pw), 0.0)
-        t1t = np.where(self.dmask, -self.ik1 * _fft2(prep.u1 * pt) - self.ik2 * _fft2(prep.u2 * pt), 0.0)
-        # velocity-source transpose, lands in the vorticity slot
-        s1 = prep.dw1 * pw + prep.dt1 * pt / self.zeta
-        s2 = prep.dw2 * pw + prep.dt2 * pt / self.zeta
-        t2w = np.where(self.dmask, np.conj(self.m1) * _fft2(s1) + np.conj(self.m2) * _fft2(s2), 0.0)
+        t1w = np.where(s.dealias, -s.ik1 * fft(u1 * pw) - s.ik2 * fft(u2 * pw), 0.0)
+        t1t = np.where(s.dealias, -s.ik1 * fft(u1 * pt) - s.ik2 * fft(u2 * pt), 0.0)
+        # velocity-source transpose through the conjugate Biot-Savart pair
+        # (-i k2, i k1) / |k|^2, lands in the vorticity slot
+        s1 = dw1 * pw + dt1 * pt / self.zeta
+        s2 = dw2 * pw + dt2 * pt / self.zeta
+        t2w = np.where(s.dealias, (s.ik1 * fft(s2) - s.ik2 * fft(s1)) * s.inv_ksq, 0.0)
         out_w = st.decay_w * rw - t1w - t2w
-        out_t = st.decay_t * rt - t1t - self.zeta * self.g * self.ik1 * aw
+        out_t = st.decay_t * rt - t1t - self.zeta * st.buoyancy * aw
         return out_w, out_t
 
 
@@ -139,11 +102,6 @@ def unstack_states(w: np.ndarray, t: np.ndarray) -> list[SpectralState]:
 
 # ---------------------------------------------------------------------------
 # forward sweeps
-
-
-def _kicks(path, stepper: Stepper, n_steps: int, model, dw) -> KickSchedule | None:
-    # the optional noise triple of the public sweeps; no path, no kicks
-    return KickSchedule.along(path, stepper, n_steps, model, dw) if path is not None else None
 
 
 def flow_with_tangent(u0: SpectralState, n_steps: int, lin: Linearizer,
@@ -217,7 +175,7 @@ def jacobian_forward(u0: SpectralState, horizon: float, stepper: Stepper,
     n_steps = int(round(horizon / stepper.dt))
     xw, xt = stack_states(directions)
     _, xw, xt, _ = flow_with_tangent(u0, n_steps, lin, xw, xt,
-                                     _kicks(path, stepper, n_steps, model, dw))
+                                     KickSchedule.along(path, stepper, n_steps, model, dw))
     return unstack_states(xw, xt)
 
 
@@ -249,7 +207,7 @@ def second_variation(u0: SpectralState, horizon: float, stepper: Stepper,
 
     Evolves the exact chain rule of the composed steps: the quadratic term
     contributes the constant bilinear form -B(a, b) - B(b, a) sourced by the
-    two first variations.
+    two first variations, the same form the tangent applies to (U, xi).
     """
     lin = Linearizer(stepper)
     st = stepper
@@ -261,16 +219,16 @@ def second_variation(u0: SpectralState, horizon: float, stepper: Stepper,
     def hook(i, pre, post, cell):
         nonlocal xw, xt, jw, jt
         prep = lin.prepare(SpectralState(*pre))
-        # source from the current first variations
-        a = SpectralState(xw[0], xt[0])
-        b = SpectralState(xw[1], xt[1])
-        src = -(sp.nonlinear_B(a, b) + sp.nonlinear_B(b, a))
+        # source from the current first variations, rows 0 and 1 of one stack
+        fields = sp.physical_fields(xw, xt)
+        src_w, src_t = _symmetric_B([f[0] for f in fields], [f[1] for f in fields])
         djw, djt = lin.drift_direction(prep, jw, jt)
-        jw = st.decay_w * jw + st.gain_w * (djw + src.w_hat)
-        jt = st.decay_t * jt + st.gain_t * (djt + src.theta_hat)
+        jw = st.decay_w * jw + st.gain_w * (djw - src_w)
+        jt = st.decay_t * jt + st.gain_t * (djt - src_t)
         xw, xt = lin.tangent(prep, xw, xt)
 
-    sweep(st, u0.w_hat, u0.theta_hat, n_steps, _kicks(path, st, n_steps, model, dw), hook)
+    sweep(st, u0.w_hat, u0.theta_hat, n_steps,
+          KickSchedule.along(path, st, n_steps, model, dw), hook)
     return SpectralState(jw, jt)
 
 
@@ -373,7 +331,7 @@ def malliavin_forward(u0: SpectralState, n_steps: int, stepper: Stepper,
 def malliavin_backward(bases, stepper: Stepper, model, path,
                        basis: HNBasis) -> GramianResult:
     """Assemble the same Gramian by one adjoint sweep of the basis stack."""
-    kicks = KickSchedule.along(path, stepper, len(bases) - 1)
+    kicks = KickSchedule(path.spec.grid_step, stepper.dt, len(path.increments), len(bases) - 1)
     sig = model.theta_basis(stepper.n)
     jump_steps = {i + 1: c for i, c in kicks.cell_at.items() if path.increments[c] > 0.0}
     rows = []
@@ -749,7 +707,7 @@ def duality_gap(u0: SpectralState, horizon: float, stepper: Stepper,
     n_steps = int(round(horizon / stepper.dt))
     xw, xt = stack_states([xi])
     _, xw, xt, bases = flow_with_tangent(u0, n_steps, lin, xw, xt,
-                                         _kicks(path, stepper, n_steps, model, dw),
+                                         KickSchedule.along(path, stepper, n_steps, model, dw),
                                          store_base=True)
     back = adjoint_backward(bases, stepper, [phi])
     p = stepper.params
@@ -810,8 +768,8 @@ def tail_coupling_series(u0: SpectralState, horizon: float, stepper: Stepper,
         split(i + 1, w, t)
         times[i + 1] = (i + 1) * stepper.dt
 
-    flow_with_tangent(u0, n_steps, lin, xw, xt, _kicks(path, stepper, n_steps, model, dw),
-                      on_step=on_step)
+    flow_with_tangent(u0, n_steps, lin, xw, xt,
+                      KickSchedule.along(path, stepper, n_steps, model, dw), on_step=on_step)
     return [TailCoupling(level=int(lv), times=times.copy(),
                          tail_sq=tail_sq[a].copy(), band_sq=band_sq[a].copy())
             for a, lv in enumerate(levels)]

@@ -1,5 +1,8 @@
 """Operator identities on the retained spectral band."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +55,16 @@ def test_biot_savart_rejects_mean():
     w[0, 0] = 3.0 * n * n
     with pytest.raises(ValueError):
         biot_savart(w)
+
+
+def test_only_the_spectral_module_calls_an_fft():
+    # the transform layout lives in one module, so changing the transform
+    # touches that module alone
+    fft = re.compile(r"\b(np|numpy|scipy)\.fft\b|\bfrom\s+(numpy|scipy)\s+import\s+.*\bfft\b")
+    pkg = Path(sp.__file__).parent
+    offenders = [f.name for f in sorted(pkg.glob("*.py"))
+                 if f.name != "spectral.py" and fft.search(f.read_text())]
+    assert offenders == []
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,58 @@ def test_sweeps_reject_a_short_clock_path(entry, rng):
         calls[entry]()
 
 
+@pytest.mark.parametrize("piece", ["model", "dw", "short dw", "wide dw"])
+@pytest.mark.parametrize("entry", ["simulate", "jacobian_forward", "second_variation",
+                                   "duality_gap", "tail_coupling_series", "malliavin_forward"])
+def test_noise_triple_is_checked_once(entry, piece, rng):
+    # a clock path of 5 cells needs its model and dw of shape (5, model.dim)
+    n, dt = 16, 5e-3
+    p = PhysicsParams()
+    model = NoiseModel()
+    stepper = Stepper(n, p, StepScheme.ETD_EULER, dt)
+    path = sample_subordinator(SubordinatorSpec(grid_step=1e-2), 0.05, rng_stream(2, ROLE_CLOCK))
+    dw = subordinated_increments(path, model.dim, rng_stream(2, ROLE_BROWNIAN))
+    noise, match = {
+        "model": (dict(model=None, path=path, dw=dw), "without a noise model"),
+        "dw": (dict(model=model, path=path, dw=None), "without Brownian increments dw"),
+        "short dw": (dict(model=model, path=path, dw=dw[:-1]), r"dw have shape \(4, 4\)"),
+        "wide dw": (dict(model=model, path=path, dw=np.zeros((5, model.dim + 1))),
+                    r"dw have shape \(5, 5\)"),
+    }[piece]
+    u0 = random_state(n, rng)
+    xi = random_state(n, rng)
+    calls = {
+        "simulate": lambda: simulate(u0, 10 * dt, stepper, **noise),
+        "jacobian_forward": lambda: var.jacobian_forward(u0, 10 * dt, stepper, [xi], **noise),
+        "second_variation": lambda: var.second_variation(u0, 10 * dt, stepper, xi, xi, **noise),
+        "duality_gap": lambda: var.duality_gap(u0, 10 * dt, stepper, xi, xi, **noise),
+        "tail_coupling_series": lambda: var.tail_coupling_series(u0, 10 * dt, stepper, [3], rng,
+                                                                 **noise),
+        "malliavin_forward": lambda: var.malliavin_forward(u0, 10, stepper,
+                                                           basis=var.HNBasis(n, 2, p), **noise),
+    }
+    with pytest.raises(ValueError, match=match):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("entry", ["simulate", "step", "BatchRunner.run", "jacobian_forward"])
+def test_entry_rejects_a_vorticity_mean(entry, rng):
+    n, dt = 16, 5e-3
+    model = NoiseModel()
+    stepper = Stepper(n, PhysicsParams(), StepScheme.ETD_EULER, dt)
+    u0 = random_state(n, rng)
+    u0.w_hat[0, 0] = 3.0 * n * n
+    calls = {
+        "simulate": lambda: simulate(u0, 4 * dt, stepper),
+        "step": lambda: step(u0, stepper),
+        "BatchRunner.run": lambda: BatchRunner(stepper, model).run(
+            u0.w_hat[None], u0.theta_hat[None], np.zeros((1, 2, model.dim)), grid_step=2 * dt),
+        "jacobian_forward": lambda: var.jacobian_forward(u0, 4 * dt, stepper, [u0]),
+    }
+    with pytest.raises(ValueError, match="vorticity must have zero mean"):
+        calls[entry]()
+
+
 def test_weak_convergence_order(rng):
     n = 32
     p = PhysicsParams()
@@ -212,6 +264,32 @@ def test_blow_up_guard():
     assert traj.blew_up
     assert traj.times[-1] < 5.0
     assert np.all(np.isfinite(traj.norm0[:-1]))
+
+
+@pytest.mark.parametrize("case", ["sigma_6_8", "inviscid_burst"])
+def test_blow_up_verdict_is_shared(case):
+    # simulate and a B=1 batch of the same state reach the same verdict
+    model = NoiseModel()
+    if case == "sigma_6_8":
+        # weighted norm 2e5, smoothness-1 norm 2e6: inside the energy ceiling
+        n, p, dt, n_steps, want = 32, PhysicsParams(), 1e-4, 10, False
+        u0 = sigma_state(n, (6, 8), 0)
+        u0 = u0 * (2e5 / sp.weighted_norm(u0, p))
+    else:
+        # the state of test_batch_blow_up_names_path_and_energy
+        n, dt, n_steps, want = 16, 0.05, 20, True
+        p = PhysicsParams(nu1=1e-6, nu2=1e-6, g=1.0)
+        u0 = random_state(n, np.random.default_rng(4), amplitude=2e4, decay=0.5)
+    stepper = Stepper(n, p, StepScheme.ETD_EULER, dt)
+    traj = simulate(u0, n_steps * dt, stepper)
+    try:
+        BatchRunner(stepper, model).run(u0.w_hat[None], u0.theta_hat[None],
+                                        np.zeros((1, n_steps, model.dim)), grid_step=dt)
+        batch_blew_up = False
+    except RuntimeError as err:
+        assert "blow-up" in str(err)
+        batch_blew_up = True
+    assert traj.blew_up == batch_blew_up == want
 
 
 # ---------------------------------------------------------------------------
