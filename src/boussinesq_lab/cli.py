@@ -28,9 +28,7 @@ from .ensembles import (eproperty_probe, invariant_statistics, irreducibility_pr
 from .hormander import (bracket_z_sigma, bracket_z_sigma_field, combo_state,
                         numerical_lie_bracket, psi_recovery, span_generation,
                         verify_span, z_field)
-from .noise import (ROLE_BROWNIAN, ROLE_CLOCK, ROLE_INIT, ROLE_SCRATCH,
-                    rng_stream, sample_subordinator, save_path,
-                    subordinated_increments)
+from .noise import ROLE_INIT, ROLE_SCRATCH, rng_stream, sample_noise, save_path
 from .spectral import PhysicsParams, SpectralState, weighted_norm
 from .stepping import energy_audit, run_with_noise, simulate
 from .variation import (HNBasis, control_experiment, malliavin_backward,
@@ -125,16 +123,6 @@ def _initial_state(cfg: RunConfig) -> SpectralState:
         return sp.state_zeros(cfg.n)
     return sp.random_state(cfg.n, rng_stream(cfg.seed, ROLE_INIT),
                            amplitude=cfg.amplitude)
-
-
-def _sample_noise(cfg: RunConfig, horizon: float):
-    spec = cfg.spec()
-    cells = max(1, int(np.ceil(round(horizon / spec.grid_step, 9))))
-    path = sample_subordinator(spec, cells * spec.grid_step,
-                               rng_stream(cfg.seed, ROLE_CLOCK), seed=cfg.seed)
-    dw = subordinated_increments(path, cfg.model().dim,
-                                 rng_stream(cfg.seed, ROLE_BROWNIAN))
-    return path, dw
 
 
 def _rel_gap(a: SpectralState, b: SpectralState, params: PhysicsParams) -> float:
@@ -244,7 +232,7 @@ def cmd_malliavin(cfg: RunConfig, out: Path, args) -> bool:
     if n_steps < 1 or abs(n_steps * cfg.dt - window) > 1e-9:
         print("  window must be a positive multiple of grid.dt", file=sys.stderr)
         return False
-    path, dw = _sample_noise(cfg, window)
+    path, dw = sample_noise(cfg.spec(), model, window, cfg.seed)
     basis = HNBasis(cfg.n, 2 * cfg.level, params)
     u0 = _initial_state(cfg)
     res = malliavin_forward(u0, n_steps, stepper, model, path, dw, basis)

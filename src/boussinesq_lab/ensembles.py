@@ -61,10 +61,6 @@ class Observable:
         return self.fun(state, params)
 
 
-def _energy_sq(state, params):
-    return sp.weighted_norm(state, params) ** 2
-
-
 def _squashed_energy(state, params):
     x = sp.weighted_norm(state, params)
     return x / (1.0 + x)
@@ -74,10 +70,6 @@ def _squashed_mode(state, params, k, m, slot):
     f_hat = state.theta_hat if slot == "theta" else state.w_hat
     c = sp.mode_coeff(f_hat, k, m)
     return c / (1.0 + abs(c))
-
-
-def energy_sq_observable() -> Observable:
-    return Observable("energy_sq", _energy_sq)
 
 
 def squashed_energy_observable() -> Observable:
@@ -137,9 +129,6 @@ class BatchTrajectory:
     observed: np.ndarray     # (n_obs, B, n_rec)
     w_hat: np.ndarray        # final coefficients (B, n, n)
     theta_hat: np.ndarray
-
-    def final_state(self, b: int) -> SpectralState:
-        return SpectralState(self.w_hat[b], self.theta_hat[b])
 
 
 class BatchRunner:

@@ -9,6 +9,11 @@ fields Z; bracketing Z against a constant temperature element collapses to an
 exact rational combination of two trig elements. That combination is carried
 symbolically (Fractions, in units of the buoyancy constant) and every
 symbolic step can be replayed against the spectral operators on a grid.
+
+The operator layer derives every field from the drift `sp.drift_F` and its
+derivative `grad_drift` by the chain rule: Y = -DF sigma, Z = [F, Y] and
+its derivative grad_z. Only the bracket [Z, sigma] keeps a closed form,
+`bracket_z_sigma_field`, which the tests tie to -grad_z sigma.
 """
 
 from __future__ import annotations
@@ -123,63 +128,49 @@ def combo_state(combo: dict, n: int, g: float = 1.0) -> SpectralState:
 # operator layer
 
 
-def y_field(j: Mode, m: int, state: SpectralState, params: PhysicsParams) -> SpectralState:
-    """First bracket against the drift: an affine field of the state."""
-    s = sp.sigma_state(state.n, j, m)
-    return (sp.apply_A(s, params) + sp.nonlinear_B(s, state)
-            + sp.nonlinear_B(state, s) - sp.apply_G(s, params))
-
-
 def grad_drift(state: SpectralState, xi: SpectralState, params: PhysicsParams) -> SpectralState:
     """Derivative of the drift at the state, applied to xi."""
     return (sp.apply_G(xi, params) - sp.apply_A(xi, params)
             - sp.nonlinear_B(state, xi) - sp.nonlinear_B(xi, state))
 
 
+def y_field(j: Mode, m: int, state: SpectralState, params: PhysicsParams) -> SpectralState:
+    """First bracket against the drift, [F, sigma](U) = -DF(U) sigma: affine in U."""
+    return -grad_drift(state, sp.sigma_state(state.n, j, m), params)
+
+
 def z_field(j: Mode, m: int, state: SpectralState, params: PhysicsParams) -> SpectralState:
-    """Second bracket against the drift, evaluated literally."""
-    n = state.n
-    g = params.g
-    s_m = sp.sigma_state(n, j, m)
-    psi_next = sp.psi_state(n, j, (m + 1) % 2)
-    jsq = float(norm_sq(j))
-    sgn = 1.0 if m % 2 == 0 else -1.0
-    drift = sp.drift_F(state, params)
-    bus = sp.nonlinear_B(state, s_m)
-    mix = s_m * (-params.nu2 * jsq) + psi_next * (-sgn * g * j[0])
-    return (sp.nonlinear_B(drift, s_m)
-            + s_m * (params.nu2**2 * jsq * jsq)
-            + psi_next * (sgn * (params.nu1 + params.nu2) * g * j[0] * jsq)
-            + sp.apply_A(bus, params)
-            + sp.nonlinear_B(psi_next, state) * (sgn * g * j[0])
-            - sp.nonlinear_B(state, mix)
-            + sp.nonlinear_B(state, bus)
-            - sp.apply_G(bus, params))
+    """Second bracket against the drift, [F, Y](U) = DY(U) F(U) - DF(U) Y(U).
+
+    DY(U) xi = B(xi, sigma): the other term B(sigma, xi) vanishes, since sigma
+    carries no vorticity.
+    """
+    s = sp.sigma_state(state.n, j, m)
+    return (sp.nonlinear_B(sp.drift_F(state, params), s)
+            - grad_drift(state, y_field(j, m, state, params), params))
 
 
 def grad_z(j: Mode, m: int, state: SpectralState, xi: SpectralState,
            params: PhysicsParams) -> SpectralState:
-    """Derivative of the quadratic field at the state, applied to xi."""
-    n = state.n
-    g = params.g
-    s_m = sp.sigma_state(n, j, m)
-    psi_next = sp.psi_state(n, j, (m + 1) % 2)
-    jsq = float(norm_sq(j))
-    sgn = 1.0 if m % 2 == 0 else -1.0
-    bxs = sp.nonlinear_B(xi, s_m)
-    mix = s_m * (-params.nu2 * jsq) + psi_next * (-sgn * g * j[0])
-    return (sp.nonlinear_B(grad_drift(state, xi, params), s_m)
-            + sp.apply_A(bxs, params)
-            + sp.nonlinear_B(psi_next, xi) * (sgn * g * j[0])
-            - sp.nonlinear_B(xi, mix)
-            + sp.nonlinear_B(xi, sp.nonlinear_B(state, s_m))
-            + sp.nonlinear_B(state, bxs)
-            - sp.apply_G(bxs, params))
+    """Derivative of the quadratic field at the state, applied to xi.
+
+    The chain rule of z_field with D^2 F(U)[a, b] = -B(a, b) - B(b, a):
+        DZ(U) xi = B(DF(U) xi, sigma) + B(xi, Y) + B(Y, xi) - DF(U) B(xi, sigma).
+    """
+    s = sp.sigma_state(state.n, j, m)
+    y = y_field(j, m, state, params)
+    return (sp.nonlinear_B(grad_drift(state, xi, params), s)
+            + sp.nonlinear_B(xi, y) + sp.nonlinear_B(y, xi)
+            - grad_drift(state, sp.nonlinear_B(xi, s), params))
 
 
 def bracket_z_sigma_field(j: Mode, m: int, k: Mode, mp: int, n: int,
                           params: PhysicsParams) -> SpectralState:
-    """[Z_j^m(U), sigma_k^{m'}] through the operators; constant in U."""
+    """[Z_j^m(U), sigma_k^{m'}] = -DZ(U) sigma_k in closed form; constant in U.
+
+    The operator reference of the symbolic layer, kept apart from grad_z
+    because the span replay calls it often and it needs two products only.
+    """
     g = params.g
     s_j = sp.sigma_state(n, j, m)
     s_k = sp.sigma_state(n, k, mp)

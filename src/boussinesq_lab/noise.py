@@ -116,6 +116,17 @@ def subordinated_increments(path: SubordinatorPath, d: int,
     return z * np.sqrt(path.increments)[:, None]
 
 
+def sample_noise(spec: SubordinatorSpec, model: NoiseModel, horizon: float,
+                 seed: int, *key: int):
+    """One path's noise (clock path, dw) over the horizon rounded up to whole
+    cells (at least one), from the streams (seed, ROLE_CLOCK, *key) and
+    (seed, ROLE_BROWNIAN, *key); the path records seed."""
+    cells = max(1, int(np.ceil(round(horizon / spec.grid_step, 9))))
+    path = sample_subordinator(spec, cells * spec.grid_step,
+                               rng_stream(seed, ROLE_CLOCK, *key), seed=seed)
+    return path, subordinated_increments(path, model.dim, rng_stream(seed, ROLE_BROWNIAN, *key))
+
+
 # ---------------------------------------------------------------------------
 # forcing geometry
 
@@ -191,10 +202,6 @@ class ModeSetReport:
     has_nonparallel_pair: bool
     has_norm_distinct_pair: bool
     minor_gcd: int
-
-    @property
-    def all_clauses(self) -> bool:
-        return self.symmetric_generator and self.has_nonparallel_pair and self.has_norm_distinct_pair
 
 
 def check_mode_set(modes) -> ModeSetReport:

@@ -12,6 +12,10 @@ This is the one transform layer: no other module calls an FFT. The step
 kernel, its tangent and adjoint, the second variation and `nonlinear_B` share
 the per-n symbol table `symbols`, the six dealiased physical fields of a
 stack `physical_fields`, and the masked forward transform `masked_transform`.
+It also owns the state pairing: every coefficient-space inner product of the
+package goes through `pairings` (stack against stack), `weighted_energy`
+(squared norms of a stack) or the scalar helpers below, so the quadrature
+weight `quad_weight` is read nowhere else.
 
 Conventions:
   * axis 0 of an array is x1, axis 1 is x2;
@@ -31,6 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+TRIG_NORM_SQ = 2.0 * np.pi**2     # squared L2 norm of every cos/sin trig element
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +212,16 @@ def weighted_norm(state: SpectralState, params: PhysicsParams, s: float = 0.0) -
     return float(np.sqrt(val))
 
 
+def pairings(xw: np.ndarray, xt: np.ndarray, yw: np.ndarray, yt: np.ndarray,
+             params: PhysicsParams) -> np.ndarray:
+    """Weighted inner products zeta* <x_w, y_w> + <x_t, y_t> of every state of
+    a (..., n, n) stack x against every state of a (d, n, n) stack y, shape
+    (..., d)."""
+    cw = np.einsum("...ij,dij->...d", xw, np.conj(yw)).real
+    ct = np.einsum("...ij,dij->...d", xt, np.conj(yt)).real
+    return quad_weight(xw.shape[-1]) * (params.zeta_star * cw + ct)
+
+
 def weighted_energy(w_hat: np.ndarray, t_hat: np.ndarray, params: PhysicsParams) -> np.ndarray:
     """zeta* |w|^2 + |theta|^2 of every state in a (..., n, n) stack."""
     flat = w_hat.shape[:-2] + (-1,)
@@ -322,7 +337,7 @@ def project_QN(state: SpectralState, level: float) -> SpectralState:
 # Mode conventions: the canonical half-lattice contains k with k1 > 0, or
 # k1 = 0 and k2 > 0. Parity m = 0 is cosine, m = 1 is sine. Temperature-slot
 # elements are sigma_k^m, vorticity-slot elements are psi_k^m; each has
-# squared L2 norm 2 pi^2 (unnormalized trig).
+# squared L2 norm TRIG_NORM_SQ = 2 pi^2 (unnormalized trig).
 
 
 def is_canonical(k: tuple[int, int]) -> bool:
@@ -373,7 +388,7 @@ def psi_state(n: int, k: tuple[int, int], m: int) -> SpectralState:
 def mode_coeff(f_hat: np.ndarray, k: tuple[int, int], m: int) -> float:
     """Coefficient of the (k, m) trig element in a real field (L2 projection)."""
     basis = trig_hat(f_hat.shape[-1], k[0], k[1], m)
-    return l2_dot(f_hat, basis) / (2.0 * np.pi**2)
+    return l2_dot(f_hat, basis) / TRIG_NORM_SQ
 
 
 def modes_in_ball(level: float) -> list[tuple[int, int]]:

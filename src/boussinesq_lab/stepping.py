@@ -24,7 +24,8 @@ Every forward time loop in the package is built from three pieces here:
   * `sweep`, the forward loop: advance, kick at cell ends, call the hooks.
     `simulate`, the ensemble batches and the tangent, Gramian and control
     sweeps of the variation module are hooks on it.
-`blown_up` is the one blow-up predicate of `simulate` and the batches.
+`blown_up` is the one blow-up predicate of `simulate` and the batches, and
+`horizon_steps` the one rule turning a horizon into a step count.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral as sp
-from .noise import NoiseModel, SubordinatorPath, subordinated_increments
+from .noise import NoiseModel, SubordinatorPath, sample_noise
 from .spectral import PhysicsParams, SpectralState
 
 
@@ -87,6 +88,15 @@ class Stepper:
         nw = self.buoyancy * t - sp.hermitize(sp.masked_transform(u1 * w1 + u2 * w2))
         nt = -sp.hermitize(sp.masked_transform(u1 * t1 + u2 * t2))
         return self.decay_w * w + self.gain_w * nw, self.decay_t * t + self.gain_t * nt
+
+
+def horizon_steps(horizon: float, dt: float) -> int:
+    """Step count of a horizon, which must be a multiple of dt to within
+    1e-9 max(1, horizon); raises ValueError otherwise."""
+    n_steps = int(round(horizon / dt))
+    if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
+        raise ValueError("horizon must be a multiple of the step size")
+    return n_steps
 
 
 def blown_up(energy_sq, ceiling: float = NORM_CEILING):
@@ -234,9 +244,7 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
     the flag is set; no exception is raised.
     """
     dt = stepper.dt
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError("horizon must be a multiple of the step size")
+    n_steps = horizon_steps(horizon, dt)
     p = stepper.params
 
     kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
@@ -301,14 +309,9 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
 def run_with_noise(u0: SpectralState, horizon: float, stepper: Stepper,
                    model: NoiseModel, spec, seed: int,
                    store_full: bool = False, snapshot_stride: int = SNAPSHOT_STRIDE):
-    """Convenience wrapper: sample a clock path and its Brownian increments
-    from the two dedicated streams of `seed`, then simulate."""
-    from .noise import ROLE_BROWNIAN, ROLE_CLOCK, rng_stream, sample_subordinator
-
-    grid_horizon = spec.grid_step * int(np.ceil(round(horizon / spec.grid_step, 9)))
-    grid_horizon = max(grid_horizon, spec.grid_step)
-    path = sample_subordinator(spec, grid_horizon, rng_stream(seed, ROLE_CLOCK), seed=seed)
-    dw = subordinated_increments(path, model.dim, rng_stream(seed, ROLE_BROWNIAN))
+    """Convenience wrapper: draw the noise of `seed` (`sample_noise`), then
+    simulate."""
+    path, dw = sample_noise(spec, model, horizon, seed)
     traj = simulate(u0, horizon, stepper, model=model, path=path, dw=dw,
                     store_full=store_full, snapshot_stride=snapshot_stride)
     return traj, path, dw

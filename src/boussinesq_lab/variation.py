@@ -30,7 +30,7 @@ import numpy as np
 
 from . import spectral as sp
 from .spectral import PhysicsParams, SpectralState
-from .stepping import DEFAULT_SCHEME, KickSchedule, Stepper, sweep
+from .stepping import DEFAULT_SCHEME, KickSchedule, Stepper, horizon_steps, sweep
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def jacobian_forward(u0: SpectralState, horizon: float, stepper: Stepper,
     triple freezes a forcing realization into the base path.
     """
     lin = Linearizer(stepper)
-    n_steps = int(round(horizon / stepper.dt))
+    n_steps = horizon_steps(horizon, stepper.dt)
     xw, xt = stack_states(directions)
     _, xw, xt, _ = flow_with_tangent(u0, n_steps, lin, xw, xt,
                                      KickSchedule.along(path, stepper, n_steps, model, dw))
@@ -211,7 +211,7 @@ def second_variation(u0: SpectralState, horizon: float, stepper: Stepper,
     """
     lin = Linearizer(stepper)
     st = stepper
-    n_steps = int(round(horizon / st.dt))
+    n_steps = horizon_steps(horizon, st.dt)
     xw, xt = stack_states([phi, psi])
     jw = np.zeros_like(u0.w_hat)
     jt = np.zeros_like(u0.theta_hat)
@@ -236,9 +236,6 @@ def second_variation(u0: SpectralState, horizon: float, stepper: Stepper,
 # projection basis
 
 
-TWO_PI_SQ = 2.0 * np.pi**2
-
-
 @dataclass
 class HNBasis:
     """Orthonormal trig basis of the finite-dimensional band |k| <= level.
@@ -259,8 +256,8 @@ class HNBasis:
         labels = []
         w_list, t_list = [], []
         zero = np.zeros((self.n, self.n), np.complex128)
-        s_norm = 1.0 / np.sqrt(TWO_PI_SQ)
-        p_norm = 1.0 / np.sqrt(self.params.zeta_star * TWO_PI_SQ)
+        s_norm = 1.0 / np.sqrt(sp.TRIG_NORM_SQ)
+        p_norm = 1.0 / np.sqrt(self.params.zeta_star * sp.TRIG_NORM_SQ)
         for k in modes:
             for m in (0, 1):
                 labels.append(("sigma", k, m))
@@ -284,11 +281,7 @@ class HNBasis:
 
     def coords(self, xw: np.ndarray, xt: np.ndarray) -> np.ndarray:
         """Weighted inner products of a stack (..., n, n) with every element."""
-        c = sp.quad_weight(self.n)
-        zeta = self.params.zeta_star
-        cw = np.einsum("...ij,dij->...d", xw, np.conj(self.w_hats)).real
-        ct = np.einsum("...ij,dij->...d", xt, np.conj(self.t_hats)).real
-        return c * (zeta * cw + ct)
+        return sp.pairings(xw, xt, self.w_hats, self.t_hats, self.params)
 
     def sublevel_mask(self, level: float) -> np.ndarray:
         out = np.zeros(self.dim, dtype=bool)
@@ -333,15 +326,15 @@ def malliavin_backward(bases, stepper: Stepper, model, path,
     """Assemble the same Gramian by one adjoint sweep of the basis stack."""
     kicks = KickSchedule(path.spec.grid_step, stepper.dt, len(path.increments), len(bases) - 1)
     sig = model.theta_basis(stepper.n)
+    no_w = np.zeros_like(sig)
     jump_steps = {i + 1: c for i, c in kicks.cell_at.items() if path.increments[c] > 0.0}
     rows = []
-    c = sp.quad_weight(stepper.n)
 
     def record(idx, rw, rt):
         if idx in jump_steps:
             dl = path.increments[jump_steps[idx]]
-            # <K e_a, alpha sigma_j>: temperature slot only, weight 1
-            pair = c * np.einsum("aij,dij->da", rt, np.conj(sig)).real
+            # <K e_a, (0, alpha sigma_j)>, one row per direction j
+            pair = sp.pairings(rw, rt, no_w, sig, stepper.params).T
             rows.append(np.sqrt(dl) * pair)
 
     adjoint_backward(bases, stepper, basis.states(), record_at=record)
@@ -497,24 +490,17 @@ def control_window(rho_in: SpectralState, u0: SpectralState, n_steps: int,
     y_w, y_t = xw[0], xt[0]                  # J rho
     cw, ct = xw[1:], xt[1:]                  # columns J_{r_i, t} alpha sigma_j
 
-    c = sp.quad_weight(stepper.n)
-    zeta = stepper.params.zeta_star
-
-    def pair_with_columns(aw, at):
-        return c * (zeta * np.einsum("qij,ij->q", np.conj(cw), aw).real
-                    + np.einsum("qij,ij->q", np.conj(ct), at).real)
-
-    gram = c * (zeta * np.einsum("qij,rij->qr", cw, np.conj(cw)).real
-                + np.einsum("qij,rij->qr", ct, np.conj(ct)).real)
+    params = stepper.params
+    gram = sp.pairings(cw, ct, cw, ct, params)
     if beta is None:
         beta = max(1e-300, 1e-4 * float(np.sum(weights * np.diag(gram))) / q)
-    rhs = pair_with_columns(y_w, y_t)
+    rhs = sp.pairings(y_w, y_t, cw, ct, params)
     # phi = (beta + C W C*)^{-1} y via the factored identity
     core = np.diag(beta / weights) + gram
     lam = np.linalg.solve(core, rhs)
     phi_w = (y_w - np.tensordot(lam, cw, axes=([0], [0]))) / beta
     phi_t = (y_t - np.tensordot(lam, ct, axes=([0], [0]))) / beta
-    v = pair_with_columns(phi_w, phi_t)      # v_{i,j} = <phi, column_{i,j}>
+    v = sp.pairings(phi_w, phi_t, cw, ct, params)   # v_{i,j} = <phi, column_{i,j}>
 
     # integrated costate: J rho - sum_i dl_i sum_j v_{i,j} column_{i,j}
     rho_w = y_w - np.tensordot(weights * v, cw, axes=([0], [0]))
@@ -522,8 +508,8 @@ def control_window(rho_in: SpectralState, u0: SpectralState, n_steps: int,
     # closed form: beta (M + beta)^{-1} J rho = beta phi
     close_w = beta * phi_w
     close_t = beta * phi_t
-    num = np.sqrt(zeta * np.sum(np.abs(rho_w - close_w) ** 2) + np.sum(np.abs(rho_t - close_t) ** 2))
-    den = np.sqrt(zeta * np.sum(np.abs(rho_w) ** 2) + np.sum(np.abs(rho_t) ** 2))
+    num = np.sqrt(sp.weighted_energy(rho_w - close_w, rho_t - close_t, params))
+    den = np.sqrt(sp.weighted_energy(rho_w, rho_t, params))
     resid = float(num / max(den, 1e-300))
     v_norm_sq = float(np.sum(weights * v * v))
     return ControlWindow(rho_out=SpectralState(rho_w, rho_t), base_out=base,
@@ -550,15 +536,12 @@ def control_experiment(seed: int, n_paths: int, n_windows: int, n: int,
     clock grid; even windows apply the Tikhonov control, odd windows run
     free. Records the costate norm at every edge across independent paths.
     """
-    from .noise import (ROLE_BROWNIAN, ROLE_CLOCK, ROLE_INIT, ROLE_SCRATCH,
-                        rng_stream, sample_subordinator, stopping_times,
-                        subordinated_increments)
+    from .noise import ROLE_INIT, ROLE_SCRATCH, rng_stream, sample_noise, stopping_times
 
     h = spec.grid_step
     q = KickSchedule.steps_per_cell(h, dt)
     stepper = Stepper(n, params, DEFAULT_SCHEME, dt)
-    horizon_guess = 1.8 * (n_windows + 1) / params.nu
-    horizon = h * int(np.ceil(horizon_guess / h))
+    horizon = 1.8 * (n_windows + 1) / params.nu     # clock horizon guess
 
     edge_steps_all = []
     norms = np.full((n_paths, n_windows + 1), np.nan)
@@ -566,8 +549,7 @@ def control_experiment(seed: int, n_paths: int, n_windows: int, n: int,
     v_max = 0.0
     n_degen = 0
     for i in range(n_paths):
-        path = sample_subordinator(spec, horizon, rng_stream(seed, ROLE_CLOCK, i))
-        dw = subordinated_increments(path, model.dim, rng_stream(seed, ROLE_BROWNIAN, i))
+        path, dw = sample_noise(spec, model, horizon, seed, i)
         etas = stopping_times(path, params.nu, kappa, model.b0, max_count=n_windows + 1)
         if len(etas) < n_windows + 1:
             raise RuntimeError("clock horizon too short for the requested windows")
@@ -612,17 +594,14 @@ def tangent_growth_experiment(seed: int, n_paths: int, horizon: float,
                               stepper: Stepper, spec, model,
                               amplitude: float = 1.0) -> list[GrowthSample]:
     """Growth statistics of the tangent flow along independent noisy paths."""
-    from .noise import (ROLE_BROWNIAN, ROLE_CLOCK, ROLE_INIT, ROLE_SCRATCH,
-                        rng_stream, sample_subordinator, subordinated_increments)
+    from .noise import ROLE_INIT, ROLE_SCRATCH, rng_stream, sample_noise
 
     p = stepper.params
-    n_steps = int(round(horizon / stepper.dt))
+    n_steps = horizon_steps(horizon, stepper.dt)
     lin = Linearizer(stepper)
     out = []
     for i in range(n_paths):
-        clock_horizon = spec.grid_step * int(np.ceil(horizon / spec.grid_step))
-        path = sample_subordinator(spec, clock_horizon, rng_stream(seed, ROLE_CLOCK, i))
-        dw = subordinated_increments(path, model.dim, rng_stream(seed, ROLE_BROWNIAN, i))
+        path, dw = sample_noise(spec, model, horizon, seed, i)
         kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
         u0 = sp.random_state(stepper.n, rng_stream(seed, ROLE_INIT, i), amplitude=amplitude)
         # probe the slow band: high modes only dissipate and hide the gain
@@ -636,8 +615,7 @@ def tangent_growth_experiment(seed: int, n_paths: int, horizon: float,
 
         def on_step(j, base, w, t):
             nonlocal sup_gain
-            gain = p.zeta_star * sp.sobolev_sq(w[0], 0) + sp.sobolev_sq(t[0], 0)
-            sup_gain = max(sup_gain, gain)
+            sup_gain = max(sup_gain, float(sp.weighted_energy(w[0], t[0], p)))
             arg.append(sp.weighted_norm(base, p, s=1.0) ** (4.0 / 3.0) + 1.0)
 
         flow_with_tangent(u0, n_steps, lin, xw, xt, kicks, on_step=on_step)
@@ -704,7 +682,7 @@ def duality_gap(u0: SpectralState, horizon: float, stepper: Stepper,
                 model=None, path=None, dw=None) -> float:
     """Relative gap of <J xi, phi> against <xi, K phi> on one window."""
     lin = Linearizer(stepper)
-    n_steps = int(round(horizon / stepper.dt))
+    n_steps = horizon_steps(horizon, stepper.dt)
     xw, xt = stack_states([xi])
     _, xw, xt, bases = flow_with_tangent(u0, n_steps, lin, xw, xt,
                                          KickSchedule.along(path, stepper, n_steps, model, dw),
@@ -739,7 +717,7 @@ def tail_coupling_series(u0: SpectralState, horizon: float, stepper: Stepper,
     """
     lin = Linearizer(stepper)
     p = stepper.params
-    n_steps = int(round(horizon / stepper.dt))
+    n_steps = horizon_steps(horizon, stepper.dt)
     seeds = []
     for lv in levels:
         raw = sp.random_state(stepper.n, seed_rng, decay=1.0)
@@ -754,12 +732,12 @@ def tail_coupling_series(u0: SpectralState, horizon: float, stepper: Stepper,
     band_sq = np.empty((len(seeds), n_steps + 1))
 
     def split(j, w, t):
+        tot = sp.weighted_energy(w, t, p)
         for a, lv in enumerate(levels):
             band = sp.project_PN(SpectralState(w[a], t[a]), lv)
-            tot = p.zeta_star * sp.sobolev_sq(w[a], 0) + sp.sobolev_sq(t[a], 0)
             bnd = sp.weighted_norm(band, p) ** 2
             band_sq[a, j] = bnd
-            tail_sq[a, j] = max(tot - bnd, 0.0)
+            tail_sq[a, j] = max(tot[a] - bnd, 0.0)
 
     split(0, xw, xt)
     times[0] = 0.0

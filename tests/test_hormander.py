@@ -152,6 +152,16 @@ def test_zy_bracket_matches_numerical(base_state):
     assert state_gap(num, got) <= 1e-9 * state_scale(got)
 
 
+@pytest.mark.parametrize("j, m, k, mp", [((0, 1), 0, (1, 0), 0), ((1, 1), 1, (1, 0), 1),
+                                         ((1, 2), 0, (2, 1), 1), ((0, 2), 1, (1, 1), 0)])
+def test_closed_form_z_sigma_bracket_is_minus_grad_z(base_state, j, m, k, mp):
+    # [Z, sigma_k](U) = -DZ(U) sigma_k exactly, at any U; the pairs of `bqlab brackets`
+    sig = sp.sigma_state(base_state.n, k, mp)
+    got = hb.bracket_z_sigma_field(j, m, k, mp, base_state.n, PARAMS)
+    want = -hb.grad_z(j, m, base_state, sig, PARAMS)
+    assert sp.weighted_norm(got - want, PARAMS) <= 1e-12 * sp.weighted_norm(want, PARAMS)
+
+
 def test_numerical_bracket_of_field_with_itself(base_state):
     drift = lambda s: sp.drift_F(s, PARAMS)
     num = hb.numerical_lie_bracket(drift, drift, base_state, PARAMS)

@@ -67,6 +67,16 @@ def test_only_the_spectral_module_calls_an_fft():
     assert offenders == []
 
 
+def test_only_the_spectral_module_weights_a_pairing():
+    # every coefficient-space pairing goes through the spectral module, so a
+    # change of weight (say, for half-spectrum storage) touches that module alone
+    weight = re.compile(r"\b(quad_weight|einsum)\b")
+    pkg = Path(sp.__file__).parent
+    offenders = [f.name for f in sorted(pkg.glob("*.py"))
+                 if f.name != "spectral.py" and weight.search(f.read_text())]
+    assert offenders == []
+
+
 # ---------------------------------------------------------------------------
 # norms and pairings
 

@@ -143,6 +143,26 @@ def test_duality_window_with_noise(params, rng, stepper32):
         assert gap <= 1e-8
 
 
+@pytest.mark.parametrize("entry", ["jacobian_forward", "second_variation", "duality_gap",
+                                   "tail_coupling_series", "tangent_growth_experiment"])
+def test_horizon_must_be_a_multiple_of_the_step(params, entry):
+    # rounding would run 0.015 as 0.02, and 0.004 as zero steps (a vacuous pass)
+    stepper = Stepper(16, params, DEFAULT_SCHEME, 1e-2)
+    rng = np.random.default_rng(5)
+    u0, xi = sp.random_state(16, rng), sp.random_state(16, rng)
+    calls = {
+        "jacobian_forward": lambda h: var.jacobian_forward(u0, h, stepper, [xi]),
+        "second_variation": lambda h: var.second_variation(u0, h, stepper, xi, xi),
+        "duality_gap": lambda h: var.duality_gap(u0, h, stepper, xi, xi),
+        "tail_coupling_series": lambda h: var.tail_coupling_series(u0, h, stepper, (2,), rng),
+        "tangent_growth_experiment": lambda h: var.tangent_growth_experiment(
+            1, 1, h, stepper, SubordinatorSpec(grid_step=1e-2), NoiseModel()),
+    }
+    for horizon in (0.015, 0.004):
+        with pytest.raises(ValueError, match="horizon must be a multiple of the step size"):
+            calls[entry](horizon)
+
+
 def test_adjoint_zeta_weighting(rng):
     # transpose must hold in the weighted product when zeta* != 1
     params = PhysicsParams(nu1=2.0, nu2=3.0, g=2.0)
