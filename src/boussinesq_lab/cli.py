@@ -30,7 +30,7 @@ from .hormander import (bracket_z_sigma, bracket_z_sigma_field, combo_state,
                         verify_span, z_field)
 from .noise import ROLE_INIT, ROLE_SCRATCH, rng_stream, sample_noise, save_path
 from .spectral import PhysicsParams, SpectralState, weighted_norm
-from .stepping import energy_audit, run_with_noise, simulate
+from .stepping import energy_audit, horizon_steps, run_with_noise, simulate
 from .variation import (HNBasis, control_experiment, malliavin_backward,
                         malliavin_forward, min_eigen_probe)
 
@@ -228,8 +228,11 @@ def cmd_malliavin(cfg: RunConfig, out: Path, args) -> bool:
     # rows accumulate one perturbation per direction per jump cell, so the
     # window has to stay short; the full horizon would be quadratic work
     window = args.window
-    n_steps = int(round(window / cfg.dt))
-    if n_steps < 1 or abs(n_steps * cfg.dt - window) > 1e-9:
+    try:
+        n_steps = horizon_steps(window, cfg.dt)
+    except ValueError:
+        n_steps = 0         # not a multiple: refused like a window under one step
+    if n_steps < 1:
         print("  window must be a positive multiple of grid.dt", file=sys.stderr)
         return False
     path, dw = sample_noise(cfg.spec(), model, window, cfg.seed)

@@ -12,6 +12,24 @@ This is the one transform layer: no other module calls an FFT. The step
 kernel, its tangent and adjoint, the second variation and `nonlinear_B` share
 the per-n symbol table `symbols`, the six dealiased physical fields of a
 stack `physical_fields`, and the masked forward transform `masked_transform`.
+
+Every field is real, so the transforms are the real transforms of
+`scipy.fft` over the k2 >= 0 half spectrum, n // 2 + 1 columns, while the
+full (..., n, n) arrays stay the one storage format at the module boundary:
+  * `to_physical` and `physical_fields` read only the k2 >= 0 columns (their
+    symbols on those columns are `_half_symbols`);
+  * `from_physical` and `masked_transform` fill the k2 < 0 columns by the
+    conjugate mirror f(-k) = conj f(k) and symmetrize the self-mirrored
+    columns (k2 = 0, and k2 = n/2 for even n), so what they return is
+    exactly conjugate-symmetric.
+A stored state therefore stays exactly conjugate-symmetric: the step adds
+such arrays and scales them by even real symbols and by i k1, which keeps
+the symmetry as long as the Nyquist row k1 = n/2 is zero, as it is for every
+band-limited state, kick and dealiased product. `hermitize` projects onto
+that set and is needed only where coefficients are drawn at random
+(`random_state`). On an array that is not conjugate-symmetric,
+`to_physical` transforms the k2 >= 0 half, which is not the real part of
+the complex inverse transform.
 It also owns the state pairing: every coefficient-space inner product of the
 package goes through `pairings` (stack against stack), `weighted_energy`
 (squared norms of a stack) or the scalar helpers below, so the quadrature
@@ -29,10 +47,11 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 TWO_PI = 2.0 * np.pi
 TRIG_NORM_SQ = 2.0 * np.pi**2     # squared L2 norm of every cos/sin trig element
@@ -148,24 +167,59 @@ def symbols(n: int) -> Symbols:
 
 
 @lru_cache(maxsize=None)
+def _half_symbols(n: int) -> Symbols:
+    """`symbols(n)` on the k2 >= 0 columns, the half spectrum of rfft2."""
+    full = symbols(n)
+    return Symbols(*(np.ascontiguousarray(getattr(full, f.name)[..., :n // 2 + 1])
+                     for f in fields(Symbols)))
+
+
+@lru_cache(maxsize=None)
 def grid_points(n: int):
     x = -np.pi + TWO_PI * np.arange(n) / n
     return x[:, None], x[None, :]
 
 
+def _inverse(half: np.ndarray, n: int) -> np.ndarray:
+    return scipy.fft.irfft2(half, s=(n, n), axes=(-2, -1))
+
+
+def _full(half: np.ndarray, n: int) -> np.ndarray:
+    """The (..., n, n) coefficients whose k2 >= 0 columns are half and whose
+    k2 < 0 columns are its conjugate mirror f(-k) = conj f(k), indices mod n.
+    The self-mirrored columns (k2 = 0 and, for even n only, the Nyquist
+    column k2 = n/2) are symmetrized, so the result is exactly
+    conjugate-symmetric."""
+    h = half.shape[-1]
+    out = np.empty(half.shape[:-1] + (n,), np.complex128)
+    out[..., :h] = half
+    # -k1 mod n keeps row 0 and reverses rows 1 .. n-1; column k2 < 0 reads
+    # column -k2, so columns n - h .. 1 fill h .. n - 1
+    np.conjugate(half[..., :1, n - h:0:-1], out=out[..., :1, h:])
+    np.conjugate(half[..., :0:-1, n - h:0:-1], out=out[..., 1:, h:])
+    selfs = slice(0, h, n // 2) if n % 2 == 0 else slice(0, 1)
+    col = half[..., selfs]
+    out[..., :1, selfs] = 0.5 * (col[..., :1, :] + np.conj(col[..., :1, :]))
+    out[..., 1:, selfs] = 0.5 * (col[..., 1:, :] + np.conj(col[..., :0:-1, :]))
+    return out
+
+
 def to_physical(f_hat: np.ndarray) -> np.ndarray:
-    # a copy, not a view of .real, so the complex buffer is freed: the step
-    # holds all six physical fields of a batch at once
-    return np.fft.ifft2(f_hat, axes=(-2, -1)).real.copy()
+    """Real field of a conjugate-symmetric coefficient stack; only the k2 >= 0
+    columns are read."""
+    n = f_hat.shape[-1]
+    return _inverse(f_hat[..., :n // 2 + 1], n)
 
 
 def from_physical(f: np.ndarray) -> np.ndarray:
-    return np.fft.fft2(f, axes=(-2, -1))
+    """Coefficients of a real field stack, exactly conjugate-symmetric."""
+    return _full(scipy.fft.rfft2(f, axes=(-2, -1)), f.shape[-1])
 
 
 def masked_transform(f: np.ndarray) -> np.ndarray:
     """Coefficients of a physical product, cut to the dealiased mean-free band."""
-    return np.where(symbols(f.shape[-1]).bmask, from_physical(f), 0.0)
+    n = f.shape[-1]
+    return _full(np.where(_half_symbols(n).bmask, scipy.fft.rfft2(f, axes=(-2, -1)), 0.0), n)
 
 
 def hermitize(f_hat: np.ndarray) -> np.ndarray:
@@ -271,18 +325,27 @@ def biot_savart(w_hat: np.ndarray):
 # quadratic term
 
 
-def _gradient(fm: np.ndarray, s: Symbols):
-    return to_physical(s.ik1 * fm), to_physical(s.ik2 * fm)
+def _band(f_hat: np.ndarray, h: Symbols) -> np.ndarray:
+    # the k2 >= 0 columns of a coefficient stack, cut to the 2/3 band
+    return np.where(h.dealias, f_hat[..., :h.dealias.shape[-1]], 0.0)
+
+
+def _velocity(wm: np.ndarray, h: Symbols, n: int):
+    return tuple(_inverse(c, n) for c in _biot_savart(wm, h))
+
+
+def _gradient(fm: np.ndarray, h: Symbols, n: int):
+    return _inverse(h.ik1 * fm, n), _inverse(h.ik2 * fm, n)
 
 
 def physical_fields(w_hat: np.ndarray, t_hat: np.ndarray):
     """The six dealiased physical fields (u1, u2, dw/dx1, dw/dx2, dtheta/dx1,
-    dtheta/dx2) of a (..., n, n) stack, u the velocity of w (mean unchecked)."""
-    s = symbols(w_hat.shape[-1])
-    wm = np.where(s.dealias, w_hat, 0.0)
-    tm = np.where(s.dealias, t_hat, 0.0)
-    u1, u2 = _biot_savart(wm, s)
-    return (to_physical(u1), to_physical(u2)) + _gradient(wm, s) + _gradient(tm, s)
+    dtheta/dx2) of a (..., n, n) stack, u the velocity of w (mean unchecked).
+    Only the k2 >= 0 columns are read."""
+    n = w_hat.shape[-1]
+    h = _half_symbols(n)
+    wm = _band(w_hat, h)
+    return _velocity(wm, h, n) + _gradient(wm, h, n) + _gradient(_band(t_hat, h), h, n)
 
 
 def nonlinear_B(u: SpectralState, v: SpectralState | None = None) -> SpectralState:
@@ -296,12 +359,15 @@ def nonlinear_B(u: SpectralState, v: SpectralState | None = None) -> SpectralSta
         v = u
     if u.n != v.n:
         raise ValueError("resolution mismatch")
-    s = symbols(u.n)
-    u1, u2 = (to_physical(c) for c in biot_savart(np.where(s.dealias, u.w_hat, 0.0)))
-    w1, w2 = _gradient(np.where(s.dealias, v.w_hat, 0.0), s)
-    t1, t2 = _gradient(np.where(s.dealias, v.theta_hat, 0.0), s)
-    return SpectralState(hermitize(masked_transform(u1 * w1 + u2 * w2)),
-                         hermitize(masked_transform(u1 * t1 + u2 * t2)))
+    n = u.n
+    h = _half_symbols(n)
+    um = _band(u.w_hat, h)
+    require_mean_free(um)
+    u1, u2 = _velocity(um, h, n)
+    w1, w2 = _gradient(_band(v.w_hat, h), h, n)
+    t1, t2 = _gradient(_band(v.theta_hat, h), h, n)
+    return SpectralState(masked_transform(u1 * w1 + u2 * w2),
+                         masked_transform(u1 * t1 + u2 * t2))
 
 
 def drift_F(state: SpectralState, params: PhysicsParams) -> SpectralState:

@@ -17,7 +17,9 @@ Every forward time loop in the package is built from three pieces here:
   * `Stepper.advance(w, t)`, the only step kernel, on raw coefficient arrays
     of shape (..., n, n); one path has an empty batch shape, an ensemble a
     leading batch axis. Its quadratic term is one `sp.physical_fields` call
-    and one `sp.masked_transform` per component;
+    (six real inverse transforms) and one `sp.masked_transform` per
+    component (a real forward transform); their outputs are exactly
+    conjugate-symmetric, so the step keeps the state so with no projection;
   * `KickSchedule`, which owns the rule that dt divides the clock grid step,
     the map from a step to the clock cell whose jump ends it, the checks on
     the noise triple and on the clock covering the sweep, and the kicks;
@@ -85,8 +87,8 @@ class Stepper:
     def advance(self, w: np.ndarray, t: np.ndarray):
         """One deterministic substep of coefficient arrays of shape (..., n, n)."""
         u1, u2, w1, w2, t1, t2 = sp.physical_fields(w, t)
-        nw = self.buoyancy * t - sp.hermitize(sp.masked_transform(u1 * w1 + u2 * w2))
-        nt = -sp.hermitize(sp.masked_transform(u1 * t1 + u2 * t2))
+        nw = self.buoyancy * t - sp.masked_transform(u1 * w1 + u2 * w2)
+        nt = -sp.masked_transform(u1 * t1 + u2 * t2)
         return self.decay_w * w + self.gain_w * nw, self.decay_t * t + self.gain_t * nt
 
 

@@ -70,7 +70,13 @@ class Linearizer:
         return st.decay_w * xw + st.gain_w * dw_, st.decay_t * xt + st.gain_t * dt_
 
     def adjoint(self, prep, rw: np.ndarray, rt: np.ndarray):
-        """One adjoint step: M(U)* rho in the weighted state inner product."""
+        """One adjoint step: M(U)* rho in the weighted state inner product.
+
+        `sp.to_physical` and `sp.from_physical` serve as each other's
+        transpose; that holds on conjugate-symmetric arrays, which every
+        costate is (the terminals are real fields and each stage keeps the
+        symmetry), not on arbitrary complex ones.
+        """
         st = self.stepper
         s = sp.symbols(self.n)
         u1, u2, dw1, dw2, dt1, dt2 = prep
@@ -526,6 +532,9 @@ class ControlDecayResult:
     n_degenerate: int           # controlled windows without jump mass
 
 
+CLOCK_DOUBLINGS = 10        # control_experiment's clock grows at most 2**10-fold
+
+
 def control_experiment(seed: int, n_paths: int, n_windows: int, n: int,
                        params: PhysicsParams, spec, model, dt: float,
                        kappa: float, amplitude: float = 1.0,
@@ -535,13 +544,16 @@ def control_experiment(seed: int, n_paths: int, n_windows: int, n: int,
     Window edges are the clock-penalized renewal times rounded up to the
     clock grid; even windows apply the Tikhonov control, odd windows run
     free. Records the costate norm at every edge across independent paths.
+    Each path's clock is drawn over 1.8 (n_windows + 1) / nu first and redrawn
+    over twice the horizon until its renewal times fit; the draws are
+    prefix-stable, so a longer clock keeps the noise of the shorter one.
+    Raises RuntimeError when CLOCK_DOUBLINGS doublings do not suffice.
     """
     from .noise import ROLE_INIT, ROLE_SCRATCH, rng_stream, sample_noise, stopping_times
 
     h = spec.grid_step
     q = KickSchedule.steps_per_cell(h, dt)
     stepper = Stepper(n, params, DEFAULT_SCHEME, dt)
-    horizon = 1.8 * (n_windows + 1) / params.nu     # clock horizon guess
 
     edge_steps_all = []
     norms = np.full((n_paths, n_windows + 1), np.nan)
@@ -549,9 +561,14 @@ def control_experiment(seed: int, n_paths: int, n_windows: int, n: int,
     v_max = 0.0
     n_degen = 0
     for i in range(n_paths):
-        path, dw = sample_noise(spec, model, horizon, seed, i)
-        etas = stopping_times(path, params.nu, kappa, model.b0, max_count=n_windows + 1)
-        if len(etas) < n_windows + 1:
+        horizon = 1.8 * (n_windows + 1) / params.nu
+        for _ in range(CLOCK_DOUBLINGS + 1):
+            path, dw = sample_noise(spec, model, horizon, seed, i)
+            etas = stopping_times(path, params.nu, kappa, model.b0, max_count=n_windows + 1)
+            if len(etas) > n_windows:
+                break
+            horizon *= 2.0
+        else:
             raise RuntimeError("clock horizon too short for the requested windows")
         edges = [0]
         for eta in etas[:n_windows]:

@@ -314,7 +314,7 @@ def test_c10_eproperty():
     drops = np.all(np.diff(rep.sup_gaps) < 0.0)
     ok = rep.coupled and bool(drops) and rep.slope >= 0.8
     assert _verdict("10", "e-property", ok,
-                    f"coupled gaps {np.array2string(rep.sup_gaps, precision=2)} "
+                    f"coupled gaps [{' '.join(f'{g:.2e}' for g in rep.sup_gaps)}] "
                     f"monotone over deltas {rep.deltas}, log-log slope "
                     f"{rep.slope:.2f} >= 0.8")
     assert rep.coupled

@@ -198,6 +198,21 @@ def test_malliavin_degenerate_fails(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().out
 
 
+def test_malliavin_window_follows_the_horizon_rule(tmp_path, capsys):
+    # the window must be a multiple of dt to within 1e-9 max(1, window), the
+    # rule of every sweep: 2 + 1.5e-9 is 8 steps of 0.25, which an absolute
+    # 1e-9 would refuse
+    cfg_file = tmp_path / "coarse.ini"
+    cfg_file.write_text(TINY.replace("dt = 0.005", "dt = 0.25")
+                        .replace("grid_step = 0.01", "grid_step = 0.25"))
+    out = tmp_path / "runs"
+    assert run_cli(cfg_file, out, "malliavin", "--window", "2.0000000015") == 0
+    assert "window must be" not in capsys.readouterr().err
+    for bad in ("0.3", "0.1", "-0.5"):     # not a multiple, under one step, negative
+        assert run_cli(cfg_file, out, "malliavin", "--window", bad) == 1
+        assert "window must be a positive multiple of grid.dt" in capsys.readouterr().err
+
+
 def test_moments_passes(tiny_cfg, tmp_path):
     cfg_file, cfg = tiny_cfg
     out = tmp_path / "runs"

@@ -38,12 +38,12 @@ def big_state():
 # lockstep batch vs the single-path loop
 
 
-def test_batch_reproduces_single_paths(stepper24):
+def _assert_batch_reproduces_single_paths(stepper):
     n_paths, horizon, seed = 3, 0.1, 31
     incs, dw = en.sample_noise_batch(SPEC, MODEL, horizon, seed, n_paths)
     rng = np.random.default_rng(5)
-    u0s = [sp.random_state(24, rng, amplitude=0.6) for _ in range(n_paths)]
-    runner = en.BatchRunner(stepper24, MODEL)
+    u0s = [sp.random_state(stepper.n, rng, amplitude=0.6) for _ in range(n_paths)]
+    runner = en.BatchRunner(stepper, MODEL)
     out = runner.run(np.stack([u.w_hat for u in u0s]),
                      np.stack([u.theta_hat for u in u0s]),
                      dw, SPEC.grid_step, record_every=8)
@@ -51,11 +51,20 @@ def test_batch_reproduces_single_paths(stepper24):
         path = sample_subordinator(SPEC, horizon, rng_stream(seed, ROLE_CLOCK, i))
         dwi = subordinated_increments(path, MODEL.dim, rng_stream(seed, ROLE_BROWNIAN, i))
         assert np.array_equal(dwi, dw[i])
-        traj = simulate(u0, horizon, stepper24, model=MODEL, path=path, dw=dwi)
+        traj = simulate(u0, horizon, stepper, model=MODEL, path=path, dw=dwi)
         assert np.array_equal(out.w_hat[i], traj.final.w_hat)
         assert np.array_equal(out.theta_hat[i], traj.final.theta_hat)
         want = sp.weighted_norm(traj.final, PARAMS) ** 2
         assert out.energy_sq[i, -1] == pytest.approx(want, rel=1e-12)
+
+
+def test_batch_reproduces_single_paths(stepper24):
+    _assert_batch_reproduces_single_paths(stepper24)
+
+
+def test_batch_reproduces_single_paths_n48():
+    # at c09's size the batched real transforms must still match B = 1 bit for bit
+    _assert_batch_reproduces_single_paths(Stepper(48, PARAMS, DEFAULT_SCHEME, 2.5e-3))
 
 
 def test_batch_rejects_bad_grid(stepper24):

@@ -78,6 +78,44 @@ def test_only_the_spectral_module_weights_a_pairing():
 
 
 # ---------------------------------------------------------------------------
+# transform layer
+
+
+TRANSFORM_SIZES = [8, 9, 16, 48]     # 9: no Nyquist column, the mirror differs
+
+
+def _symmetric_stack(n, rng, shape=(2, 3)):
+    z = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+    return sp.hermitize(z)
+
+
+@pytest.mark.parametrize("n", TRANSFORM_SIZES)
+def test_transforms_match_the_complex_fft(n, rng):
+    f_hat = _symmetric_stack(n, rng)
+    ref = np.fft.ifft2(f_hat).real
+    got = sp.to_physical(f_hat)
+    assert got.dtype == np.float64 and got.shape == f_hat.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    f = rng.standard_normal((2, 3, n, n))
+    ref = np.fft.fft2(f)
+    got = sp.from_physical(f)
+    assert got.shape == f.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", TRANSFORM_SIZES)
+def test_forward_transforms_are_exactly_conjugate_symmetric(n, rng):
+    # hermitize is a no-op on what the step stores, bit for bit once the
+    # sign of zero is normalized (+ 0.0): its complex scale maps -0j to +0j
+    f = rng.standard_normal((2, 3, n, n))
+    for x in (sp.masked_transform(f), sp.from_physical(f)):
+        assert (sp.hermitize(x) + 0.0).tobytes() == (x + 0.0).tobytes()
+    masked = sp.masked_transform(f)
+    ref = np.where(sp.symbols(n).bmask, np.fft.fft2(f), 0.0)
+    assert np.max(np.abs(masked - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
 # norms and pairings
 
 

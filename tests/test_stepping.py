@@ -25,6 +25,7 @@ from boussinesq_lab.stepping import (
     run_with_noise,
     simulate,
     step,
+    sweep,
 )
 
 TWO_PI_SQ = 2.0 * np.pi**2
@@ -234,6 +235,26 @@ def test_entry_rejects_a_vorticity_mean(entry, rng):
     }
     with pytest.raises(ValueError, match="vorticity must have zero mean"):
         calls[entry]()
+
+
+def test_step_needs_no_hermitize(monkeypatch, rng):
+    # the transforms return exactly conjugate-symmetric coefficients, so
+    # neither the kernel nor nonlinear_B projects its output
+    def refuse(f_hat):
+        raise AssertionError("hermitize called")
+
+    n, dt = 16, 5e-3
+    model = NoiseModel()
+    stepper = Stepper(n, PhysicsParams(), StepScheme.ETD_EULER, dt)
+    u, v = random_state(n, rng), random_state(n, rng)
+    w, t = np.stack([u.w_hat, v.w_hat]), np.stack([u.theta_hat, v.theta_hat])
+    kicks = KickSchedule(dt, dt, 3, dw=rng.standard_normal((2, 3, model.dim)),
+                         basis=model.theta_basis(n))
+    monkeypatch.setattr(sp, "hermitize", refuse)
+    w, t = sweep(stepper, w, t, 3, kicks)
+    for x in (w, t):        # and the stored state stays exactly symmetric
+        assert np.array_equal(x, np.conj(np.roll(x[..., ::-1, ::-1], (1, 1), axis=(-2, -1))))
+    sp.nonlinear_B(u, v)
 
 
 def test_weak_convergence_order(rng):

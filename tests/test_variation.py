@@ -462,6 +462,26 @@ def test_control_experiment_median_decay():
     assert med[4] < 0.5 * med[2]
 
 
+def test_control_experiment_draws_a_longer_clock():
+    # at kappa = 0.01 neither path renews twice within the first clock
+    # horizon 1.8 (n_windows + 1) / nu = 5.4, so both are redrawn longer. At
+    # kappa = 0.005 both fit at once and draw what a fixed 5.4 horizon drew:
+    # the edges and costate norms below were read off that fixed-horizon code
+    def run(kappa):
+        return var.control_experiment(11, 2, 2, 16, PhysicsParams(),
+                                      SubordinatorSpec(grid_step=1e-2), NoiseModel(), 1e-2, kappa)
+
+    out = run(0.01)
+    assert out.edge_steps == [[0, 1, 423], [0, 1, 306]]
+    assert np.all(np.isfinite(out.rho_norms))
+    ref = run(0.005)
+    assert ref.edge_steps == [[0, 1, 173], [0, 1, 160]]
+    # the norms pass through control_window, which amplifies roundoff ~5e7
+    np.testing.assert_allclose(ref.rho_norms, [[1.0, 0.767065308186193, 0.0981976088849448],
+                                               [1.0, 0.8228175978264191, 0.15157247552394698]],
+                               rtol=1e-6, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # growth envelope
 
