@@ -6,14 +6,14 @@ Trajectory batches share the clock grid, so the whole ensemble advances as
 of the stepping module, `Stepper.advance` under `sweep`, that also runs a
 single path; a batch only adds its recording hook. Per-path randomness
 enters only through the clock increments and the Brownian draws, each from
-its own keyed stream.
+its own keyed stream, so a path's output does not depend on its batch.
+Each experiment runs its starts as one batch in one process, and each
+observable maps (..., n, n) stacks to (...) values, one call per record.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -36,40 +36,30 @@ from .spectral import PhysicsParams, SpectralState
 from .stepping import KickSchedule, Stepper, blown_up, sweep
 
 
-def parallel_map(fun, items):
-    """Map over items, forking workers when BQLAB_WORKERS asks for them."""
-    items = list(items)
-    workers = int(os.environ.get("BQLAB_WORKERS", "1"))
-    if workers <= 1 or len(items) <= 1:
-        return [fun(x) for x in items]
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fun, items))
-
-
 # ---------------------------------------------------------------------------
 # observables
 
 
 @dataclass(frozen=True)
 class Observable:
-    """Named scalar functional of the state."""
+    """Named scalar functional of the state; fun(w, t, params) maps (..., n, n)
+    coefficient stacks to (...) values."""
 
     name: str
     fun: object
 
-    def __call__(self, state: SpectralState, params: PhysicsParams) -> float:
-        return self.fun(state, params)
+    def __call__(self, state: SpectralState, params: PhysicsParams):
+        return self.fun(state.w_hat, state.theta_hat, params)
 
 
-def _squashed_energy(state, params):
-    x = sp.weighted_norm(state, params)
+def _squashed_energy(w, t, params):
+    x = sp.weighted_norms(w, t, params)
     return x / (1.0 + x)
 
 
-def _squashed_mode(state, params, k, m, slot):
-    f_hat = state.theta_hat if slot == "theta" else state.w_hat
-    c = sp.mode_coeff(f_hat, k, m)
-    return c / (1.0 + abs(c))
+def _squashed_mode(w, t, params, k, m, slot):
+    c = sp.mode_coeff(t if slot == "theta" else w, k, m)
+    return c / (1.0 + np.abs(c))
 
 
 def squashed_energy_observable() -> Observable:
@@ -103,15 +93,11 @@ def sample_noise_batch(spec: SubordinatorSpec, model: NoiseModel, horizon: float
     same cell count, which is what lets the batch advance in lockstep.
     Returns (increments (B, cells), dw (B, cells, d)).
     """
-    incs, dws = [], []
-    for i in range(n_paths):
-        path = sample_subordinator(spec, horizon,
-                                   rng_stream(seed, ROLE_CLOCK, key_offset + i))
-        dw = subordinated_increments(path, model.dim,
-                                     rng_stream(seed, ROLE_BROWNIAN, key_offset + i))
-        incs.append(path.increments)
-        dws.append(dw)
-    return np.stack(incs), np.stack(dws)
+    keys = range(key_offset, key_offset + n_paths)
+    paths = [sample_subordinator(spec, horizon, rng_stream(seed, ROLE_CLOCK, i)) for i in keys]
+    dws = [subordinated_increments(path, model.dim, rng_stream(seed, ROLE_BROWNIAN, i))
+           for path, i in zip(paths, keys)]
+    return np.stack([path.increments for path in paths]), np.stack(dws)
 
 
 def noise_digest(increments: np.ndarray, dw: np.ndarray) -> str:
@@ -136,7 +122,6 @@ class BatchRunner:
 
     def __init__(self, stepper: Stepper, model: NoiseModel):
         self.stepper = stepper
-        self.model = model
         self.basis = model.theta_basis(stepper.n)
 
     def run(self, w, t, dw, grid_step: float, record_every: int = 1,
@@ -167,8 +152,7 @@ class BatchRunner:
         def record(slot, w, t):
             energy[:, slot] = sp.weighted_energy(w, t, params)
             for oi, obs in enumerate(observables):
-                for b in range(n_b):
-                    observed[oi, b, slot] = obs(SpectralState(w[b], t[b]), params)
+                observed[oi, :, slot] = obs.fun(w, t, params)
 
         def on_step(i, pre, post, cell):
             if (i + 1) % record_every:
@@ -187,9 +171,10 @@ class BatchRunner:
         return BatchTrajectory(times, energy, observed, w, t)
 
 
-def _tile(state: SpectralState, n_paths: int):
-    w = np.repeat(state.w_hat[None], n_paths, axis=0)
-    t = np.repeat(state.theta_hat[None], n_paths, axis=0)
+def _tile(states, n_paths: int):
+    """(w, t) stacks holding each state n_paths times in a row."""
+    w = np.repeat(np.stack([u.w_hat for u in states]), n_paths, axis=0)
+    t = np.repeat(np.stack([u.theta_hat for u in states]), n_paths, axis=0)
     return w, t
 
 
@@ -224,7 +209,7 @@ def moment_experiment(seed: int, n_paths: int, horizon: float, stepper: Stepper,
     """Ensemble of trajectories from one initial state; records energy."""
     incs, dw = sample_noise_batch(spec, model, horizon, seed, n_paths, key_offset)
     runner = BatchRunner(stepper, model)
-    w, t = _tile(initial, n_paths)
+    w, t = _tile([initial], n_paths)
     out = runner.run(w, t, dw, spec.grid_step, record_every)
     return MomentCurve(out.times, out.energy_sq)
 
@@ -321,43 +306,42 @@ def eproperty_probe(seed: int, stepper: Stepper, model: NoiseModel,
                     record_every: int = 10) -> EPropertyReport:
     """Same-noise response of time-T statistics to initial perturbations.
 
-    Each delta reruns the identical noise batch (checked by digest) from the
-    base state shifted by delta times a fixed unit direction; the feedback
-    statistic is the coupled mean difference of each observable at time T.
+    Each delta reruns the noise batch of the base run (drawn anew, checked
+    by digest) from the base state shifted by delta times a fixed unit
+    direction, all runs in one batch; the feedback statistic is the coupled
+    mean difference of each observable at time T.
     """
     if observables is None:
         observables = default_observables()
     direction = sp.random_state(stepper.n, rng_stream(seed, ROLE_SCRATCH), amplitude=1.0)
     direction = direction * (1.0 / sp.weighted_norm(direction, stepper.params))
-    runner = BatchRunner(stepper, model)
+    starts = [base_state] + [base_state + direction * delta for delta in deltas]
+    blocks = [sample_noise_batch(spec, model, horizon, seed, n_paths) for _ in starts]
+    digests = [noise_digest(*block) for block in blocks]
+    out = BatchRunner(stepper, model).run(
+        *_tile(starts, n_paths), np.concatenate([dw for _, dw in blocks]),
+        spec.grid_step, record_every, observables)
 
-    def run_from(state: SpectralState):
-        incs, dw = sample_noise_batch(spec, model, horizon, seed, n_paths)
-        digest = noise_digest(incs, dw)
-        w, t = _tile(state, n_paths)
-        out = runner.run(w, t, dw, spec.grid_step, record_every, observables)
-        return out, digest
-
-    base_out, digest0 = run_from(base_state)
-    gaps, state_gaps, digests = [], [], [digest0]
-    for delta in deltas:
-        out, digest = run_from(base_state + direction * delta)
-        digests.append(digest)
-        diff = out.observed[:, :, -1] - base_out.observed[:, :, -1]
+    runs = (len(starts), n_paths)
+    final = out.observed[:, :, -1].reshape(out.observed.shape[:1] + runs)
+    w_end = out.w_hat.reshape(runs + out.w_hat.shape[1:])
+    t_end = out.theta_hat.reshape(runs + out.theta_hat.shape[1:])
+    gaps, state_gaps = [], []
+    for r in range(1, len(starts)):
+        diff = final[:, r] - final[:, 0]
         gaps.append(np.abs(diff.mean(axis=1)))
-        dist_sq = sp.weighted_energy(out.w_hat - base_out.w_hat,
-                                     out.theta_hat - base_out.theta_hat, stepper.params)
+        dist_sq = sp.weighted_energy(w_end[r] - w_end[0], t_end[r] - t_end[0], stepper.params)
         state_gaps.append(float(np.sqrt(dist_sq).mean()))
     gaps = np.array(gaps)
     sup_gaps = gaps.max(axis=1)
-    coupled = all(d == digest0 for d in digests)
+    coupled = len(set(digests)) == 1
     if np.all(sup_gaps > 0):
         slope = float(np.polyfit(np.log(np.asarray(deltas)), np.log(sup_gaps), 1)[0])
     else:
         slope = np.inf
     return EPropertyReport(deltas=tuple(deltas), gaps=gaps, sup_gaps=sup_gaps,
                            state_gaps=np.array(state_gaps), slope=slope,
-                           digest=digest0, coupled=coupled)
+                           digest=digests[0], coupled=coupled)
 
 
 # ---------------------------------------------------------------------------
@@ -402,21 +386,12 @@ def irreducibility_probe(seed: int, stepper: Stepper, model: NoiseModel,
     levels = (-mesh_scale, 0.0, mesh_scale)
     starts = [(a, b) for a in levels for b in levels]
 
-    runner = BatchRunner(stepper, model)
+    u0s = [e_w * a + e_t * b for a, b in starts]
+    # start si holds paths si * n_paths .. (si + 1) * n_paths - 1 and their streams
+    _, dw = sample_noise_batch(spec, model, horizon, seed, len(starts) * n_paths)
     qi = KickSchedule.steps_per_cell(spec.grid_step, stepper.dt)
-    blocks_w, blocks_t, blocks_dw, norms = [], [], [], []
-    for si, (a, b) in enumerate(starts):
-        u0 = e_w * a + e_t * b
-        norms.append(float(sp.weighted_norm(u0, stepper.params)))
-        incs, dw = sample_noise_batch(spec, model, horizon, seed, n_paths,
-                                      key_offset=si * n_paths)
-        w, t = _tile(u0, n_paths)
-        blocks_w.append(w)
-        blocks_t.append(t)
-        blocks_dw.append(dw)
-    dw = np.concatenate(blocks_dw)
-    out = runner.run(np.concatenate(blocks_w), np.concatenate(blocks_t), dw,
-                     spec.grid_step, record_every=dw.shape[1] * qi)
+    out = BatchRunner(stepper, model).run(*_tile(u0s, n_paths), dw, spec.grid_step,
+                                          record_every=dw.shape[1] * qi)
     estimates = []
     for si, (a, b) in enumerate(starts):
         final = out.energy_sq[si * n_paths:(si + 1) * n_paths, -1]
@@ -426,7 +401,7 @@ def irreducibility_probe(seed: int, stepper: Stepper, model: NoiseModel,
         else:
             lower = 0.0
         estimates.append(HittingEstimate(
-            start=(a, b), start_norm=norms[si],
+            start=(a, b), start_norm=sp.weighted_norm(u0s[si], stepper.params),
             hits=hits, n_paths=n_paths, lower_bound=lower))
     return IrreducibilityReport(
         radius=radius, horizon=horizon, confidence=confidence,
@@ -472,28 +447,16 @@ class InvariantReport:
     agree: bool
 
 
-def _run_stationary(args):
-    (idx, u0, seed, horizon, stepper, model, spec, observables,
-     burn_frac, n_batches, record_every) = args
-    incs, dw = sample_noise_batch(spec, model, horizon, seed, 1, key_offset=idx)
-    runner = BatchRunner(stepper, model)
-    w, t = _tile(u0, 1)
-    out = runner.run(w, t, dw, spec.grid_step, record_every, observables)
-    burn = int(round(burn_frac * (out.observed.shape[-1] - 1)))
-    rows = []
-    for oi, obs in enumerate(observables):
-        series = out.observed[oi, 0, burn:]
-        bm = batch_means(series, n_batches)
-        rho = lag1_correlation(bm)
-        se = float(bm.std(ddof=1) / np.sqrt(n_batches))
-        if rho > 0.0:
-            # residual batch correlation makes the naive error optimistic;
-            # the AR(1) variance factor (1+rho)/(1-rho) is the usual repair
-            se *= float(np.sqrt((1.0 + rho) / (1.0 - min(rho, 0.95))))
-        rows.append(StationaryEstimate(
-            observable=obs.name, mean=float(bm.mean()), stderr=se,
-            n_batches=n_batches, lag1=rho, short_batches=bool(rho > 0.3)))
-    return rows
+def _stationary_estimate(name: str, series: np.ndarray, n_batches: int) -> StationaryEstimate:
+    bm = batch_means(series, n_batches)
+    rho = lag1_correlation(bm)
+    se = float(bm.std(ddof=1) / np.sqrt(n_batches))
+    if rho > 0.0:
+        # residual batch correlation makes the naive error optimistic;
+        # the AR(1) variance factor (1+rho)/(1-rho) is the usual repair
+        se *= float(np.sqrt((1.0 + rho) / (1.0 - min(rho, 0.95))))
+    return StationaryEstimate(observable=name, mean=float(bm.mean()), stderr=se,
+                              n_batches=n_batches, lag1=rho, short_batches=bool(rho > 0.3))
 
 
 def invariant_statistics(seed: int, initials, horizon: float, stepper: Stepper,
@@ -503,17 +466,20 @@ def invariant_statistics(seed: int, initials, horizon: float, stepper: Stepper,
                          record_every: int = 10) -> InvariantReport:
     """Time averages of bounded observables from several initial states.
 
-    One long trajectory per initial state; the first burn_frac of records is
-    discarded, the rest feeds batch means. Initial-state independence of the
-    invariant measure shows up as pairwise agreement within combined batch
-    errors.
+    One long trajectory per initial state, all in one batch; the first
+    burn_frac of records is discarded, the rest feeds batch means.
+    Initial-state independence of the invariant measure shows up as pairwise
+    agreement within combined batch errors.
     """
     if observables is None:
         observables = default_observables()
-    jobs = [(idx, u0, seed, horizon, stepper, model, spec, tuple(observables),
-             burn_frac, n_batches, record_every)
-            for idx, u0 in enumerate(initials)]
-    estimates = parallel_map(_run_stationary, jobs)
+    _, dw = sample_noise_batch(spec, model, horizon, seed, len(initials))
+    out = BatchRunner(stepper, model).run(*_tile(initials, 1), dw, spec.grid_step,
+                                          record_every, observables)
+    burn = int(round(burn_frac * (out.observed.shape[-1] - 1)))
+    estimates = [[_stationary_estimate(obs.name, out.observed[oi, b, burn:], n_batches)
+                  for oi, obs in enumerate(observables)]
+                 for b in range(len(initials))]
     worst = 0.0
     for oi in range(len(observables)):
         for i in range(len(estimates)):

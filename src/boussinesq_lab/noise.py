@@ -181,12 +181,32 @@ class NoiseModel:
         return out
 
 
+def forced_slots(basis: np.ndarray):
+    """(direction, flat float index, value) of every nonzero real component
+    of a (d, n, n) basis. A trig element is real (cos) or imaginary (sin) on
+    its two slots, so no two directions share one; raises ValueError if they do."""
+    flat = np.ascontiguousarray(basis).reshape(len(basis), -1).view(np.float64)
+    rows, idx = np.nonzero(flat)
+    if len(np.unique(idx)) != len(idx):
+        raise ValueError("forcing directions share a coefficient component")
+    return rows, idx, flat[rows, idx]
+
+
+def scatter_kick(slots, dw: np.ndarray, n: int) -> np.ndarray:
+    """Kicks sum_j dw_j basis_j of rows dw (..., d), shape (..., n, n), as one
+    product per `forced_slots` component: the dense sum's values, no BLAS."""
+    rows, idx, vals = slots
+    out = np.zeros(dw.shape[:-1] + (2 * n * n,))
+    out[..., idx] = dw[..., rows] * vals
+    return out.view(np.complex128).reshape(dw.shape[:-1] + (n, n))
+
+
 def forcing_increment(model: NoiseModel, n: int, dw: np.ndarray) -> SpectralState:
     """Temperature kick sum_j dw_j alpha_j trig_j; vorticity slot untouched."""
     dw = np.asarray(dw, dtype=np.float64)
     if dw.shape != (model.dim,):
         raise ValueError("one Brownian increment per forcing direction")
-    theta = np.tensordot(dw, model.theta_basis(n), axes=([0], [0]))
+    theta = scatter_kick(forced_slots(model.theta_basis(n)), dw, n)
     return SpectralState(np.zeros((n, n), np.complex128), theta)
 
 

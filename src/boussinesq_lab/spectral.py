@@ -242,8 +242,9 @@ def l2_dot(f_hat: np.ndarray, g_hat: np.ndarray) -> float:
     return float(quad_weight(f_hat.shape[-1]) * np.sum(f_hat * np.conj(g_hat)).real)
 
 
-def sobolev_sq(f_hat: np.ndarray, s: float) -> float:
-    """Squared homogeneous-plus-mean Sobolev norm: sum |k|^{2s} |f_k|^2 weights.
+def sobolev_sq(f_hat: np.ndarray, s: float) -> np.ndarray:
+    """Squared homogeneous-plus-mean Sobolev norm, sum |k|^{2s} |f_k|^2
+    weights, of every array of a (..., n, n) stack, shape (...).
 
     s = 0 reduces to the plain L2 norm (the k = 0 factor 0^0 counts as 1).
     Negative s is rejected: the mean mode would divide by zero.
@@ -252,7 +253,7 @@ def sobolev_sq(f_hat: np.ndarray, s: float) -> float:
         raise ValueError("negative smoothness index not supported")
     n = f_hat.shape[-1]
     weight = ksq(n) ** s if s != 0 else 1.0
-    return float(quad_weight(n) * np.sum(weight * np.abs(f_hat) ** 2))
+    return quad_weight(n) * np.sum(weight * np.abs(f_hat) ** 2, axis=(-2, -1))
 
 
 def state_dot(a: SpectralState, b: SpectralState, params: PhysicsParams) -> float:
@@ -260,10 +261,16 @@ def state_dot(a: SpectralState, b: SpectralState, params: PhysicsParams) -> floa
     return params.zeta_star * l2_dot(a.w_hat, b.w_hat) + l2_dot(a.theta_hat, b.theta_hat)
 
 
+def weighted_norms(w_hat: np.ndarray, t_hat: np.ndarray, params: PhysicsParams,
+                   s: float = 0.0) -> np.ndarray:
+    """sqrt(zeta* |w|_{s}^2 + |theta|_{s}^2), the Lyapunov norm at smoothness
+    s, of every state in a (..., n, n) stack."""
+    return np.sqrt(params.zeta_star * sobolev_sq(w_hat, s) + sobolev_sq(t_hat, s))
+
+
 def weighted_norm(state: SpectralState, params: PhysicsParams, s: float = 0.0) -> float:
-    """sqrt(zeta* |w|_{s}^2 + |theta|_{s}^2), the Lyapunov norm at smoothness s."""
-    val = params.zeta_star * sobolev_sq(state.w_hat, s) + sobolev_sq(state.theta_hat, s)
-    return float(np.sqrt(val))
+    """`weighted_norms` of one state."""
+    return float(weighted_norms(state.w_hat, state.theta_hat, params, s))
 
 
 def pairings(xw: np.ndarray, xt: np.ndarray, yw: np.ndarray, yt: np.ndarray,
@@ -451,10 +458,13 @@ def psi_state(n: int, k: tuple[int, int], m: int) -> SpectralState:
     return SpectralState(trig_hat(n, k[0], k[1], m).copy(), np.zeros((n, n), np.complex128))
 
 
-def mode_coeff(f_hat: np.ndarray, k: tuple[int, int], m: int) -> float:
-    """Coefficient of the (k, m) trig element in a real field (L2 projection)."""
+def mode_coeff(f_hat: np.ndarray, k: tuple[int, int], m: int) -> np.ndarray:
+    """Coefficient of the (k, m) trig element in every real field of a
+    (..., n, n) stack (L2 projection), read from the element's nonzero slots."""
     basis = trig_hat(f_hat.shape[-1], k[0], k[1], m)
-    return l2_dot(f_hat, basis) / TRIG_NORM_SQ
+    rows, cols = np.nonzero(basis)
+    terms = f_hat[..., rows, cols] * np.conj(basis[rows, cols])
+    return quad_weight(basis.shape[-1]) * terms.real.sum(-1) / TRIG_NORM_SQ
 
 
 def modes_in_ball(level: float) -> list[tuple[int, int]]:

@@ -22,7 +22,8 @@ Every forward time loop in the package is built from three pieces here:
     conjugate-symmetric, so the step keeps the state so with no projection;
   * `KickSchedule`, which owns the rule that dt divides the clock grid step,
     the map from a step to the clock cell whose jump ends it, the checks on
-    the noise triple and on the clock covering the sweep, and the kicks;
+    the noise triple and on the clock covering the sweep, and the kicks, a
+    scatter into the forced slots (`noise.scatter_kick`) with no BLAS call;
   * `sweep`, the forward loop: advance, kick at cell ends, call the hooks.
     `simulate`, the ensemble batches and the tangent, Gramian and control
     sweeps of the variation module are hooks on it.
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral as sp
-from .noise import NoiseModel, SubordinatorPath, sample_noise
+from .noise import NoiseModel, SubordinatorPath, forced_slots, sample_noise, scatter_kick
 from .spectral import PhysicsParams, SpectralState
 
 
@@ -138,6 +139,7 @@ class KickSchedule:
         self.n_steps = n_steps
         self.dw = dw
         self.basis = basis
+        self.slots = None if basis is None else forced_slots(basis)
         self.cell_at = {(i + 1) * q - 1: i for i in range(n_steps // q)}
 
     @staticmethod
@@ -169,7 +171,7 @@ class KickSchedule:
 
     def increment(self, cell: int) -> np.ndarray:
         """Temperature kick sum_j dw_j alpha_j trig_j of one cell, per path."""
-        return np.tensordot(self.dw[..., cell, :], self.basis, axes=1)
+        return scatter_kick(self.slots, self.dw[..., cell, :], self.basis.shape[-1])
 
 
 def sweep(stepper: Stepper, w: np.ndarray, t: np.ndarray, n_steps: int,

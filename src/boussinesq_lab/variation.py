@@ -571,7 +571,7 @@ def control_experiment(seed: int, n_paths: int, n_windows: int, n: int,
         else:
             raise RuntimeError("clock horizon too short for the requested windows")
         edges = [0]
-        for eta in etas[:n_windows]:
+        for eta in etas[1:n_windows + 1]:
             cell = int(np.ceil(eta / h - 1e-12))
             edges.append(max(cell, edges[-1] + 1))
         edge_steps = [e * q for e in edges]

@@ -1,6 +1,8 @@
 """Ensemble machinery: lockstep batches, plateaus, coupling, hitting, averages."""
 
 import pickle
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,10 +300,82 @@ def test_lag1_correlation_detects_structure():
     assert en.lag1_correlation(np.ones(10)) == 0.0
 
 
-def test_parallel_map_matches_serial(monkeypatch):
-    items = list(range(20))
-    monkeypatch.delenv("BQLAB_WORKERS", raising=False)
-    serial = en.parallel_map(abs, items)
-    monkeypatch.setenv("BQLAB_WORKERS", "2")
-    forked = en.parallel_map(abs, items)
-    assert serial == forked == items
+def test_invariant_statistics_batch_matches_single_paths(big_state):
+    # the starts advance as one batch; start i must reproduce a B = 1 run on
+    # the streams keyed by i, and its estimates the loop over that run
+    st = Stepper(24, PARAMS, DEFAULT_SCHEME, 5e-3)
+    initials = [sp.state_zeros(24), big_state, big_state * 0.5]
+    horizon, n_batches, record_every = 6.0, 20, 16
+    obs = en.default_observables()
+    rep = en.invariant_statistics(7, initials, horizon, st, MODEL, SPEC, obs,
+                                  n_batches=n_batches, record_every=record_every)
+    for idx, u0 in enumerate(initials):
+        _, dw = en.sample_noise_batch(SPEC, MODEL, horizon, 7, 1, key_offset=idx)
+        out = en.BatchRunner(st, MODEL).run(u0.w_hat[None], u0.theta_hat[None], dw,
+                                            SPEC.grid_step, record_every, obs)
+        burn = int(round(0.2 * (out.observed.shape[-1] - 1)))
+        for oi, est in enumerate(rep.estimates[idx]):
+            bm = en.batch_means(out.observed[oi, 0, burn:], n_batches)
+            rho = en.lag1_correlation(bm)
+            se = float(bm.std(ddof=1) / np.sqrt(n_batches))
+            if rho > 0.0:
+                se *= float(np.sqrt((1.0 + rho) / (1.0 - min(rho, 0.95))))
+            assert (est.observable, est.mean, est.stderr, est.lag1) == (
+                obs[oi].name, float(bm.mean()), se, rho)
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_observables_on_a_stack_match_each_state(n):
+    # stack-native observables reduce each state exactly as the per-state
+    # formulas do: the weighted norm of sobolev_sq, the mode coefficient of
+    # the full L2 pairing with its trig element
+    rng = np.random.default_rng(n)
+    states = [sp.random_state(n, rng, amplitude=a) for a in (0.3, 1.0, 3.0)]
+    w = np.stack([u.w_hat for u in states])
+    t = np.stack([u.theta_hat for u in states])
+    energy, theta_mode, w_mode = en.default_observables()
+    want = {energy.name: [], theta_mode.name: [], w_mode.name: []}
+    for u in states:
+        x = sp.weighted_norm(u, PARAMS)
+        want[energy.name].append(x / (1.0 + x))
+        for o, f_hat, k, m in ((theta_mode, u.theta_hat, (1, 0), 0),
+                               (w_mode, u.w_hat, (1, 1), 1)):
+            c = sp.l2_dot(f_hat, sp.trig_hat(n, k[0], k[1], m)) / sp.TRIG_NORM_SQ
+            want[o.name].append(c / (1.0 + abs(c)))
+    for o in (energy, theta_mode, w_mode):
+        got = o.fun(w, t, PARAMS)
+        assert got.shape == (3,)
+        assert got.tolist() == want[o.name]
+        assert [float(o(u, PARAMS)) for u in states] == want[o.name]
+
+
+def test_eproperty_probe_sees_a_perturbed_noise_block(stepper24, monkeypatch):
+    # negative control for the coupling check: when one delta run draws
+    # different noise, the digests disagree and the probe reports it
+    exact = en.sample_noise_batch
+    calls = []
+
+    def perturbed(*args, **kwargs):
+        incs, dw = exact(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 3:
+            dw = dw.copy()
+            dw[0, 0, 0] += 1e-9
+        return incs, dw
+
+    base = sp.random_state(24, np.random.default_rng(11), amplitude=1.0)
+    kw = dict(horizon=0.05, n_paths=2, record_every=20)
+    assert en.eproperty_probe(7, stepper24, MODEL, SPEC, base, **kw).coupled
+    calls.clear()
+    monkeypatch.setattr(en, "sample_noise_batch", perturbed)
+    rep = en.eproperty_probe(7, stepper24, MODEL, SPEC, base, **kw)
+    assert len(calls) == 4
+    assert not rep.coupled
+
+
+def test_no_worker_pool_in_the_package():
+    # every experiment runs as one lockstep batch in one process
+    pool = re.compile(r"BQLAB_WORKERS|\bconcurrent\.futures\b|\bfrom\s+concurrent\s+import\b")
+    pkg = Path(sp.__file__).parent
+    offenders = [f.name for f in sorted(pkg.glob("*.py")) if pool.search(f.read_text())]
+    assert offenders == []

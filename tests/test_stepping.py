@@ -6,7 +6,7 @@ import pytest
 from boussinesq_lab import spectral as sp
 from boussinesq_lab import variation as var
 from boussinesq_lab.config import RunConfig
-from boussinesq_lab.ensembles import BatchRunner
+from boussinesq_lab.ensembles import BatchRunner, default_observables
 from boussinesq_lab.noise import (
     ROLE_BROWNIAN,
     ROLE_CLOCK,
@@ -255,6 +255,48 @@ def test_step_needs_no_hermitize(monkeypatch, rng):
     for x in (w, t):        # and the stored state stays exactly symmetric
         assert np.array_equal(x, np.conj(np.roll(x[..., ::-1, ::-1], (1, 1), axis=(-2, -1))))
     sp.nonlinear_B(u, v)
+
+
+@pytest.mark.parametrize("n", [16, 48])
+def test_kick_scatter_equals_the_dense_sum(n, rng):
+    # each real component of a forced slot is one product dw_j alpha_j trig_j,
+    # so the scatter reproduces the dense sum over directions bit for bit
+    model = NoiseModel(modes=((1, 0), (0, 1), (2, -1)), alphas=(0.5, 1.5, 1.0, 2.0, 0.25, 3.0))
+    basis = model.theta_basis(n)
+    dw = rng.standard_normal((3, 5, model.dim))
+    for rows in (dw, dw[1]):            # a batch and one path
+        kicks = KickSchedule(1e-2, 1e-2, 5, dw=rows, basis=basis)
+        for cell in range(5):
+            got = kicks.increment(cell)
+            assert got.shape == rows.shape[:-2] + (n, n)
+            assert got.tobytes() == np.tensordot(rows[..., cell, :], basis, axes=1).tobytes()
+    with pytest.raises(ValueError, match="share"):
+        KickSchedule(1e-2, 1e-2, 5, dw=dw, basis=np.stack([basis[0], 2.0 * basis[0]]))
+
+
+def test_sweep_calls_no_blas(monkeypatch, rng):
+    # the kick is a scatter: no sweep (a kicked simulate, a B = 2 batch with
+    # the default observables, the jump Gramian's forward sweep) reaches a
+    # BLAS product through numpy
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS product called")
+
+    n, dt = 16, 5e-3
+    model = NoiseModel()
+    stepper = Stepper(n, PhysicsParams(), StepScheme.ETD_EULER, dt)
+    spec = SubordinatorSpec(grid_step=2 * dt)
+    path = sample_subordinator(spec, 0.1, rng_stream(3, ROLE_CLOCK))
+    dw = subordinated_increments(path, model.dim, rng_stream(3, ROLE_BROWNIAN))
+    u0, u1 = random_state(n, rng), random_state(n, rng)
+    for name in ("tensordot", "dot", "matmul"):
+        monkeypatch.setattr(np, name, refuse)
+    traj = simulate(u0, 0.1, stepper, model=model, path=path, dw=dw)
+    assert traj.jump_identity.any()
+    out = BatchRunner(stepper, model).run(
+        np.stack([u0.w_hat, u1.w_hat]), np.stack([u0.theta_hat, u1.theta_hat]),
+        np.stack([dw, dw]), spec.grid_step, 2, default_observables())
+    assert np.array_equal(out.w_hat[0], traj.final.w_hat)
+    var.malliavin_forward(u0, 20, stepper, model, path, dw, var.HNBasis(n, 2, PhysicsParams()))
 
 
 def test_weak_convergence_order(rng):

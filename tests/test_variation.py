@@ -465,21 +465,37 @@ def test_control_experiment_median_decay():
 def test_control_experiment_draws_a_longer_clock():
     # at kappa = 0.01 neither path renews twice within the first clock
     # horizon 1.8 (n_windows + 1) / nu = 5.4, so both are redrawn longer. At
-    # kappa = 0.005 both fit at once and draw what a fixed 5.4 horizon drew:
-    # the edges and costate norms below were read off that fixed-horizon code
+    # kappa = 0.005 both fit at once and draw what a fixed 5.4 horizon drew.
+    # The edges are [0, eta_1, eta_2] in steps, rounded up to the clock grid
     def run(kappa):
         return var.control_experiment(11, 2, 2, 16, PhysicsParams(),
                                       SubordinatorSpec(grid_step=1e-2), NoiseModel(), 1e-2, kappa)
 
     out = run(0.01)
-    assert out.edge_steps == [[0, 1, 423], [0, 1, 306]]
+    assert out.edge_steps == [[0, 423, 589], [0, 306, 707]]
     assert np.all(np.isfinite(out.rho_norms))
     ref = run(0.005)
-    assert ref.edge_steps == [[0, 1, 173], [0, 1, 160]]
+    assert ref.edge_steps == [[0, 173, 326], [0, 160, 303]]
     # the norms pass through control_window, which amplifies roundoff ~5e7
-    np.testing.assert_allclose(ref.rho_norms, [[1.0, 0.767065308186193, 0.0981976088849448],
-                                               [1.0, 0.8228175978264191, 0.15157247552394698]],
+    np.testing.assert_allclose(ref.rho_norms, [[1.0, 0.05650127711641388, 0.01496654275086353],
+                                               [1.0, 0.05566801141923405, 0.019322835713519556]],
                                rtol=1e-6, atol=0)
+
+
+def test_control_experiment_first_window_ends_at_eta_1():
+    # window 0 runs from 0 to the first renewal time eta_1 rounded up to the
+    # clock grid, not one cell (the eta_0 = 0 edge)
+    from boussinesq_lab.noise import sample_noise, stopping_times
+
+    params, spec, model = PhysicsParams(), SubordinatorSpec(grid_step=1e-2), NoiseModel()
+    dt, kappa, n_windows = 5e-3, 0.005, 2
+    out = var.control_experiment(11, 2, n_windows, 16, params, spec, model, dt, kappa)
+    for i, edges in enumerate(out.edge_steps):
+        path, _ = sample_noise(spec, model, 1.8 * (n_windows + 1) / params.nu, 11, i)
+        eta_1 = stopping_times(path, params.nu, kappa, model.b0, max_count=1)[1]
+        cells = int(np.ceil(eta_1 / spec.grid_step - 1e-12))
+        assert cells > 1
+        assert edges[:2] == [0, 2 * cells]
 
 
 # ---------------------------------------------------------------------------
