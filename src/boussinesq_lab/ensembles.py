@@ -122,7 +122,7 @@ class BatchRunner:
 
     def __init__(self, stepper: Stepper, model: NoiseModel):
         self.stepper = stepper
-        self.basis = model.theta_basis(stepper.n)
+        self.slots = model.slots(stepper.n)
 
     def run(self, w, t, dw, grid_step: float, record_every: int = 1,
             observables=()) -> BatchTrajectory:
@@ -138,7 +138,7 @@ class BatchRunner:
         w = np.asarray(w, dtype=np.complex128)
         t = np.asarray(t, dtype=np.complex128)
         n_b = dw.shape[0]
-        kicks = KickSchedule(grid_step, st.dt, dw.shape[1], dw=dw, basis=self.basis)
+        kicks = KickSchedule(grid_step, st.dt, dw.shape[1], dw=dw, slots=self.slots)
         n_steps = kicks.n_steps
         if n_steps % record_every:
             raise ValueError("record_every must divide the step count")

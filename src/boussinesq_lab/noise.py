@@ -7,6 +7,8 @@ step h the clock is represented by its increments over grid cells; each
 nonzero increment acts as a single jump at the right endpoint of its cell,
 which is exact in law for the integrals the solver consumes (the clock is
 constant between its jumps and every cell's mass is collapsed to one atom).
+The forced directions are one slot table of the spectral module
+(`NoiseModel.slots`), and a kick is its scatter.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import SpectralState, is_canonical, trig_hat
+from .spectral import SpectralState, TrigSlots, is_canonical, trig_slots
 
 # stream roles, used as the trailing entry of an rng stream key
 ROLE_CLOCK = 1
@@ -172,33 +174,9 @@ class NoiseModel:
     def directions(self) -> list[tuple[tuple[int, int], int]]:
         return [(k, m) for k in self.modes for m in (0, 1)]
 
-    def theta_basis(self, n: int) -> np.ndarray:
-        """Stacked temperature-slot coefficient arrays, one per direction,
-        already scaled by the amplitudes: row j is alphas[j] * trig_j."""
-        out = np.empty((self.dim, n, n), dtype=np.complex128)
-        for j, (k, m) in enumerate(self.directions()):
-            out[j] = self.alphas[j] * trig_hat(n, k[0], k[1], m)
-        return out
-
-
-def forced_slots(basis: np.ndarray):
-    """(direction, flat float index, value) of every nonzero real component
-    of a (d, n, n) basis. A trig element is real (cos) or imaginary (sin) on
-    its two slots, so no two directions share one; raises ValueError if they do."""
-    flat = np.ascontiguousarray(basis).reshape(len(basis), -1).view(np.float64)
-    rows, idx = np.nonzero(flat)
-    if len(np.unique(idx)) != len(idx):
-        raise ValueError("forcing directions share a coefficient component")
-    return rows, idx, flat[rows, idx]
-
-
-def scatter_kick(slots, dw: np.ndarray, n: int) -> np.ndarray:
-    """Kicks sum_j dw_j basis_j of rows dw (..., d), shape (..., n, n), as one
-    product per `forced_slots` component: the dense sum's values, no BLAS."""
-    rows, idx, vals = slots
-    out = np.zeros(dw.shape[:-1] + (2 * n * n,))
-    out[..., idx] = dw[..., rows] * vals
-    return out.view(np.complex128).reshape(dw.shape[:-1] + (n, n))
+    def slots(self, n: int) -> TrigSlots:
+        """Slot table of the directions on the n-grid: element j is alphas[j] trig_j."""
+        return trig_slots(n, tuple((k, m, a) for (k, m), a in zip(self.directions(), self.alphas)))
 
 
 def forcing_increment(model: NoiseModel, n: int, dw: np.ndarray) -> SpectralState:
@@ -206,8 +184,7 @@ def forcing_increment(model: NoiseModel, n: int, dw: np.ndarray) -> SpectralStat
     dw = np.asarray(dw, dtype=np.float64)
     if dw.shape != (model.dim,):
         raise ValueError("one Brownian increment per forcing direction")
-    theta = scatter_kick(forced_slots(model.theta_basis(n)), dw, n)
-    return SpectralState(np.zeros((n, n), np.complex128), theta)
+    return SpectralState(np.zeros((n, n), np.complex128), model.slots(n).scatter(dw))
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,21 @@ that set and is needed only where coefficients are drawn at random
 `to_physical` transforms the k2 >= 0 half, which is not the real part of
 the complex inverse transform.
 It also owns the state pairing: every coefficient-space inner product of the
-package goes through `pairings` (stack against stack), `weighted_energy`
-(squared norms of a stack) or the scalar helpers below, so the quadrature
-weight `quad_weight` is read nowhere else.
+package goes through `pairings` (stack against stack), `slot_pairings` (stack
+against a slot table), `weighted_energy` (squared norms of a stack) or the
+scalar helpers below, so the quadrature weight `quad_weight` is read nowhere
+else.
+
+Trig elements are placed by slot tables (`TrigSlots`). A slot is one real
+component of a coefficient array, the real or imaginary part of one entry,
+and has the weight `quad_weight` in a pairing like every entry of the full
+storage; cos(k.x) and sin(k.x) fill two, at k and -k. The scatter writes one
+product c_j v per slot into zeros. The gather `slot_pairings` equals
+`pairings` against the dense stack bit for bit: at a slot the real part of
+the dense product is x v (the element's other part is zero there), off the
+slots it is +-0, and adding zero to a nonzero sum is exact, so the dense sum
+rounds as the two slot products do in either order; the gather adds those
+two onto zero and weights them as quad_weight * (zeta* cw + ct).
 
 Conventions:
   * axis 0 of an array is x1, axis 1 is x2;
@@ -430,41 +442,80 @@ def canonicalize(k: tuple[int, int], m: int):
     return (-k[0], -k[1]), m, (1 if m == 0 else -1)
 
 
-@lru_cache(maxsize=None)
-def trig_hat(n: int, k1: int, k2: int, m: int) -> np.ndarray:
-    """Coefficients of cos(k.x) (m = 0) or sin(k.x) (m = 1) on the n-grid.
+class TrigSlots:
+    """Slots of (mode, parity, scale) trig elements; element j is scale_j trig_j.
+    Raises ValueError for a mode outside |k_i| <= n // 2 - 1 and for two
+    elements on one slot."""
 
-    Built analytically so the array is exactly zero off the two mode slots:
-    the grid starts at -pi, which contributes the phase (-1)^(k1 + k2).
-    """
-    kmax = n // 2 - 1
-    if abs(k1) > kmax or abs(k2) > kmax:
-        raise ValueError("mode outside resolvable band")
-    out = np.zeros((n, n), dtype=np.complex128)
-    amp = 0.5 * n * n * (-1.0 if (k1 + k2) % 2 else 1.0)
-    coef = amp if m == 0 else -1j * amp
-    out[k1 % n, k2 % n] += coef
-    out[(-k1) % n, (-k2) % n] += np.conj(coef)
-    out.setflags(write=False)
-    return out
+    def __init__(self, n: int, elements):
+        comps: dict = {}        # (element, slot): value; k = 0 sums its two slots
+        for j, ((k1, k2), m, scale) in enumerate(elements):
+            if max(abs(k1), abs(k2)) > n // 2 - 1:
+                raise ValueError("mode outside resolvable band")
+            amp = 0.5 * n * n * (-1.0 if (k1 + k2) % 2 else 1.0)
+            part = 0 if m == 0 else 1   # cos: real amp at k and -k; sin: imaginary -amp, amp
+            for r, c, v in ((k1 % n, k2 % n, -amp if part else amp),
+                            (-k1 % n, -k2 % n, amp)):
+                key = (j, 2 * (r * n + c) + part)
+                comps[key] = comps.get(key, 0.0) + scale * v
+        kept = [(j, i, v) for (j, i), v in comps.items() if v != 0.0]
+        rows, idx, vals = zip(*kept) if kept else ((), (), ())
+        if len(set(idx)) != len(idx):
+            raise ValueError("trig elements share a coefficient component")
+        self.n, self.dim = n, len(elements)
+        self.rows, self.idx = np.array(rows, np.intp), np.array(idx, np.intp)
+        self.vals = np.array(vals, np.float64)
+
+    def scatter(self, c: np.ndarray) -> np.ndarray:
+        """sum_j c_j e_j of rows c (..., d) as (..., n, n): c_j v per slot, into zeros."""
+        out = np.zeros(c.shape[:-1] + (2 * self.n * self.n,))
+        out[..., self.idx] = c[..., self.rows] * self.vals
+        return out.view(np.complex128).reshape(c.shape[:-1] + (self.n, self.n))
+
+    def _sums(self, x: np.ndarray) -> np.ndarray:
+        """Re sum x conj(e_j) of a stack x, (..., d): its x v added onto zero."""
+        flat = np.ascontiguousarray(x, np.complex128).view(np.float64)
+        flat = flat.reshape(x.shape[:-2] + (2 * self.n * self.n,))
+        out = np.zeros(x.shape[:-2] + (self.dim,))
+        np.add.at(out, (..., self.rows), flat[..., self.idx] * self.vals)
+        return out
+
+
+@lru_cache(maxsize=None)
+def trig_slots(n: int, elements: tuple) -> TrigSlots:
+    """The cached `TrigSlots` of a tuple of ((k1, k2), m, scale) elements."""
+    return TrigSlots(n, elements)
+
+
+def slot_pairings(xw: np.ndarray, xt: np.ndarray, yw: TrigSlots | None,
+                  yt: TrigSlots, params: PhysicsParams) -> np.ndarray:
+    """`pairings` of a stack x against the states y_j = (yw_j, yt_j) of two
+    slot tables (yw None: zero vorticity), shape (..., d)."""
+    cw = 0.0 if yw is None else yw._sums(xw)
+    return quad_weight(xt.shape[-1]) * (params.zeta_star * cw + yt._sums(xt))
+
+
+def trig_hat(n: int, k1: int, k2: int, m: int) -> np.ndarray:
+    """Coefficients of cos(k.x) (m = 0) or sin(k.x) (m = 1) on the n-grid."""
+    return trig_slots(n, (((k1, k2), m, 1.0),)).scatter(np.ones(1))
+
 
 def sigma_state(n: int, k: tuple[int, int], m: int) -> SpectralState:
     """Temperature-slot basis element (0, trig)."""
-    return SpectralState(np.zeros((n, n), np.complex128), trig_hat(n, k[0], k[1], m).copy())
+    return SpectralState(np.zeros((n, n), np.complex128), trig_hat(n, k[0], k[1], m))
 
 
 def psi_state(n: int, k: tuple[int, int], m: int) -> SpectralState:
     """Vorticity-slot basis element (trig, 0)."""
-    return SpectralState(trig_hat(n, k[0], k[1], m).copy(), np.zeros((n, n), np.complex128))
+    return SpectralState(trig_hat(n, k[0], k[1], m), np.zeros((n, n), np.complex128))
 
 
 def mode_coeff(f_hat: np.ndarray, k: tuple[int, int], m: int) -> np.ndarray:
     """Coefficient of the (k, m) trig element in every real field of a
-    (..., n, n) stack (L2 projection), read from the element's nonzero slots."""
-    basis = trig_hat(f_hat.shape[-1], k[0], k[1], m)
-    rows, cols = np.nonzero(basis)
-    terms = f_hat[..., rows, cols] * np.conj(basis[rows, cols])
-    return quad_weight(basis.shape[-1]) * terms.real.sum(-1) / TRIG_NORM_SQ
+    (..., n, n) stack (L2 projection), read from the element's slots."""
+    n = f_hat.shape[-1]
+    sums = trig_slots(n, ((tuple(k), m, 1.0),))._sums(f_hat)[..., 0]
+    return quad_weight(n) * sums / TRIG_NORM_SQ
 
 
 def modes_in_ball(level: float) -> list[tuple[int, int]]:

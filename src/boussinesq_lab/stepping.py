@@ -21,9 +21,9 @@ Every forward time loop in the package is built from three pieces here:
     component (a real forward transform); their outputs are exactly
     conjugate-symmetric, so the step keeps the state so with no projection;
   * `KickSchedule`, which owns the rule that dt divides the clock grid step,
-    the map from a step to the clock cell whose jump ends it, the checks on
-    the noise triple and on the clock covering the sweep, and the kicks, a
-    scatter into the forced slots (`noise.scatter_kick`) with no BLAS call;
+    the map from a step to the clock cell whose jump ends it, which cells
+    carry mass (`jumps`), the checks on the noise triple and on the clock
+    covering the sweep, and the kicks, a slot-table scatter with no BLAS;
   * `sweep`, the forward loop: advance, kick at cell ends, call the hooks.
     `simulate`, the ensemble batches and the tangent, Gramian and control
     sweeps of the variation module are hooks on it.
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral as sp
-from .noise import NoiseModel, SubordinatorPath, forced_slots, sample_noise, scatter_kick
+from .noise import NoiseModel, SubordinatorPath, sample_noise
 from .spectral import PhysicsParams, SpectralState
 
 
@@ -123,14 +123,14 @@ class KickSchedule:
     of cell i sits at time (i + 1) q dt, the end of step (i + 1) q - 1. A
     sweep of n_steps (all the cells' steps when None) must not outrun the
     n_cells cells. dw holds one row of Brownian increments per cell, shape
-    (n_cells, d) for one path or (B, n_cells, d) for a batch; basis is the
-    model's amplitude-scaled temperature basis (d, n, n). Both are needed
-    only for `increment`.
+    (n_cells, d) for one path or (B, n_cells, d) for a batch; slots is the
+    slot table of the model's amplitude-scaled directions (`NoiseModel.slots`).
+    Both are needed only for `increment`.
     """
 
     def __init__(self, grid_step: float, dt: float, n_cells: int,
                  n_steps: int | None = None,
-                 dw: np.ndarray | None = None, basis: np.ndarray | None = None):
+                 dw: np.ndarray | None = None, slots: sp.TrigSlots | None = None):
         q = self.steps_per_cell(grid_step, dt)
         if n_steps is None:
             n_steps = n_cells * q
@@ -138,8 +138,7 @@ class KickSchedule:
             raise ValueError("clock path too short for the requested horizon")
         self.n_steps = n_steps
         self.dw = dw
-        self.basis = basis
-        self.slots = None if basis is None else forced_slots(basis)
+        self.slots = slots
         self.cell_at = {(i + 1) * q - 1: i for i in range(n_steps // q)}
 
     @staticmethod
@@ -167,11 +166,15 @@ class KickSchedule:
             raise ValueError(f"Brownian increments dw have shape {np.shape(dw)}, "
                              f"expected (cells, model.dim) = {(cells, model.dim)}")
         return cls(path.spec.grid_step, stepper.dt, cells, n_steps, dw,
-                   model.theta_basis(stepper.n))
+                   model.slots(stepper.n))
+
+    def jumps(self, increments: np.ndarray) -> dict:
+        """{step: cell} of the scheduled cells with a positive increment."""
+        return {i: c for i, c in self.cell_at.items() if increments[c] > 0.0}
 
     def increment(self, cell: int) -> np.ndarray:
         """Temperature kick sum_j dw_j alpha_j trig_j of one cell, per path."""
-        return scatter_kick(self.slots, self.dw[..., cell, :], self.basis.shape[-1])
+        return self.slots.scatter(self.dw[..., cell, :])
 
 
 def sweep(stepper: Stepper, w: np.ndarray, t: np.ndarray, n_steps: int,
@@ -260,11 +263,12 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
     def record(i: int, state: SpectralState) -> None:
         wq = p.zeta_star * sp.sobolev_sq(state.w_hat, 0)
         tq = sp.sobolev_sq(state.theta_hat, 0)
+        gt = sp.sobolev_sq(state.theta_hat, 1)
         norm0[i] = np.sqrt(wq + tq)
-        norm1[i] = sp.weighted_norm(state, p, 1)
+        norm1[i] = np.sqrt(p.zeta_star * sp.sobolev_sq(state.w_hat, 1) + gt)
         w_part[i] = wq
         theta_part[i] = tq
-        grad_th[i] = sp.sobolev_sq(state.theta_hat, 1)
+        grad_th[i] = gt
 
     record(0, u0)
     snapshots = [u0.copy()]

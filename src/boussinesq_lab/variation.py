@@ -147,9 +147,10 @@ def _jump_columns(u0: SpectralState, n_steps: int, lin: Linearizer,
     Returns (final base, xw, xt, masses): lead rows first, then d columns
     per jump in time order, and masses the dl of each jump.
     """
-    sig = kicks.basis
-    d = len(sig)
-    masses = [increments[c] for c in kicks.cell_at.values() if increments[c] > 0.0]
+    d = kicks.slots.dim
+    sig = kicks.slots.scatter(np.eye(d)) + 0.0      # + 0.0: no -0.0 off the slots
+    jumps = kicks.jumps(increments)
+    masses = [increments[c] for c in jumps.values()]
     n_lead = 0 if lead is None else len(lead[0])
     xw = np.zeros((n_lead + d * len(masses), lin.n, lin.n), np.complex128)
     xt = np.zeros_like(xw)
@@ -162,7 +163,7 @@ def _jump_columns(u0: SpectralState, n_steps: int, lin: Linearizer,
         if active:
             prep = lin.prepare(SpectralState(*pre))
             xw[:active], xt[:active] = lin.tangent(prep, xw[:active], xt[:active])
-        if cell is not None and increments[cell] > 0.0:
+        if i in jumps:
             xt[active:active + d] = np.sqrt(increments[cell]) * sig if sqrt_mass else sig
             active += d
 
@@ -247,47 +248,39 @@ class HNBasis:
     """Orthonormal trig basis of the finite-dimensional band |k| <= level.
 
     Elements are temperature-slot (sigma) and vorticity-slot (psi) fields,
-    normalized in the weighted state inner product.
+    normalized in the weighted state inner product; element j is the pair of
+    elements j of the slot tables w_slots and t_slots, one of scale 0.
     """
 
     n: int
     level: float
     params: PhysicsParams
     labels: list = field(init=False)
-    w_hats: np.ndarray = field(init=False)
-    t_hats: np.ndarray = field(init=False)
+    w_slots: sp.TrigSlots = field(init=False)
+    t_slots: sp.TrigSlots = field(init=False)
 
     def __post_init__(self) -> None:
-        modes = sp.modes_in_ball(self.level)
-        labels = []
-        w_list, t_list = [], []
-        zero = np.zeros((self.n, self.n), np.complex128)
+        dirs = [(k, m) for k in sp.modes_in_ball(self.level) for m in (0, 1)]
         s_norm = 1.0 / np.sqrt(sp.TRIG_NORM_SQ)
         p_norm = 1.0 / np.sqrt(self.params.zeta_star * sp.TRIG_NORM_SQ)
-        for k in modes:
-            for m in (0, 1):
-                labels.append(("sigma", k, m))
-                w_list.append(zero)
-                t_list.append(s_norm * sp.trig_hat(self.n, k[0], k[1], m))
-        for k in modes:
-            for m in (0, 1):
-                labels.append(("psi", k, m))
-                w_list.append(p_norm * sp.trig_hat(self.n, k[0], k[1], m))
-                t_list.append(zero)
-        self.labels = labels
-        self.w_hats = np.stack(w_list)
-        self.t_hats = np.stack(t_list)
+        self.labels = [("sigma", k, m) for k, m in dirs] + [("psi", k, m) for k, m in dirs]
+        self.w_slots = sp.trig_slots(self.n, tuple((k, m, 0.0) for k, m in dirs)
+                                     + tuple((k, m, p_norm) for k, m in dirs))
+        self.t_slots = sp.trig_slots(self.n, tuple((k, m, s_norm) for k, m in dirs)
+                                     + tuple((k, m, 0.0) for k, m in dirs))
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
     def states(self) -> list[SpectralState]:
-        return unstack_states(self.w_hats, self.t_hats)
+        # + 0.0: the other elements' slots hold 0 * v, -0.0 for negative v
+        unit = np.eye(self.dim)
+        return unstack_states(self.w_slots.scatter(unit) + 0.0, self.t_slots.scatter(unit) + 0.0)
 
     def coords(self, xw: np.ndarray, xt: np.ndarray) -> np.ndarray:
         """Weighted inner products of a stack (..., n, n) with every element."""
-        return sp.pairings(xw, xt, self.w_hats, self.t_hats, self.params)
+        return sp.slot_pairings(xw, xt, self.w_slots, self.t_slots, self.params)
 
     def sublevel_mask(self, level: float) -> np.ndarray:
         out = np.zeros(self.dim, dtype=bool)
@@ -321,9 +314,8 @@ def malliavin_forward(u0: SpectralState, n_steps: int, stepper: Stepper,
     kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
     _, xw, xt, masses = _jump_columns(u0, n_steps, Linearizer(stepper), kicks,
                                       path.increments, sqrt_mass=True)
-    coords = basis.coords(xw, xt) if len(xw) else np.zeros((0, basis.dim))
-    matrix = coords.T @ coords
-    return GramianResult(matrix=matrix, basis=basis, n_jumps=len(masses),
+    coords = basis.coords(xw, xt)
+    return GramianResult(matrix=coords.T @ coords, basis=basis, n_jumps=len(masses),
                          degenerate=not masses, clock_mass=sum(masses, 0.0))
 
 
@@ -331,28 +323,22 @@ def malliavin_backward(bases, stepper: Stepper, model, path,
                        basis: HNBasis) -> GramianResult:
     """Assemble the same Gramian by one adjoint sweep of the basis stack."""
     kicks = KickSchedule(path.spec.grid_step, stepper.dt, len(path.increments), len(bases) - 1)
-    sig = model.theta_basis(stepper.n)
-    no_w = np.zeros_like(sig)
-    jump_steps = {i + 1: c for i, c in kicks.cell_at.items() if path.increments[c] > 0.0}
+    slots = model.slots(stepper.n)
+    jump_steps = {i + 1: c for i, c in kicks.jumps(path.increments).items()}
     rows = []
 
     def record(idx, rw, rt):
         if idx in jump_steps:
             dl = path.increments[jump_steps[idx]]
             # <K e_a, (0, alpha sigma_j)>, one row per direction j
-            pair = sp.pairings(rw, rt, no_w, sig, stepper.params).T
+            pair = sp.slot_pairings(rw, rt, None, slots, stepper.params).T
             rows.append(np.sqrt(dl) * pair)
 
     adjoint_backward(bases, stepper, basis.states(), record_at=record)
-    if rows:
-        g = np.concatenate(rows, axis=0)      # (jumps * d, dim)
-        matrix = g.T @ g
-    else:
-        matrix = np.zeros((basis.dim, basis.dim))
-    n_jumps = len(jump_steps)
-    mass = float(sum(path.increments[v] for v in jump_steps.values()))
-    return GramianResult(matrix=matrix, basis=basis, n_jumps=n_jumps,
-                         degenerate=(n_jumps == 0), clock_mass=mass)
+    g = np.concatenate(rows) if rows else np.zeros((0, basis.dim))     # (jumps * d, dim)
+    masses = [path.increments[c] for c in jump_steps.values()]
+    return GramianResult(matrix=g.T @ g, basis=basis, n_jumps=len(masses),
+                         degenerate=not masses, clock_mass=float(sum(masses, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +466,7 @@ def control_window(rho_in: SpectralState, u0: SpectralState, n_steps: int,
     """
     lin = Linearizer(stepper)
     kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
-    n_jumps = sum(1 for c in kicks.cell_at.values() if path.increments[c] > 0.0)
+    n_jumps = len(kicks.jumps(path.increments))
     q = n_jumps * model.dim
     rho = stack_states([rho_in])
 

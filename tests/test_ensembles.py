@@ -109,7 +109,6 @@ def test_default_observables_bounded(big_state):
 
 
 def test_observables_pickle(big_state):
-    # ProcessPoolExecutor workers need these on the wire
     obs = en.default_observables()
     back = pickle.loads(pickle.dumps(obs))
     for a, b in zip(obs, back):

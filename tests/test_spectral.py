@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boussinesq_lab import spectral as sp
+from boussinesq_lab.noise import NoiseModel
 from boussinesq_lab.spectral import (
     PhysicsParams,
     SpectralState,
@@ -25,6 +26,7 @@ from boussinesq_lab.spectral import (
     state_zeros,
     weighted_norm,
 )
+from boussinesq_lab.variation import HNBasis
 
 TWO_PI_SQ = 2.0 * np.pi**2
 
@@ -74,6 +76,16 @@ def test_only_the_spectral_module_weights_a_pairing():
     pkg = Path(sp.__file__).parent
     offenders = [f.name for f in sorted(pkg.glob("*.py"))
                  if f.name != "spectral.py" and weight.search(f.read_text())]
+    assert offenders == []
+
+
+def test_only_the_spectral_module_places_a_trig_element():
+    # where a trig element's coefficients sit is the slot table's business, so
+    # a change of storage (say, the half spectrum) touches that module alone
+    place = re.compile(r"\btrig_hat\b|\bnp\.nonzero\b")
+    pkg = Path(sp.__file__).parent
+    offenders = [f.name for f in sorted(pkg.glob("*.py"))
+                 if f.name != "spectral.py" and place.search(f.read_text())]
     assert offenders == []
 
 
@@ -189,6 +201,79 @@ def test_canonicalize():
     assert sp.canonicalize((0, 3), 1) == ((0, 3), 1, 1)
     with pytest.raises(ValueError):
         sp.canonicalize((0, 0), 0)
+
+
+def _trig_formula(n, k1, k2, m):
+    # the dense construction of a trig element: add the coefficient and its
+    # conjugate at the slots k and -k of a zero array
+    out = np.zeros((n, n), dtype=np.complex128)
+    amp = 0.5 * n * n * (-1.0 if (k1 + k2) % 2 else 1.0)
+    coef = amp if m == 0 else -1j * amp
+    out[k1 % n, k2 % n] += coef
+    out[(-k1) % n, (-k2) % n] += np.conj(coef)
+    return out
+
+
+def _edge_modes(n):
+    e = n // 2 - 1
+    return [(e, e), (e, -e), (-e, e), (-e, -e), (e, 0), (0, e), (1, -e), (0, 0)]
+
+
+@pytest.mark.parametrize("n", TRANSFORM_SIZES)
+def test_slot_scatter_matches_the_trig_formula(n, rng):
+    modes = _edge_modes(n)
+    for k in modes:
+        for m in (0, 1):
+            want = _trig_formula(n, k[0], k[1], m)
+            assert sp.trig_hat(n, k[0], k[1], m).tobytes() == want.tobytes()
+            got = sp.trig_slots(n, ((k, m, 1.0),)).scatter(np.ones(1))
+            assert got.tobytes() == want.tobytes()
+    # a table of several scaled elements, no two of them equal up to sign:
+    # one product per component
+    e = n // 2 - 1
+    distinct = [(e, e), (e, -e), (e, 0), (0, e), (1, -e), (-e, 1)]
+    elements = tuple((k, m, float(s)) for k, s in zip(distinct, rng.uniform(0.5, 2.0, 6))
+                     for m in (0, 1))
+    table = sp.trig_slots(n, elements)
+    c = rng.standard_normal((3, len(elements)))
+    dense = np.stack([s * _trig_formula(n, k[0], k[1], m) for k, m, s in elements])
+    for rows in (c, c[0]):
+        # + 0.0 on both sides: the BLAS sum may leave -0.0 where no element
+        # sits (it does at n = 9)
+        want = np.tensordot(rows, dense, axes=1) + 0.0
+        assert (table.scatter(rows) + 0.0).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="resolvable band"):
+        sp.trig_slots(n, (((n // 2, 0), 0, 1.0),))
+
+
+@pytest.mark.parametrize("n", [16, 32, 48])
+def test_slot_gather_matches_the_dense_pairing(n, rng):
+    # every element has two nonzero components, so the gather adds the same
+    # two products as the dense sum over all n^2 entries, bit for bit
+    params = PhysicsParams(nu1=2.0, nu2=3.0, g=2.0)       # zeta* = 1.5
+    basis = HNBasis(n, 4, params)
+    dense_w = np.stack([u.w_hat for u in basis.states()])
+    dense_t = np.stack([u.theta_hat for u in basis.states()])
+    # the basis states are the scaled elements in one slot and zeros in the other
+    zero = np.zeros((n, n), np.complex128)
+    for (kind, k, m), wh, th in zip(basis.labels, dense_w, dense_t):
+        norm = 1.0 / np.sqrt((params.zeta_star if kind == "psi" else 1.0) * sp.TRIG_NORM_SQ)
+        want = norm * _trig_formula(n, k[0], k[1], m)
+        assert wh.tobytes() == (want if kind == "psi" else zero).tobytes()
+        assert th.tobytes() == (zero if kind == "psi" else want).tobytes()
+    model = NoiseModel(modes=((1, 0), (0, 1), (2, -1)), alphas=(0.5, 1.5, 1.0, 2.0, 0.25, 3.0))
+    sig = np.stack([a * _trig_formula(n, k[0], k[1], m)
+                    for (k, m), a in zip(model.directions(), model.alphas)])
+    states = [random_state(n, rng) for _ in range(6)]
+    xw = np.stack([u.w_hat for u in states]).reshape(2, 3, n, n)
+    xt = np.stack([u.theta_hat for u in states]).reshape(2, 3, n, n)
+    for w, t in ((xw, xt), (xw[1, 2], xt[1, 2])):          # a batch and one state
+        got = basis.coords(w, t)
+        assert got.shape == w.shape[:-2] + (basis.dim,)
+        assert got.tobytes() == sp.pairings(w, t, dense_w, dense_t, params).tobytes()
+        got = sp.slot_pairings(w, t, None, model.slots(n), params)
+        want = sp.pairings(w, t, np.zeros_like(sig), sig, params)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_mode_coeff_roundtrip():

@@ -127,6 +127,15 @@ def test_kick_schedule_step_to_cell():
     assert KickSchedule(3e-2, 1e-2, 3, n_steps=0).cell_at == {}
 
 
+def test_kick_schedule_jumps_are_the_cells_with_mass():
+    # a zero clock increment kicks by zero and seeds no Gramian column; a
+    # cell the sweep does not complete carries no jump either
+    increments = np.array([0.5, 0.0, 2e-300, 0.25])
+    assert KickSchedule(3e-2, 1e-2, 4).jumps(increments) == {2: 0, 8: 2, 11: 3}
+    assert KickSchedule(3e-2, 1e-2, 4, n_steps=10).jumps(increments) == {2: 0, 8: 2}
+    assert KickSchedule(1e-2, 1e-2, 4).jumps(np.zeros(4)) == {}
+
+
 DIVIDE = "step size must divide the clock grid step"
 
 
@@ -249,7 +258,7 @@ def test_step_needs_no_hermitize(monkeypatch, rng):
     u, v = random_state(n, rng), random_state(n, rng)
     w, t = np.stack([u.w_hat, v.w_hat]), np.stack([u.theta_hat, v.theta_hat])
     kicks = KickSchedule(dt, dt, 3, dw=rng.standard_normal((2, 3, model.dim)),
-                         basis=model.theta_basis(n))
+                         slots=model.slots(n))
     monkeypatch.setattr(sp, "hermitize", refuse)
     w, t = sweep(stepper, w, t, 3, kicks)
     for x in (w, t):        # and the stored state stays exactly symmetric
@@ -262,16 +271,17 @@ def test_kick_scatter_equals_the_dense_sum(n, rng):
     # each real component of a forced slot is one product dw_j alpha_j trig_j,
     # so the scatter reproduces the dense sum over directions bit for bit
     model = NoiseModel(modes=((1, 0), (0, 1), (2, -1)), alphas=(0.5, 1.5, 1.0, 2.0, 0.25, 3.0))
-    basis = model.theta_basis(n)
+    basis = np.stack([a * sp.trig_hat(n, k[0], k[1], m)
+                      for (k, m), a in zip(model.directions(), model.alphas)])
     dw = rng.standard_normal((3, 5, model.dim))
     for rows in (dw, dw[1]):            # a batch and one path
-        kicks = KickSchedule(1e-2, 1e-2, 5, dw=rows, basis=basis)
+        kicks = KickSchedule(1e-2, 1e-2, 5, dw=rows, slots=model.slots(n))
         for cell in range(5):
             got = kicks.increment(cell)
             assert got.shape == rows.shape[:-2] + (n, n)
             assert got.tobytes() == np.tensordot(rows[..., cell, :], basis, axes=1).tobytes()
     with pytest.raises(ValueError, match="share"):
-        KickSchedule(1e-2, 1e-2, 5, dw=dw, basis=np.stack([basis[0], 2.0 * basis[0]]))
+        sp.trig_slots(n, (((1, 0), 0, 1.0), ((1, 0), 0, 2.0)))
 
 
 def test_sweep_calls_no_blas(monkeypatch, rng):

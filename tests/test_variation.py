@@ -281,9 +281,8 @@ def test_gramian_single_jump_trace(params):
                     store_full=True)
     jump_step = 2 * int(round(h / dt)) - 1          # cell 1 ends step 9
     start = traj.states[jump_step + 1]
-    sig = model.theta_basis(n)
-    dirs = [SpectralState(np.zeros((n, n), np.complex128), sig[j])
-            for j in range(model.dim)]
+    dirs = [SpectralState(np.zeros((n, n), np.complex128), a * sp.trig_hat(n, k[0], k[1], m))
+            for (k, m), a in zip(model.directions(), model.alphas)]
     cols = var.jacobian_forward(start, (n_steps - jump_step - 1) * dt, stepper, dirs)
     want = 0.3 * sum(float(np.sum(basis.coords(c.w_hat, c.theta_hat) ** 2)) for c in cols)
     assert np.trace(out.matrix) == pytest.approx(want, rel=1e-10)
@@ -304,7 +303,7 @@ def test_malliavin_fd_identity(params):
 
     lin = var.Linearizer(stepper)
     kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
-    sig = model.theta_basis(n)
+    (k, m), alpha = model.directions()[direction], model.alphas[direction]
     cw = ct = None
 
     def on_step(i, pre, post, cell):
@@ -313,7 +312,7 @@ def test_malliavin_fd_identity(params):
             cw, ct = lin.tangent(lin.prepare(SpectralState(*pre)), cw, ct)
         if cell == row:
             cw = np.zeros((n, n), np.complex128)
-            ct = sig[direction].copy()
+            ct = alpha * sp.trig_hat(n, k[0], k[1], m)
 
     sweep(stepper, u0.w_hat, u0.theta_hat, n_steps, kicks, on_step)
     assert cw is not None
