@@ -16,10 +16,12 @@ N(U) = -B(U, U) + G U the explicit part.
 Every forward time loop in the package is built from three pieces here:
   * `Stepper.advance(w, t)`, the only step kernel, on raw coefficient arrays
     of shape (..., n, n); one path has an empty batch shape, an ensemble a
-    leading batch axis. Its quadratic term is one `sp.physical_fields` call
-    (six real inverse transforms) and one `sp.masked_transform` per
-    component (a real forward transform); their outputs are exactly
-    conjugate-symmetric, so the step keeps the state so with no projection;
+    leading batch axis. It runs on blocks of `sp.block_rows(n)` paths
+    (`sp.blockwise`), and per block its quadratic term is one
+    `sp.physical_fields` call (one stacked real inverse transform of the six
+    fields) and one `sp.transport` of the two stacked products (one real
+    forward transform); their outputs are exactly conjugate-symmetric,
+    so the step keeps the state so with no projection;
   * `KickSchedule`, which owns the rule that dt divides the clock grid step,
     the map from a step to the clock cell whose jump ends it, which cells
     carry mass (`jumps`), the checks on the noise triple and on the clock
@@ -86,11 +88,16 @@ class Stepper:
         self.buoyancy = self.params.g * sp.symbols(self.n).ik1
 
     def advance(self, w: np.ndarray, t: np.ndarray):
-        """One deterministic substep of coefficient arrays of shape (..., n, n)."""
-        u1, u2, w1, w2, t1, t2 = sp.physical_fields(w, t)
-        nw = self.buoyancy * t - sp.masked_transform(u1 * w1 + u2 * w2)
-        nt = -sp.masked_transform(u1 * t1 + u2 * t2)
-        return self.decay_w * w + self.gain_w * nw, self.decay_t * t + self.gain_t * nt
+        """One deterministic substep of coefficient arrays of shape (..., n, n),
+        made in blocks of `sp.block_rows(n)` paths."""
+        return sp.blockwise(self._advance_block, w, t)
+
+    def _advance_block(self, w, t, out_w, out_t) -> None:
+        # the substep of one (rows, n, n) block, written into out_w and out_t
+        f = sp.physical_fields(w, t)
+        adv_w, adv_t = sp.transport(f[:2], f[2:])
+        np.add(self.decay_w * w, self.gain_w * (self.buoyancy * t - adv_w), out=out_w)
+        np.add(self.decay_t * t, self.gain_t * -adv_t, out=out_t)
 
 
 def horizon_steps(horizon: float, dt: float) -> int:
@@ -261,11 +268,11 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
      grad_pre_jump, jump_ident) = np.zeros((9, n_steps + 1))
 
     def record(i: int, state: SpectralState) -> None:
-        wq = p.zeta_star * sp.sobolev_sq(state.w_hat, 0)
-        tq = sp.sobolev_sq(state.theta_hat, 0)
-        gt = sp.sobolev_sq(state.theta_hat, 1)
+        w0, w1 = sp.sobolev_sq(state.w_hat, (0, 1))
+        tq, gt = sp.sobolev_sq(state.theta_hat, (0, 1))
+        wq = p.zeta_star * w0
         norm0[i] = np.sqrt(wq + tq)
-        norm1[i] = np.sqrt(p.zeta_star * sp.sobolev_sq(state.w_hat, 1) + gt)
+        norm1[i] = np.sqrt(p.zeta_star * w1 + gt)
         w_part[i] = wq
         theta_part[i] = tq
         grad_th[i] = gt
@@ -280,8 +287,7 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
 
     def on_kick(i, cell, t, kick):
         nonlocal ell
-        pre_jump[i + 1] = sp.sobolev_sq(t, 0)
-        grad_pre_jump[i + 1] = sp.sobolev_sq(t, 1)
+        pre_jump[i + 1], grad_pre_jump[i + 1] = sp.sobolev_sq(t, (0, 1))
         jump_ident[i + 1] = 2.0 * sp.l2_dot(t, kick) + sp.l2_dot(kick, kick)
         ell += path.increments[cell]
 

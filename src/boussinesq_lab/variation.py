@@ -8,10 +8,15 @@ the exact derivative of the deterministic substep (temperature kicks do not
 depend on the state, so they drop out of the tangent). Both read the
 spectral module's transform layer, as the step kernel does: the base and
 the perturbations enter as `physical_fields`, and the tangent and the
-second-variation source apply the one bilinear form B(a, b) + B(b, a). The
-adjoint is built by transposing every pipeline stage literally, with the
-vorticity-slot weight zeta* carried through, so forward/backward duality
-holds to roundoff and the two Gramian assemblies agree to machine precision.
+second-variation source apply the one bilinear form B(a, b) + B(b, a), whose
+two slots are one stacked `masked_transform`. Like the step, the tangent
+runs on blocks of `sp.block_rows(n)` rows (`sp.blockwise`), so one block
+makes one inverse and one forward transform. The adjoint is built by
+transposing every pipeline stage literally, with the vorticity-slot weight
+zeta* carried through, so forward/backward duality holds to roundoff and the
+two Gramian assemblies agree to machine precision. It keeps one transform
+per field: stacking its six forward transforms made the adjoint Gramian
+sweep slower.
 
 Stacks of perturbations are raw complex arrays of shape (batch, n, n) so the
 FFT work is batched. Every forward sweep here (tangent flow, second
@@ -38,12 +43,12 @@ from .stepping import DEFAULT_SCHEME, KickSchedule, Stepper, horizon_steps, swee
 
 
 def _symmetric_B(f, g):
-    """Both slots of B(a, b) + B(b, a), one masked transform each, from the
-    `sp.physical_fields` f of a and g of b."""
+    """Both slots of B(a, b) + B(b, a), one stacked masked transform, from the
+    `sp.physical_fields` f of a and g of b (their batch shapes broadcast)."""
     u1, u2, w1, w2, t1, t2 = f
     v1, v2, x1, x2, y1, y2 = g
-    return (sp.masked_transform(u1 * x1 + u2 * x2 + v1 * w1 + v2 * w2),
-            sp.masked_transform(u1 * y1 + u2 * y2 + v1 * t1 + v2 * t2))
+    return sp.masked_transform(np.stack((u1 * x1 + u2 * x2 + v1 * w1 + v2 * w2,
+                                         u1 * y1 + u2 * y2 + v1 * t1 + v2 * t2)))
 
 
 class Linearizer:
@@ -64,10 +69,15 @@ class Linearizer:
         return -adv_w + self.stepper.buoyancy * xt, -adv_t
 
     def tangent(self, prep, xw: np.ndarray, xt: np.ndarray):
-        """One tangent step: M(U) xi."""
+        """One tangent step: M(U) xi, made in blocks of `sp.block_rows(n)` rows."""
+        return sp.blockwise(lambda *block: self._tangent_block(prep, *block), xw, xt)
+
+    def _tangent_block(self, prep, xw, xt, out_w, out_t) -> None:
+        # the tangent step of one (rows, n, n) block, written into out_w and out_t
         st = self.stepper
         dw_, dt_ = self.drift_direction(prep, xw, xt)
-        return st.decay_w * xw + st.gain_w * dw_, st.decay_t * xt + st.gain_t * dt_
+        np.add(st.decay_w * xw, st.gain_w * dw_, out=out_w)
+        np.add(st.decay_t * xt, st.gain_t * dt_, out=out_t)
 
     def adjoint(self, prep, rw: np.ndarray, rt: np.ndarray):
         """One adjoint step: M(U)* rho in the weighted state inner product.
@@ -228,7 +238,7 @@ def second_variation(u0: SpectralState, horizon: float, stepper: Stepper,
         prep = lin.prepare(SpectralState(*pre))
         # source from the current first variations, rows 0 and 1 of one stack
         fields = sp.physical_fields(xw, xt)
-        src_w, src_t = _symmetric_B([f[0] for f in fields], [f[1] for f in fields])
+        src_w, src_t = _symmetric_B(fields[:, 0], fields[:, 1])
         djw, djt = lin.drift_direction(prep, jw, jt)
         jw = st.decay_w * jw + st.gain_w * (djw - src_w)
         jt = st.decay_t * jt + st.gain_t * (djt - src_t)

@@ -1,10 +1,13 @@
 """Operator identities on the retained spectral band."""
 
+import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from boussinesq_lab import spectral as sp
@@ -26,6 +29,7 @@ from boussinesq_lab.spectral import (
     state_zeros,
     weighted_norm,
 )
+from boussinesq_lab.stepping import Stepper, StepScheme
 from boussinesq_lab.variation import HNBasis
 
 TWO_PI_SQ = 2.0 * np.pi**2
@@ -67,6 +71,33 @@ def test_only_the_spectral_module_calls_an_fft():
     offenders = [f.name for f in sorted(pkg.glob("*.py"))
                  if f.name != "spectral.py" and fft.search(f.read_text())]
     assert offenders == []
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counts of the real transforms the package makes, by name."""
+    calls = Counter()
+    for name in ("irfft2", "rfft2"):
+        def counted(*args, _orig=getattr(scipy.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return calls
+
+
+def test_a_step_makes_one_inverse_and_one_forward_transform_per_block(fft_calls, rng):
+    # the six fields are one stacked inverse transform and the two products
+    # one stacked forward transform, per block of `block_rows(n)` paths
+    for n, batch in ((16, ()), (48, (2,)), (32, (sp.block_rows(32),)), (32, (200,))):
+        stepper = Stepper(n, PhysicsParams(), StepScheme.ETD_EULER, 5e-3)
+        u = random_state(n, rng)
+        w = np.broadcast_to(u.w_hat, batch + (n, n))
+        t = np.broadcast_to(u.theta_hat, batch + (n, n))
+        fft_calls.clear()
+        stepper.advance(w, t)
+        blocks = math.ceil(math.prod(batch) / sp.block_rows(n))
+        assert fft_calls == {"irfft2": blocks, "rfft2": blocks}
+    assert blocks == math.ceil(200 / sp.block_rows(32)) > 1
 
 
 def test_only_the_spectral_module_weights_a_pairing():
@@ -127,6 +158,42 @@ def test_forward_transforms_are_exactly_conjugate_symmetric(n, rng):
     assert np.max(np.abs(masked - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _per_field_fields(w_hat, t_hat):
+    # the six fields of `physical_fields`, one inverse transform each
+    n = w_hat.shape[-1]
+    h = sp._half_symbols(n)
+    wm, tm = sp._band(w_hat, h), sp._band(t_hat, h)
+    halves = (h.ik2 * wm * h.inv_ksq, h.neg_ik1 * wm * h.inv_ksq,
+              h.ik1 * wm, h.ik2 * wm, h.ik1 * tm, h.ik2 * tm)
+    return [sp._inverse(x, n) for x in halves]
+
+
+@pytest.mark.parametrize("n", [9, 16, 48])
+@pytest.mark.parametrize("batch", [(), (3,), (200,)])
+def test_stacked_transforms_equal_per_field_transforms(n, batch, rng):
+    w, t = _symmetric_stack(n, rng, batch), _symmetric_stack(n, rng, batch)
+    fields = sp.physical_fields(w, t)
+    assert fields.shape == (6,) + batch + (n, n)
+    for got, want in zip(fields, _per_field_fields(w, t)):
+        assert got.tobytes() == want.tobytes()
+    products = rng.standard_normal((2,) + batch + (n, n))
+    stacked = sp.masked_transform(products)
+    for got, f in zip(stacked, products):
+        assert got.tobytes() == sp.masked_transform(f).tobytes()
+
+
+@pytest.mark.parametrize("n", [9, 16])
+def test_nonlinear_b_equals_its_per_field_formula(n, rng):
+    u, v = random_state(n, rng), random_state(n, rng)
+    for a, b in ((u, u), (u, v)):
+        u1, u2 = _per_field_fields(a.w_hat, a.theta_hat)[:2]
+        w1, w2, t1, t2 = _per_field_fields(b.w_hat, b.theta_hat)[2:]
+        want = (sp.masked_transform(u1 * w1 + u2 * w2), sp.masked_transform(u1 * t1 + u2 * t2))
+        got = nonlinear_B(a) if b is a else nonlinear_B(a, b)
+        assert got.w_hat.tobytes() == want[0].tobytes()
+        assert got.theta_hat.tobytes() == want[1].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # norms and pairings
 
@@ -150,6 +217,16 @@ def test_weighted_norm_single_cosine():
 def test_weighted_norm_rejects_negative_smoothness(small_state, params):
     with pytest.raises(ValueError):
         weighted_norm(small_state, params, -1.0)
+
+
+def test_sobolev_sq_sums_several_indices_from_one_pass(rng):
+    f = _symmetric_stack(16, rng)
+    sums = sp.sobolev_sq(f, (0, 1, 2.5))
+    assert isinstance(sums, tuple) and len(sums) == 3
+    for s, got in zip((0, 1, 2.5), sums):
+        assert got.tobytes() == sp.sobolev_sq(f, s).tobytes()
+    with pytest.raises(ValueError):
+        sp.sobolev_sq(f, (1, -1))
 
 
 def test_weighted_norm_weight_scaling():
@@ -282,6 +359,13 @@ def test_mode_coeff_roundtrip():
     assert abs(sp.mode_coeff(field, (1, 2), 1) - 2.5) < 1e-12
     assert abs(sp.mode_coeff(field, (3, 0), 0) + 0.75) < 1e-12
     assert abs(sp.mode_coeff(field, (2, 2), 0)) < 1e-12
+
+
+def test_mode_coeff_rejects_the_mean_mode():
+    # cos(0) is no trig element: its two slots coincide, so a slot read would
+    # return twice the L2 projection of the constant field
+    with pytest.raises(ValueError, match="zero mode has no basis element"):
+        sp.mode_coeff(sp.from_physical(np.ones((16, 16))), (0, 0), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,40 @@ def test_step_needs_no_hermitize(monkeypatch, rng):
     sp.nonlinear_B(u, v)
 
 
+def _states(n, rows, rng):
+    states = [random_state(n, rng) for _ in range(rows)]
+    return np.stack([u.w_hat for u in states]), np.stack([u.theta_hat for u in states])
+
+
+def test_blocked_advance_equals_one_block(rng):
+    # the batch rows never mix, so a step in blocks of `block_rows(n)` paths
+    # is bit-equal to the same step of the whole batch as one block
+    n = 32
+    r = sp.block_rows(n)
+    stepper = Stepper(n, PhysicsParams(), StepScheme.ETD_EULER, 5e-3)
+    w, t = _states(n, 2 * r + 1, rng)
+    for rows in (r - 1, r, r + 1, 2 * r + 1):
+        got = stepper.advance(w[:rows], t[:rows])
+        want = np.empty((2, rows, n, n), np.complex128)
+        stepper._advance_block(w[:rows], t[:rows], *want)
+        for x, y in zip(got, want):
+            assert x.shape == (rows, n, n)
+            assert x.tobytes() == y.tobytes()
+
+
+def test_blocked_tangent_equals_one_block(rng):
+    n = 16
+    lin = var.Linearizer(Stepper(n, PhysicsParams(), StepScheme.ETD_EULER, 1e-2))
+    prep = lin.prepare(random_state(n, rng))
+    xw, xt = _states(n, 440, rng)
+    assert 440 > sp.block_rows(n)
+    got = lin.tangent(prep, xw, xt)
+    want = np.empty((2,) + xw.shape, np.complex128)
+    lin._tangent_block(prep, xw, xt, *want)
+    for x, y in zip(got, want):
+        assert x.tobytes() == y.tobytes()
+
+
 @pytest.mark.parametrize("n", [16, 48])
 def test_kick_scatter_equals_the_dense_sum(n, rng):
     # each real component of a forced slot is one product dw_j alpha_j trig_j,
