@@ -71,6 +71,10 @@ class RunConfig:
             KickSchedule.steps_per_cell(self.grid_step, self.dt)
         except ValueError as exc:
             raise ConfigError(f"grid.dt vs noise.grid_step: {exc}") from exc
+        try:
+            self.model().slots(self.n)
+        except ValueError as exc:
+            raise ConfigError(f"noise.modes and noise.alphas at grid.n={self.n}: {exc}") from exc
 
     # builders ---------------------------------------------------------
 

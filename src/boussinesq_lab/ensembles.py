@@ -190,13 +190,13 @@ class MomentCurve:
     def mean_curve(self) -> np.ndarray:
         return self.energy_sq.mean(axis=0)
 
-    def plateau(self, tail_frac: float = 0.5):
+    def plateau(self):
         """Fitted plateau constant and its Monte Carlo standard error.
 
-        Averages each path over the trailing fraction of the window first,
+        Averages each path over the trailing half of the window first,
         so the error bar reflects independent paths, not correlated times.
         """
-        start = int(round((1.0 - tail_frac) * (len(self.times) - 1)))
+        start = int(round(0.5 * (len(self.times) - 1)))
         per_path = self.energy_sq[:, start:].mean(axis=1)
         n_b = len(per_path)
         return float(per_path.mean()), float(per_path.std(ddof=1) / np.sqrt(n_b))
@@ -260,8 +260,7 @@ class StoppingMomentReport:
 
 
 def stopping_moment_experiment(spec: SubordinatorSpec, nu: float, kappa: float,
-                               b0: float, seed: int, n_paths: int,
-                               horizon: float | None = None) -> StoppingMomentReport:
+                               b0: float, seed: int, n_paths: int) -> StoppingMomentReport:
     """Monte Carlo E exp(10 nu eta_1) with a doubling check and a tail flag.
 
     The estimate is trustworthy only when the exponential growth rate 10 nu
@@ -269,8 +268,8 @@ def stopping_moment_experiment(spec: SubordinatorSpec, nu: float, kappa: float,
     i.e. when the clock would have to sustain rate nu / (8 b0 kappa) to keep
     eta large; margins under 2 are flagged as heavy-tailed.
     """
-    first = exp_moment_eta(spec, nu, kappa, b0, n_paths, seed, horizon)
-    second = exp_moment_eta(spec, nu, kappa, b0, 2 * n_paths, seed + 1, horizon)
+    first = exp_moment_eta(spec, nu, kappa, b0, n_paths, seed)
+    second = exp_moment_eta(spec, nu, kappa, b0, 2 * n_paths, seed + 1)
     gap = abs(second["estimate"] - first["estimate"]) / max(first["estimate"], 1e-300)
     if kappa == 0.0:
         margin = np.inf
@@ -302,17 +301,17 @@ class EPropertyReport:
 def eproperty_probe(seed: int, stepper: Stepper, model: NoiseModel,
                     spec: SubordinatorSpec, base_state: SpectralState,
                     horizon: float, n_paths: int,
-                    deltas=(1e-1, 5e-2, 2.5e-2), observables=None,
                     record_every: int = 10) -> EPropertyReport:
     """Same-noise response of time-T statistics to initial perturbations.
 
-    Each delta reruns the noise batch of the base run (drawn anew, checked
-    by digest) from the base state shifted by delta times a fixed unit
-    direction, all runs in one batch; the feedback statistic is the coupled
-    mean difference of each observable at time T.
+    Each delta in (1e-1, 5e-2, 2.5e-2) reruns the noise batch of the base
+    run (drawn anew, checked by digest) from the base state shifted by delta
+    times a fixed unit direction, all runs in one batch; the feedback
+    statistic is the coupled mean difference of each `default_observables`
+    functional at time T.
     """
-    if observables is None:
-        observables = default_observables()
+    deltas = (1e-1, 5e-2, 2.5e-2)
+    observables = default_observables()
     direction = sp.random_state(stepper.n, rng_stream(seed, ROLE_SCRATCH), amplitude=1.0)
     direction = direction * (1.0 / sp.weighted_norm(direction, stepper.params))
     starts = [base_state] + [base_state + direction * delta for delta in deltas]
@@ -368,16 +367,16 @@ class IrreducibilityReport:
 
 def irreducibility_probe(seed: int, stepper: Stepper, model: NoiseModel,
                          spec: SubordinatorSpec, horizon: float, n_paths: int,
-                         radius: float, mesh_scale: float,
-                         confidence: float = 0.95) -> IrreducibilityReport:
+                         radius: float, mesh_scale: float) -> IrreducibilityReport:
     """Hitting counts for the small ball from a mesh of initial states.
 
     Starts live on the 3 x 3 grid {-s, 0, s}^2 (corners included) of a fixed
     two-dimensional section: one normalized vorticity element against one
     normalized temperature element. Each start runs n_paths independent
-    trajectories and reports a one-sided binomial lower confidence bound for
-    the terminal event ||U_T|| <= radius.
+    trajectories and reports a one-sided 95% binomial lower confidence bound
+    for the terminal event ||U_T|| <= radius.
     """
+    confidence = 0.95
     n = stepper.n
     e_w = sp.psi_state(n, (1, 1), 0)
     e_w = e_w * (1.0 / sp.weighted_norm(e_w, stepper.params))
@@ -461,13 +460,12 @@ def _stationary_estimate(name: str, series: np.ndarray, n_batches: int) -> Stati
 
 def invariant_statistics(seed: int, initials, horizon: float, stepper: Stepper,
                          model: NoiseModel, spec: SubordinatorSpec,
-                         observables=None, burn_frac: float = 0.2,
-                         n_batches: int = 20,
+                         observables=None, n_batches: int = 20,
                          record_every: int = 10) -> InvariantReport:
     """Time averages of bounded observables from several initial states.
 
     One long trajectory per initial state, all in one batch; the first
-    burn_frac of records is discarded, the rest feeds batch means.
+    fifth of the records is discarded, the rest feeds batch means.
     Initial-state independence of the invariant measure shows up as pairwise
     agreement within combined batch errors.
     """
@@ -476,7 +474,7 @@ def invariant_statistics(seed: int, initials, horizon: float, stepper: Stepper,
     _, dw = sample_noise_batch(spec, model, horizon, seed, len(initials))
     out = BatchRunner(stepper, model).run(*_tile(initials, 1), dw, spec.grid_step,
                                           record_every, observables)
-    burn = int(round(burn_frac * (out.observed.shape[-1] - 1)))
+    burn = int(round(0.2 * (out.observed.shape[-1] - 1)))
     estimates = [[_stationary_estimate(obs.name, out.observed[oi, b, burn:], n_batches)
                   for oi, obs in enumerate(observables)]
                  for b in range(len(initials))]

@@ -191,9 +191,9 @@ def bracket_zy_field(j: Mode, m: int, k: Mode, mp: int, state: SpectralState,
     return sp.nonlinear_B(z, s_k) - grad_z(j, m, state, y, params)
 
 
-def numerical_lie_bracket(e1, e2, state: SpectralState, params: PhysicsParams,
-                          eps: float = 1e-4) -> SpectralState:
-    """Central-difference bracket of two callables, Richardson refined."""
+def numerical_lie_bracket(e1, e2, state: SpectralState, params: PhysicsParams) -> SpectralState:
+    """Central-difference bracket of two callables at step 1e-4, Richardson refined."""
+    eps = 1e-4
 
     def directional(fun, v: SpectralState) -> SpectralState:
         nv = sp.weighted_norm(v, params)
@@ -336,14 +336,15 @@ class SpanResult:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def span_generation(zset, level: int, max_norm1: int | None = None) -> SpanResult:
+def span_generation(zset, level: int) -> SpanResult:
     """Close the reachable temperature modes under the pair brackets.
 
     Starting from the forced set, every ordered pair (j, k) of reached modes
     offers j + k when the modes are nonparallel and the a-coefficient is
     nonzero, and j - k (canonicalized) when the b-coefficient is nonzero.
     First derivation wins, breadth first, pairs scanned in sorted order, so
-    the log is reproducible. Vorticity coverage rides on the temperature
+    the log is reproducible. Candidates keep |k1| + |k2| <= level + 2 plus
+    the largest generator's. Vorticity coverage rides on the temperature
     result: off-axis modes solve through the buoyancy term, axis modes need
     the neighbor column one step to the right.
     """
@@ -351,8 +352,7 @@ def span_generation(zset, level: int, max_norm1: int | None = None) -> SpanResul
     for z in zset:
         if not sp.is_canonical(z):
             raise ValueError(f"generator {z} must be canonical")
-    if max_norm1 is None:
-        max_norm1 = level + 2 + max(abs(z[0]) + abs(z[1]) for z in zset)
+    max_norm1 = level + 2 + max(abs(z[0]) + abs(z[1]) for z in zset)
 
     reached: dict = {z: Derivation(z, "forced", None, None, 0) for z in zset}
     frontier = list(zset)
@@ -404,13 +404,13 @@ def span_generation(zset, level: int, max_norm1: int | None = None) -> SpanResul
                       success=success)
 
 
-def verify_span(result: SpanResult, n: int, params: PhysicsParams,
-                tol: float = 1e-10) -> dict:
+def verify_span(result: SpanResult, n: int, params: PhysicsParams) -> dict:
     """Replay every derivation both symbolically and on the grid.
 
     Each pair step must reduce, as an exact rational identity, to a single
     trig element with the recorded prefactor, and the same combination of
-    operator-evaluated bracket fields must match the grid element. Every
+    operator-evaluated bracket fields must match the grid element to 1e-10
+    relative to its largest coefficient (floored at 1). Every
     mode touched by a replayed product has to survive the 2/3 dealiasing,
     so the grid must satisfy n // 3 >= the largest wavenumber involved.
     """
@@ -446,7 +446,7 @@ def verify_span(result: SpanResult, n: int, params: PhysicsParams,
             err = max(err, np.abs(field.w_hat).max())
             scale = max(np.abs(want_state.theta_hat).max(), 1.0)
             max_err = max(max_err, err / scale)
-            if err > tol * scale:
+            if err > 1e-10 * scale:
                 raise AssertionError(f"grid replay failed at {mode} parity {parity}: "
                                      f"err {err:.3e}")
             checked += 1

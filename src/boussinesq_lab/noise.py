@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import SpectralState, TrigSlots, is_canonical, trig_slots
+from .spectral import TrigSlots, is_canonical, trig_slots
 
 # stream roles, used as the trailing entry of an rng stream key
 ROLE_CLOCK = 1
@@ -61,11 +61,11 @@ class SubordinatorSpec:
     def mean_rate(self) -> float:
         return self.a / self.b
 
-    def mgf(self, zeta: float, t: float = 1.0) -> float:
-        """E exp(zeta ell_t); requires zeta < b."""
+    def mgf(self, zeta: float) -> float:
+        """E exp(zeta ell_1); requires zeta < b."""
         if zeta >= self.b:
             raise ValueError("exponential moment diverges at this exponent")
-        return float((self.b / (self.b - zeta)) ** (self.a * t))
+        return float((self.b / (self.b - zeta)) ** self.a)
 
 
 @dataclass
@@ -179,61 +179,6 @@ class NoiseModel:
         return trig_slots(n, tuple((k, m, a) for (k, m), a in zip(self.directions(), self.alphas)))
 
 
-def forcing_increment(model: NoiseModel, n: int, dw: np.ndarray) -> SpectralState:
-    """Temperature kick sum_j dw_j alpha_j trig_j; vorticity slot untouched."""
-    dw = np.asarray(dw, dtype=np.float64)
-    if dw.shape != (model.dim,):
-        raise ValueError("one Brownian increment per forcing direction")
-    return SpectralState(np.zeros((n, n), np.complex128), model.slots(n).scatter(dw))
-
-
-# ---------------------------------------------------------------------------
-# mode-set diagnostics
-
-
-@dataclass(frozen=True)
-class ModeSetReport:
-    """Clause-by-clause check of the forcing geometry hypotheses."""
-
-    symmetric_generator: bool
-    has_nonparallel_pair: bool
-    has_norm_distinct_pair: bool
-    minor_gcd: int
-
-
-def check_mode_set(modes) -> ModeSetReport:
-    """Check the three structural clauses on the (symmetrized) mode set.
-
-    * symmetric_generator: the set together with its negatives generates the
-      full integer lattice (gcd of all 2x2 minors is 1);
-    * has_nonparallel_pair: some pair has nonzero determinant;
-    * has_norm_distinct_pair: some nonparallel pair also has distinct
-      Euclidean norms. The clauses are reported separately because the
-      spanning algebra only ever consumes the first two.
-    """
-    ms = [tuple(int(c) for c in k) for k in modes]
-    dets = []
-    norm_distinct = False
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            d = ms[i][0] * ms[j][1] - ms[i][1] * ms[j][0]
-            if d != 0:
-                dets.append(abs(d))
-                ni = ms[i][0] ** 2 + ms[i][1] ** 2
-                nj = ms[j][0] ** 2 + ms[j][1] ** 2
-                if ni != nj:
-                    norm_distinct = True
-    g = 0
-    for d in dets:
-        g = int(np.gcd(g, d))
-    return ModeSetReport(
-        symmetric_generator=(g == 1),
-        has_nonparallel_pair=bool(dets),
-        has_norm_distinct_pair=norm_distinct,
-        minor_gcd=g,
-    )
-
-
 # ---------------------------------------------------------------------------
 # stopping times
 
@@ -316,9 +261,9 @@ def first_eta_batch(spec: SubordinatorSpec, nu: float, kappa: float, b0: float,
 
 
 def exp_moment_eta(spec: SubordinatorSpec, nu: float, kappa: float, b0: float,
-                   n_paths: int, seed: int, horizon: float | None = None) -> dict:
+                   n_paths: int, seed: int) -> dict:
     """Monte Carlo estimate of E exp(10 nu eta_1) over independent clock paths."""
-    eta, censored = first_eta_batch(spec, nu, kappa, b0, n_paths, seed, horizon)
+    eta, censored = first_eta_batch(spec, nu, kappa, b0, n_paths, seed)
     vals = np.exp(10.0 * nu * eta)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))

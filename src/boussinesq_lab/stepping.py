@@ -218,7 +218,8 @@ class Trajectory:
     """Recorded output of simulate.
 
     Scalar series are per accepted step (length n_steps + 1); snapshots keep
-    every snapshot_stride-th state plus the final one. Pre/post jump
+    every snapshot_stride-th state plus the final one, which after a blow-up
+    is the state where the run stopped. Pre/post jump
     temperature norms support the energy audit.
     """
 
@@ -302,10 +303,10 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
         clock_steps[last] = ell
         if store_full:
             states.append(state)
-        if last % snapshot_stride == 0 or last == n_steps:
+        blew_up = bool(blown_up(w_part[last] + theta_part[last], ceiling))
+        if last % snapshot_stride == 0 or last == n_steps or blew_up:
             snapshots.append(state)
             snapshot_times.append(times[last])
-        blew_up = bool(blown_up(w_part[last] + theta_part[last], ceiling))
         return blew_up
 
     sweep(stepper, u0.w_hat, u0.theta_hat, n_steps, kicks, on_step, on_kick)
@@ -354,10 +355,6 @@ class EnergyAudit:
     max_jump_residual: float
     total_steps: int
     n_jumps: int
-
-    def ok(self, dissipation_tol: float, jump_tol: float = 1e-12) -> bool:
-        return (self.dissipation_residual_rate <= dissipation_tol
-                and self.max_jump_residual <= jump_tol)
 
 
 def energy_audit(traj: Trajectory, params: PhysicsParams, stepper: Stepper) -> EnergyAudit:

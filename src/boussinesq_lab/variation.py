@@ -533,13 +533,12 @@ CLOCK_DOUBLINGS = 10        # control_experiment's clock grows at most 2**10-fol
 
 def control_experiment(seed: int, n_paths: int, n_windows: int, n: int,
                        params: PhysicsParams, spec, model, dt: float,
-                       kappa: float, amplitude: float = 1.0,
-                       beta: float | None = None) -> ControlDecayResult:
+                       kappa: float, amplitude: float = 1.0) -> ControlDecayResult:
     """Alternate controlled and free windows along renewal times of the clock.
 
     Window edges are the clock-penalized renewal times rounded up to the
-    clock grid; even windows apply the Tikhonov control, odd windows run
-    free. Records the costate norm at every edge across independent paths.
+    clock grid; even windows apply the Tikhonov control at `control_window`'s
+    default beta, odd windows run free. Records the costate norm at every edge across independent paths.
     Each path's clock is drawn over 1.8 (n_windows + 1) / nu first and redrawn
     over twice the horizon until its renewal times fit; the draws are
     prefix-stable, so a longer clock keeps the noise of the shorter one.
@@ -585,7 +584,7 @@ def control_experiment(seed: int, n_paths: int, n_windows: int, n: int,
             sub = type(path)(spec, path.times[c0:c1 + 1] - path.times[c0],
                              path.increments[c0:c1], seed=path.seed)
             res = control_window(rho, base, (c1 - c0) * q, stepper, model, sub,
-                                 dw[c0:c1], beta=beta, controlled=(w % 2 == 0))
+                                 dw[c0:c1], controlled=(w % 2 == 0))
             if w % 2 == 0 and res.degenerate:
                 n_degen += 1
             residual_max = max(residual_max, res.recursion_residual)
@@ -595,47 +594,6 @@ def control_experiment(seed: int, n_paths: int, n_windows: int, n: int,
     return ControlDecayResult(edge_steps=edge_steps_all, rho_norms=norms,
                               residual_max=residual_max, v_norm_sq_max=v_max,
                               n_degenerate=n_degen)
-
-
-@dataclass
-class GrowthSample:
-    sup_gain: float             # sup over the step grid of |J xi|^2 / |xi|^2
-    exponent_arg: float         # integral of (|U|_1^{4/3} + 1) dt along the base
-
-
-def tangent_growth_experiment(seed: int, n_paths: int, horizon: float,
-                              stepper: Stepper, spec, model,
-                              amplitude: float = 1.0) -> list[GrowthSample]:
-    """Growth statistics of the tangent flow along independent noisy paths."""
-    from .noise import ROLE_INIT, ROLE_SCRATCH, rng_stream, sample_noise
-
-    p = stepper.params
-    n_steps = horizon_steps(horizon, stepper.dt)
-    lin = Linearizer(stepper)
-    out = []
-    for i in range(n_paths):
-        path, dw = sample_noise(spec, model, horizon, seed, i)
-        kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
-        u0 = sp.random_state(stepper.n, rng_stream(seed, ROLE_INIT, i), amplitude=amplitude)
-        # probe the slow band: high modes only dissipate and hide the gain
-        xi = sp.random_state(stepper.n, rng_stream(seed, ROLE_SCRATCH, i),
-                             decay=1.0, kmax=2)
-        nrm = sp.weighted_norm(xi, p)
-        xw, xt = stack_states([SpectralState(xi.w_hat / nrm, xi.theta_hat / nrm)])
-
-        sup_gain = 1.0
-        arg = [sp.weighted_norm(u0, p, s=1.0) ** (4.0 / 3.0) + 1.0]
-
-        def on_step(j, base, w, t):
-            nonlocal sup_gain
-            sup_gain = max(sup_gain, float(sp.weighted_energy(w[0], t[0], p)))
-            arg.append(sp.weighted_norm(base, p, s=1.0) ** (4.0 / 3.0) + 1.0)
-
-        flow_with_tangent(u0, n_steps, lin, xw, xt, kicks, on_step=on_step)
-        series = np.asarray(arg)
-        integral = float(np.trapezoid(series, dx=stepper.dt))
-        out.append(GrowthSample(sup_gain=float(sup_gain), exponent_arg=integral))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -771,38 +729,3 @@ def fit_tail_envelope(series: TailCoupling, nu: float) -> float:
     env = np.exp(-nu * series.level**2 * series.times)
     gap = series.tail_sq - env
     return float(max(0.0, gap.max()) * np.sqrt(series.level))
-
-
-def fit_band_envelope(series: TailCoupling) -> float:
-    """Smallest growth constant: max_t band(t) N^{1/4} / (1 + t)."""
-    return float((series.band_sq * series.level**0.25 / (1.0 + series.times)).max())
-
-
-def early_decay_slope(series: TailCoupling, t_cut: float) -> float:
-    """Log-linear decay rate of the tail energy over (0, t_cut]."""
-    m = (series.times > 0) & (series.times <= t_cut)
-    if not m.any():
-        raise ValueError("t_cut shorter than one step")
-    t = series.times[m]
-    q = np.maximum(series.tail_sq[m], 1e-300)
-    return float(-(np.log(q[-1]) - np.log(series.tail_sq[0])) / t[-1])
-
-
-def growth_constant(sup_gain: float, exponent_arg: float, tol: float = 1e-12) -> float:
-    """Smallest c with sup_gain <= c e^{c X}: bisection on the monotone map."""
-    if sup_gain <= 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while hi * np.exp(hi * exponent_arg) < sup_gain:
-        hi *= 2.0
-        if hi > 1e12:
-            return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid * np.exp(mid * exponent_arg) < sup_gain:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol * max(1.0, hi):
-            break
-    return hi

@@ -250,9 +250,14 @@ def test_missing_config_file(tmp_path):
 
 
 def test_bad_config_value(tmp_path):
-    bad = tmp_path / "bad.ini"
-    bad.write_text("[grid]\nn = 7\n")
-    assert main(["--config", str(bad), "--out", str(tmp_path), "simulate"]) == 2
+    # a bad value exits 2 before any output directory is made, whether
+    # RunConfig's own checks or the noise model's refuse it
+    for i, text in enumerate(["[grid]\nn = 7\n", "[noise]\nmodes = 0,0\n"]):
+        bad = tmp_path / f"bad{i}.ini"
+        bad.write_text(text)
+        out = tmp_path / f"out{i}"
+        assert main(["--config", str(bad), "--out", str(out), "simulate"]) == 2, text
+        assert not out.exists(), text
 
 
 def test_module_entry_point():

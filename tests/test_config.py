@@ -91,6 +91,10 @@ def test_alpha_parsing():
     ("[run]\nhorizon = -1\n", "nonnegative"),
     ("[run]\nlevel = 0\n", "starts at 1"),
     ("[grid]\ndt = 0.0003\n", "divide"),
+    ("[noise]\nalphas = 1 2\n", "one amplitude per direction"),
+    ("[noise]\nmodes = -1,0 0,1\n", "canonical half-lattice"),
+    ("[noise]\nmodes = 0,0\n", "zero mode"),
+    ("[noise]\nmodes = 20,0 0,1\n", "resolvable band"),
 ])
 def test_validation_errors(text, match):
     with pytest.raises(ConfigError, match=match):

@@ -10,10 +10,8 @@ from boussinesq_lab import noise, spectral as sp
 from boussinesq_lab.noise import (
     NoiseModel,
     SubordinatorSpec,
-    check_mode_set,
     exp_moment_eta,
     first_eta_batch,
-    forcing_increment,
     load_path,
     rng_stream,
     sample_subordinator,
@@ -21,6 +19,7 @@ from boussinesq_lab.noise import (
     stopping_times,
     subordinated_increments,
 )
+from boussinesq_lab.stepping import DEFAULT_SCHEME, KickSchedule, Stepper, sweep
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +111,11 @@ def test_path_roundtrip_exact():
 
 
 def test_forcing_increment_unit_vector():
-    model = NoiseModel()
+    # the kick the sweeps apply is the slot table's scatter of dw
     n = 32
-    kick = forcing_increment(model, n, np.array([1.0, 0.0, 0.0, 0.0]))
-    assert np.max(np.abs(kick.w_hat)) == 0.0
+    kick = NoiseModel().slots(n).scatter(np.array([1.0, 0.0, 0.0, 0.0]))
     x1, _ = sp.grid_points(n)
-    field = sp.to_physical(kick.theta_hat)
+    field = sp.to_physical(kick)
     assert np.max(np.abs(field - np.cos(x1 + 0 * field))) < 1e-12
 
 
@@ -131,36 +129,19 @@ def test_forcing_dimensions_and_intensity():
         NoiseModel(modes=((1, 0), (1, 0)))
     with pytest.raises(ValueError):
         NoiseModel(modes=((-1, 0),))
-    with pytest.raises(ValueError):
-        forcing_increment(model, 16, np.zeros(3))
 
 
 def test_forcing_is_temperature_only_random_direction():
-    model = NoiseModel()
-    rng = rng_stream(5, 1)
-    kick = forcing_increment(model, 16, rng.standard_normal(4))
-    assert np.max(np.abs(kick.w_hat)) == 0.0
-    assert np.max(np.abs(kick.theta_hat)) > 0.0
-
-
-def test_mode_set_clauses():
-    default = check_mode_set([(1, 0), (0, 1)])
-    assert default.symmetric_generator
-    assert default.has_nonparallel_pair
-    assert not default.has_norm_distinct_pair
-
-    doubled = check_mode_set([(2, 0), (0, 2)])
-    assert not doubled.symmetric_generator
-    assert doubled.has_nonparallel_pair
-    assert doubled.minor_gcd == 4
-
-    single = check_mode_set([(1, 0)])
-    assert not single.has_nonparallel_pair
-    assert not single.symmetric_generator
-
-    rich = check_mode_set([(1, 0), (1, 1), (0, 2)])
-    assert rich.symmetric_generator
-    assert rich.has_norm_distinct_pair
+    # one step from rest with one kicked cell: the substep leaves the zero
+    # state at zero, so the vorticity stays zero and the temperature is the kick
+    slots = NoiseModel().slots(16)
+    dw = rng_stream(5, 1).standard_normal((1, 4))
+    zero = np.zeros((16, 16), np.complex128)
+    stepper = Stepper(16, sp.PhysicsParams(), DEFAULT_SCHEME, 1e-3)
+    w, t = sweep(stepper, zero, zero, 1, KickSchedule(1e-3, 1e-3, 1, dw=dw, slots=slots))
+    assert np.max(np.abs(w)) == 0.0
+    assert np.max(np.abs(t)) > 0.0
+    assert np.array_equal(t, slots.scatter(dw[0]))
 
 
 # ---------------------------------------------------------------------------

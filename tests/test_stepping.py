@@ -367,10 +367,16 @@ def test_blow_up_guard():
     p = PhysicsParams(nu1=1e-6, nu2=1e-6, g=1.0)
     rng = np.random.default_rng(4)
     u0 = random_state(n, rng, amplitude=2e4, decay=0.5)
-    traj = simulate(u0, 5.0, Stepper(n, p, StepScheme.ETD_EULER, 0.05), ceiling=1e6)
+    stepper = Stepper(n, p, StepScheme.ETD_EULER, 0.05)
+    traj = simulate(u0, 5.0, stepper, ceiling=1e6)
     assert traj.blew_up
     assert traj.times[-1] < 5.0
     assert np.all(np.isfinite(traj.norm0[:-1]))
+    # the run stops off the snapshot stride: the last snapshot is where it stopped
+    assert traj.snapshot_times[-1] == traj.times[-1]
+    full = simulate(u0, 5.0, stepper, ceiling=1e6, store_full=True)
+    assert np.array_equal(traj.final.w_hat, full.final.w_hat)
+    assert np.array_equal(traj.final.theta_hat, full.final.theta_hat)
 
 
 @pytest.mark.parametrize("case", ["sigma_6_8", "inviscid_burst"])
