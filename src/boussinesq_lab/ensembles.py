@@ -2,13 +2,13 @@
 equicontinuity probes, small-ball hitting counts, and long-run averages.
 
 Trajectory batches share the clock grid, so the whole ensemble advances as
-(B, n, n) coefficient arrays through the one step kernel and forward loop
-of the stepping module, `Stepper.advance` under `sweep`, that also runs a
-single path; a batch only adds its recording hook. Per-path randomness
+(B, n, n//2+1) half-storage arrays through the one step kernel and forward
+loop of the stepping module, `Stepper.advance` under `sweep`, that also runs
+a single path; a batch only adds its recording hook. Per-path randomness
 enters only through the clock increments and the Brownian draws, each from
 its own keyed stream, so a path's output does not depend on its batch.
 Each experiment runs its starts as one batch in one process, and each
-observable maps (..., n, n) stacks to (...) values, one call per record.
+observable maps half stacks to (...) values, one call per record.
 """
 
 from __future__ import annotations
@@ -42,14 +42,14 @@ from .stepping import KickSchedule, Stepper, blown_up, sweep
 
 @dataclass(frozen=True)
 class Observable:
-    """Named scalar functional of the state; fun(w, t, params) maps (..., n, n)
-    coefficient stacks to (...) values."""
+    """Named scalar functional of the state; fun(w, t, params) maps half
+    stacks (..., n, n//2+1) to (...) values."""
 
     name: str
     fun: object
 
     def __call__(self, state: SpectralState, params: PhysicsParams):
-        return self.fun(state.w_hat, state.theta_hat, params)
+        return self.fun(*state.halves(), params)
 
 
 def _squashed_energy(w, t, params):
@@ -128,6 +128,7 @@ class BatchRunner:
             observables=()) -> BatchTrajectory:
         """Advance the batch across all cells, kicking after each cell's steps.
 
+        w and t are (B, n, n) coefficient arrays, run in half storage.
         dw has shape (B, cells, d); the step size must divide the clock grid
         step, and jumps are applied at the right endpoint of their cell,
         after the deterministic substep, exactly as a single path is run.
@@ -135,8 +136,8 @@ class BatchRunner:
         its energy when a recorded energy is `blown_up`.
         """
         st = self.stepper
-        w = np.asarray(w, dtype=np.complex128)
-        t = np.asarray(t, dtype=np.complex128)
+        w = sp.half(np.asarray(w, dtype=np.complex128))
+        t = sp.half(np.asarray(t, dtype=np.complex128))
         n_b = dw.shape[0]
         kicks = KickSchedule(grid_step, st.dt, dw.shape[1], dw=dw, slots=self.slots)
         n_steps = kicks.n_steps
@@ -166,9 +167,8 @@ class BatchRunner:
                                    f"has energy {energy[b, slot]:.6g}")
 
         record(0, w, t)
-        # copies that only `sweep` holds, so it frees them after one step
-        w, t = sweep(st, w.copy(), t.copy(), n_steps, kicks, on_step)
-        return BatchTrajectory(times, energy, observed, w, t)
+        w, t = sweep(st, w, t, n_steps, kicks, on_step)
+        return BatchTrajectory(times, energy, observed, sp.full(w), sp.full(t))
 
 
 def _tile(states, n_paths: int):
@@ -329,7 +329,8 @@ def eproperty_probe(seed: int, stepper: Stepper, model: NoiseModel,
     for r in range(1, len(starts)):
         diff = final[:, r] - final[:, 0]
         gaps.append(np.abs(diff.mean(axis=1)))
-        dist_sq = sp.weighted_energy(w_end[r] - w_end[0], t_end[r] - t_end[0], stepper.params)
+        dist_sq = sp.weighted_energy(sp.half(w_end[r] - w_end[0]), sp.half(t_end[r] - t_end[0]),
+                                     stepper.params)
         state_gaps.append(float(np.sqrt(dist_sq).mean()))
     gaps = np.array(gaps)
     sup_gaps = gaps.max(axis=1)

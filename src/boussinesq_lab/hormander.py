@@ -343,7 +343,8 @@ def span_generation(zset, level: int) -> SpanResult:
     offers j + k when the modes are nonparallel and the a-coefficient is
     nonzero, and j - k (canonicalized) when the b-coefficient is nonzero.
     First derivation wins, breadth first, pairs scanned in sorted order, so
-    the log is reproducible. Candidates keep |k1| + |k2| <= level + 2 plus
+    the log is reproducible; a round scans only the pairs with a mode reached
+    in the round before, since the others offered all they could then. Candidates keep |k1| + |k2| <= level + 2 plus
     the largest generator's. Vorticity coverage rides on the temperature
     result: off-axis modes solve through the buoyancy term, axis modes need
     the neighbor column one step to the right.
@@ -355,35 +356,30 @@ def span_generation(zset, level: int) -> SpanResult:
     max_norm1 = level + 2 + max(abs(z[0]) + abs(z[1]) for z in zset)
 
     reached: dict = {z: Derivation(z, "forced", None, None, 0) for z in zset}
-    frontier = list(zset)
+    frontier = set(zset)
     depth = 0
     while frontier:
         depth += 1
         known = sorted(reached)
-        new_modes = []
+        new_modes = set()
         for j in known:
             for k in known:
-                if perp_dot(j, k) == 0:
+                # two modes known before the last round were paired in it
+                if (j not in frontier and k not in frontier) or perp_dot(j, k) == 0:
                     continue
-                cand = []
-                a = coeff_a(j, k)
-                if a != 0:
-                    cand.append(((j[0] + k[0], j[1] + k[1]), "pair-sum",
-                                 Fraction(perp_dot(j, k)) * a))
-                b = coeff_b(j, k)
-                if b != 0:
-                    cand.append(((j[0] - k[0], j[1] - k[1]), "pair-difference",
-                                 Fraction(perp_dot(j, k)) * b))
-                for mode, kind, pref in cand:
+                for mode, kind, coeff in (((j[0] + k[0], j[1] + k[1]), "pair-sum", coeff_a),
+                                          ((j[0] - k[0], j[1] - k[1]), "pair-difference",
+                                           coeff_b)):
                     if mode == (0, 0):
                         continue
                     canon, _, _ = sp.canonicalize(mode, 0)
-                    if canon in reached:
+                    if canon in reached or abs(canon[0]) + abs(canon[1]) > max_norm1:
                         continue
-                    if abs(canon[0]) + abs(canon[1]) > max_norm1:
-                        continue
-                    reached[canon] = Derivation(canon, kind, (j, k), pref, depth)
-                    new_modes.append(canon)
+                    c = coeff(j, k)
+                    if c != 0:
+                        reached[canon] = Derivation(canon, kind, (j, k),
+                                                    Fraction(perp_dot(j, k)) * c, depth)
+                        new_modes.add(canon)
         frontier = new_modes
 
     targets = induction_set(level)

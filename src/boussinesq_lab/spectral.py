@@ -1,64 +1,82 @@
 """Spectral core for the vorticity-temperature pair on the 2D torus.
 
-Fields live on a uniform n x n grid covering [-pi, pi)^2 and are stored as
-unnormalized numpy fft2 coefficient arrays (complex, shape (n, n), wavenumber
-layout of np.fft.fftfreq). The state is the pair U = (w, theta): w is the
-scalar vorticity of the velocity field, theta the temperature. All operators
-here are exact on the retained Fourier modes; quadratic terms are evaluated
-pseudo-spectrally with the 2/3 dealiasing rule so that products of two
-band-limited fields are alias-free on the retained band.
+Fields live on a uniform n x n grid covering [-pi, pi)^2. The state is the
+pair U = (w, theta): w is the scalar vorticity of the velocity field, theta
+the temperature. All operators here are exact on the retained Fourier modes;
+quadratic terms are evaluated pseudo-spectrally with the 2/3 dealiasing rule
+so that products of two band-limited fields are alias-free on the retained
+band.
 
-This is the one transform layer: no other module calls an FFT. The step
-kernel, its tangent and adjoint, the second variation and `nonlinear_B` share
-the per-n symbol table `symbols`, the six dealiased physical fields of a
-stack `physical_fields`, and the masked forward transform `masked_transform`.
-`physical_fields` builds its six half-spectrum fields into one (6, ..., n,
-n//2+1) array and makes one inverse transform of it, and `transport` (the
-advection of the step and of `nonlinear_B`) and the tangent's bilinear form
-stack their two products into one `masked_transform`: one inverse and one
-forward transform instead of six and two, which removes most of the
-per-call cost of `scipy.fft` at small batches. Each output is bit-equal to
-its per-field transform.
-A large stack is not transformed whole, which is slower: its arrays
-outgrow the cache and are fresh memory on every step. `blockwise` applies the step and the
-tangent to blocks of `block_rows(n)` rows, the rows whose six half-spectrum
-fields fill about 1 MiB (75 at n = 16, 20 at n = 32, 9 at n = 48); a batch
-no larger than one block is one block. The adjoint keeps one transform per
-field: stacking its six forward transforms measured slower.
+Storage. Every field is real, so its unnormalized fft2 coefficients are
+conjugate-symmetric, f(-k) = conj f(k), and the k2 >= 0 columns hold them
+all. Two layouts follow:
+  * the full layout, (..., n, n) complex arrays in the wavenumber order of
+    np.fft.fftfreq, is the public boundary: `SpectralState`, the operators
+    on states (`nonlinear_B`, `drift_F`, `apply_A`, `apply_G`,
+    `biot_savart`, the projections, `state_dot`, `l2_dot`,
+    `weighted_norm`), the trig states, and every array a caller of the
+    package receives;
+  * the half storage, (..., n, n//2+1) arrays of the k2 >= 0 columns, is
+    what every loop of the package runs on: the transforms
+    (`physical_fields`, `transport`, `masked_transform`, `to_physical`,
+    `from_physical`), the blocks of `blockwise`, the norms and pairings on
+    raw arrays (`sobolev_sq`, `weighted_norms`, `weighted_energy`,
+    `pairings`, `half_dot`, `slot_pairings`, `mode_coeff`) and the slot
+    tables. Its symbols are `half_symbols`.
+A state changes layout once where it enters or leaves a loop: `half` takes
+the k2 >= 0 columns, and `full` writes the k2 < 0 columns as the conjugate
+mirror; `full` is the only writer of those columns. The columns k2 = 0 and,
+for even n, the Nyquist column k2 = n/2 hold their own mirror; the forward
+transforms symmetrize them exactly in place (`_symmetrize`), as `full`
+writes them, so `half(full(h))` is h. Odd n has no Nyquist column.
+A half stack stays such an exact half: the step adds half stacks and scales
+them by even real symbols and by i k1, which keeps the self-mirrored columns
+symmetric as long as the Nyquist row k1 = n/2 is zero, as it is for every
+band-limited state, kick and dealiased product. `hermitize` projects a full
+array onto the conjugate-symmetric ones and is needed only where
+coefficients are drawn at random (`random_state`).
 
-Every field is real, so the transforms are the real transforms of
-`scipy.fft` over the k2 >= 0 half spectrum, n // 2 + 1 columns, while the
-full (..., n, n) arrays stay the one storage format at the module boundary:
-  * `to_physical` and `physical_fields` read only the k2 >= 0 columns (their
-    symbols on those columns are `_half_symbols`);
-  * `from_physical` and `masked_transform` fill the k2 < 0 columns by the
-    conjugate mirror f(-k) = conj f(k) and symmetrize the self-mirrored
-    columns (k2 = 0, and k2 = n/2 for even n), so what they return is
-    exactly conjugate-symmetric.
-A stored state therefore stays exactly conjugate-symmetric: the step adds
-such arrays and scales them by even real symbols and by i k1, which keeps
-the symmetry as long as the Nyquist row k1 = n/2 is zero, as it is for every
-band-limited state, kick and dealiased product. `hermitize` projects onto
-that set and is needed only where coefficients are drawn at random
-(`random_state`). On an array that is not conjugate-symmetric,
-`to_physical` transforms the k2 >= 0 half, which is not the real part of
-the complex inverse transform.
-It also owns the state pairing: every coefficient-space inner product of the
-package goes through `pairings` (stack against stack), `slot_pairings` (stack
-against a slot table), `weighted_energy` (squared norms of a stack) or the
-scalar helpers below, so the quadrature weight `quad_weight` is read nowhere
-else.
+Transforms. This is the one transform layer: no other module calls an FFT,
+and they are the real transforms of `scipy.fft`. The step kernel, its
+tangent and adjoint, the second variation and `nonlinear_B` share the
+symbol table, the six dealiased physical fields of a stack
+`physical_fields`, and the masked forward transform `masked_transform`.
+`physical_fields` builds its six fields into one (6, ..., n, n//2+1) array
+by two products with one cached symbol stack that is zero outside the 2/3
+band, and makes one inverse transform of it; `transport` (the advection of
+the step and of `nonlinear_B`) and the tangent's bilinear form stack their
+two products into one `masked_transform`: one inverse and one forward
+transform instead of six and two, which removes most of the per-call cost
+of `scipy.fft` at small batches. Each output is bit-equal to its per-field
+transform. A large stack is not transformed whole, which is slower: its
+arrays outgrow the cache and are fresh memory on every step. `blockwise`
+applies the step and the tangent to blocks of `block_rows(n)` rows, the
+rows whose six half fields fill about 1 MiB (75 at n = 16, 20 at n = 32, 9
+at n = 48); a batch no larger than one block is one block. The adjoint
+keeps one transform per field: stacking its six forward transforms measured
+slower.
+
+Pairings. Every coefficient-space inner product of the package goes through
+`pairings` (stack against stack), `slot_pairings` (stack against a slot
+table), `weighted_energy` (squared norms of a stack) or the scalar helpers
+below, so the quadrature weight `quad_weight` is read nowhere else. On the
+half storage a sum counts each column as often as the full spectrum holds
+it (`_column_weights`): twice, except k2 = 0 and the Nyquist column, once.
 
 Trig elements are placed by slot tables (`TrigSlots`). A slot is one real
 component of a coefficient array, the real or imaginary part of one entry,
 and has the weight `quad_weight` in a pairing like every entry of the full
-storage; cos(k.x) and sin(k.x) fill two, at k and -k. The scatter writes one
-product c_j v per slot into zeros. The gather `slot_pairings` equals
-`pairings` against the dense stack bit for bit: at a slot the real part of
-the dense product is x v (the element's other part is zero there), off the
-slots it is +-0, and adding zero to a nonzero sum is exact, so the dense sum
-rounds as the two slot products do in either order; the gather adds those
-two onto zero and weights them as quad_weight * (zeta* cw + ct).
+layout; cos(k.x) and sin(k.x) fill two, at k and -k, of which the half
+storage keeps those with k2 >= 0: both on k2 = 0, one elsewhere. The
+scatter writes one product c_j v per kept slot into zeros, the k2 >= 0 half
+of the full scatter bit for bit. The gather `slot_pairings` equals the
+pairing against the dense full stack bit for bit: at a slot the real part
+of the dense product is x v (the element's other part is zero there), off
+the slots it is +-0, and adding zero to a nonzero sum is exact, so the
+dense sum rounds as the two slot products do in either order. Off k2 = 0
+the two products are equal, so the gather adds x (2 v) = 2 (x v) onto zero,
+the same bits as adding x v twice; on k2 = 0 it adds both. It weights the
+sums as quad_weight * (zeta* cw + ct).
 
 Conventions:
   * axis 0 of an array is x1, axis 1 is x2;
@@ -131,6 +149,15 @@ class SpectralState:
     def copy(self) -> "SpectralState":
         return SpectralState(self.w_hat.copy(), self.theta_hat.copy())
 
+    def halves(self):
+        """The (w, theta) pair in half storage, `half` of each component."""
+        return half(self.w_hat), half(self.theta_hat)
+
+    @classmethod
+    def from_halves(cls, w: np.ndarray, t: np.ndarray) -> "SpectralState":
+        """The state of a (w, theta) pair in half storage, `full` of each."""
+        return cls(full(w), full(t))
+
     def __add__(self, other: "SpectralState") -> "SpectralState":
         return SpectralState(self.w_hat + other.w_hat, self.theta_hat + other.theta_hat)
 
@@ -175,6 +202,7 @@ class Symbols:
     ik1: np.ndarray          # i k1, the symbol of d/dx1
     ik2: np.ndarray          # i k2, the symbol of d/dx2
     neg_ik1: np.ndarray      # -i k1
+    ksq: np.ndarray          # |k|^2
     inv_ksq: np.ndarray      # 1 / |k|^2, zero on the mean mode
     dealias: np.ndarray      # 2/3 rule: |k_i| <= n // 3 on both axes
     bmask: np.ndarray        # the 2/3 mask without the mean mode
@@ -187,16 +215,36 @@ def symbols(n: int) -> Symbols:
     inv = np.zeros((n, n))
     np.divide(1.0, kk, out=inv, where=kk > 0)
     dealias = (np.abs(k1) <= n // 3) & (np.abs(k2) <= n // 3)
-    return Symbols(ik1=1j * k1, ik2=1j * k2, neg_ik1=-1j * k1, inv_ksq=inv,
+    return Symbols(ik1=1j * k1, ik2=1j * k2, neg_ik1=-1j * k1, ksq=kk, inv_ksq=inv,
                    dealias=dealias, bmask=dealias & (kk > 0))
 
 
 @lru_cache(maxsize=None)
-def _half_symbols(n: int) -> Symbols:
-    """`symbols(n)` on the k2 >= 0 columns, the half spectrum of rfft2."""
-    full = symbols(n)
-    return Symbols(*(np.ascontiguousarray(getattr(full, f.name)[..., :n // 2 + 1])
+def half_symbols(n: int) -> Symbols:
+    """`symbols(n)` on the k2 >= 0 columns, the half storage."""
+    sym = symbols(n)
+    return Symbols(*(np.ascontiguousarray(getattr(sym, f.name)[..., :n // 2 + 1])
                      for f in fields(Symbols)))
+
+
+@lru_cache(maxsize=None)
+def _field_symbols(n: int):
+    """The symbols of `physical_fields` on the half storage, zero outside the
+    2/3 band: (i k2, -i k1, i k1, i k2) for w and (i k1, i k2) for theta."""
+    h = half_symbols(n)
+    band = [np.where(h.dealias, ik, 0.0) for ik in (h.ik2, h.neg_ik1, h.ik1, h.ik2)]
+    return np.stack(band), np.stack(band[2:])
+
+
+@lru_cache(maxsize=None)
+def _column_weights(n: int) -> np.ndarray:
+    """Multiplicity of each half-storage column in the full spectrum: 1 for
+    k2 = 0 and, for even n, the Nyquist column k2 = n/2; 2 for the others."""
+    wt = np.full(n // 2 + 1, 2.0)
+    wt[0] = 1.0
+    if n % 2 == 0:
+        wt[-1] = 1.0
+    return wt
 
 
 @lru_cache(maxsize=None)
@@ -209,42 +257,63 @@ def _inverse(half: np.ndarray, n: int) -> np.ndarray:
     return scipy.fft.irfft2(half, s=(n, n), axes=(-2, -1))
 
 
-def _full(half: np.ndarray, n: int) -> np.ndarray:
-    """The (..., n, n) coefficients whose k2 >= 0 columns are half and whose
-    k2 < 0 columns are its conjugate mirror f(-k) = conj f(k), indices mod n.
-    The self-mirrored columns (k2 = 0 and, for even n only, the Nyquist
-    column k2 = n/2) are symmetrized, so the result is exactly
-    conjugate-symmetric."""
-    h = half.shape[-1]
-    out = np.empty(half.shape[:-1] + (n,), np.complex128)
-    out[..., :h] = half
+def half(f: np.ndarray) -> np.ndarray:
+    """The half storage (..., n, n//2+1) of a (..., n, n) coefficient stack:
+    its k2 >= 0 columns, as a new contiguous array."""
+    return np.ascontiguousarray(f[..., :f.shape[-1] // 2 + 1])
+
+
+def _self_mirrored(n: int) -> slice:
+    # the columns that hold their own mirror: k2 = 0, and k2 = n/2 for even n
+    return slice(0, n // 2 + 1, n // 2) if n % 2 == 0 else slice(0, 1)
+
+
+def full(h: np.ndarray) -> np.ndarray:
+    """The (..., n, n) coefficients of a half stack (..., n, n//2+1): its
+    k2 >= 0 columns are h, its k2 < 0 columns the conjugate mirror
+    f(-k) = conj f(k), indices mod n. The self-mirrored columns are
+    symmetrized, so the result is exactly conjugate-symmetric. This is the
+    only writer of k2 < 0 columns."""
+    n, c = h.shape[-2], h.shape[-1]
+    out = np.empty(h.shape[:-1] + (n,), np.complex128)
+    out[..., :c] = h
     # -k1 mod n keeps row 0 and reverses rows 1 .. n-1; column k2 < 0 reads
-    # column -k2, so columns n - h .. 1 fill h .. n - 1
-    np.conjugate(half[..., :1, n - h:0:-1], out=out[..., :1, h:])
-    np.conjugate(half[..., :0:-1, n - h:0:-1], out=out[..., 1:, h:])
-    selfs = slice(0, h, n // 2) if n % 2 == 0 else slice(0, 1)
-    col = half[..., selfs]
+    # column -k2, so columns n - c .. 1 fill c .. n - 1
+    np.conjugate(h[..., :1, n - c:0:-1], out=out[..., :1, c:])
+    np.conjugate(h[..., :0:-1, n - c:0:-1], out=out[..., 1:, c:])
+    selfs = _self_mirrored(n)
+    col = h[..., selfs]
     out[..., :1, selfs] = 0.5 * (col[..., :1, :] + np.conj(col[..., :1, :]))
     out[..., 1:, selfs] = 0.5 * (col[..., 1:, :] + np.conj(col[..., :0:-1, :]))
     return out
 
 
+def _symmetrize(h: np.ndarray) -> np.ndarray:
+    """Make the self-mirrored columns of a half stack exactly
+    conjugate-symmetric in place, as `full` writes them; returns h."""
+    col = h[..., _self_mirrored(h.shape[-2])]
+    # each right side is evaluated before its assignment, and the second
+    # reads rows 1 .. n-1 only
+    col[..., :1, :] = 0.5 * (col[..., :1, :] + np.conj(col[..., :1, :]))
+    col[..., 1:, :] = 0.5 * (col[..., 1:, :] + np.conj(col[..., :0:-1, :]))
+    return h
+
+
 def to_physical(f_hat: np.ndarray) -> np.ndarray:
-    """Real field of a conjugate-symmetric coefficient stack; only the k2 >= 0
-    columns are read."""
-    n = f_hat.shape[-1]
-    return _inverse(f_hat[..., :n // 2 + 1], n)
+    """Real field of a half stack."""
+    return _inverse(f_hat, f_hat.shape[-2])
 
 
 def from_physical(f: np.ndarray) -> np.ndarray:
-    """Coefficients of a real field stack, exactly conjugate-symmetric."""
-    return _full(scipy.fft.rfft2(f, axes=(-2, -1)), f.shape[-1])
+    """Half-storage coefficients of a real field stack."""
+    return _symmetrize(scipy.fft.rfft2(f, axes=(-2, -1)))
 
 
 def masked_transform(f: np.ndarray) -> np.ndarray:
-    """Coefficients of a physical product, cut to the dealiased mean-free band."""
-    n = f.shape[-1]
-    return _full(np.where(_half_symbols(n).bmask, scipy.fft.rfft2(f, axes=(-2, -1)), 0.0), n)
+    """Half-storage coefficients of a physical product, cut to the dealiased
+    mean-free band."""
+    bmask = half_symbols(f.shape[-1]).bmask
+    return _symmetrize(np.where(bmask, scipy.fft.rfft2(f, axes=(-2, -1)), 0.0))
 
 
 def hermitize(f_hat: np.ndarray) -> np.ndarray:
@@ -262,16 +331,28 @@ def quad_weight(n: int) -> float:
     return TWO_PI**2 / n**4
 
 
+def _column_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last two axes of a real half stack, each column counted
+    as often as it appears in the full spectrum (`_column_weights`)."""
+    return (x.sum(-2) * _column_weights(x.shape[-2])).sum(-1)
+
+
+def half_dot(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Continuum L2 pairing of the real fields behind two half stacks,
+    shape (...)."""
+    return quad_weight(f.shape[-2]) * _column_sum((f * np.conj(g)).real)
+
+
 def l2_dot(f_hat: np.ndarray, g_hat: np.ndarray) -> float:
-    """Continuum L2 pairing of the real fields behind two coefficient arrays."""
-    return float(quad_weight(f_hat.shape[-1]) * np.sum(f_hat * np.conj(g_hat)).real)
+    """Continuum L2 pairing of the real fields behind two (n, n) coefficient
+    arrays, read from their half storage."""
+    return float(half_dot(half(f_hat), half(g_hat)))
 
 
 def sobolev_sq(f_hat: np.ndarray, s):
     """Squared homogeneous-plus-mean Sobolev norm, sum |k|^{2s} |f_k|^2
-    weights, of every array of a (..., n, n) stack, shape (...); for a
-    sequence of indices s, a tuple of one such sum per index, all read from
-    one |f_k|^2.
+    weights, of every field of a half stack, shape (...); for a sequence of
+    indices s, a tuple of one such sum per index, all read from one |f_k|^2.
 
     s = 0 reduces to the plain L2 norm (the k = 0 factor 0^0 counts as 1).
     Negative s is rejected: the mean mode would divide by zero.
@@ -280,10 +361,10 @@ def sobolev_sq(f_hat: np.ndarray, s):
     indices = (s,) if single else tuple(s)
     if any(x < 0 for x in indices):
         raise ValueError("negative smoothness index not supported")
-    n = f_hat.shape[-1]
+    n = f_hat.shape[-2]
+    kk = half_symbols(n).ksq
     sq = np.abs(f_hat) ** 2
-    sums = tuple(quad_weight(n) * np.sum(ksq(n) ** x * sq if x != 0 else sq, axis=(-2, -1))
-                 for x in indices)
+    sums = tuple(quad_weight(n) * _column_sum(kk ** x * sq if x != 0 else sq) for x in indices)
     return sums[0] if single else sums
 
 
@@ -295,31 +376,30 @@ def state_dot(a: SpectralState, b: SpectralState, params: PhysicsParams) -> floa
 def weighted_norms(w_hat: np.ndarray, t_hat: np.ndarray, params: PhysicsParams,
                    s: float = 0.0) -> np.ndarray:
     """sqrt(zeta* |w|_{s}^2 + |theta|_{s}^2), the Lyapunov norm at smoothness
-    s, of every state in a (..., n, n) stack."""
+    s, of every state in a half stack."""
     return np.sqrt(params.zeta_star * sobolev_sq(w_hat, s) + sobolev_sq(t_hat, s))
 
 
 def weighted_norm(state: SpectralState, params: PhysicsParams, s: float = 0.0) -> float:
     """`weighted_norms` of one state."""
-    return float(weighted_norms(state.w_hat, state.theta_hat, params, s))
+    return float(weighted_norms(*state.halves(), params, s))
 
 
 def pairings(xw: np.ndarray, xt: np.ndarray, yw: np.ndarray, yt: np.ndarray,
              params: PhysicsParams) -> np.ndarray:
     """Weighted inner products zeta* <x_w, y_w> + <x_t, y_t> of every state of
-    a (..., n, n) stack x against every state of a (d, n, n) stack y, shape
-    (..., d)."""
-    cw = np.einsum("...ij,dij->...d", xw, np.conj(yw)).real
-    ct = np.einsum("...ij,dij->...d", xt, np.conj(yt)).real
-    return quad_weight(xw.shape[-1]) * (params.zeta_star * cw + ct)
+    a half stack x (..., n, n//2+1) against every state of a half stack y
+    (d, n, n//2+1), shape (..., d)."""
+    wt = _column_weights(xw.shape[-2])
+    cw = np.einsum("...ij,dij->...d", xw, np.conj(yw) * wt).real
+    ct = np.einsum("...ij,dij->...d", xt, np.conj(yt) * wt).real
+    return quad_weight(xw.shape[-2]) * (params.zeta_star * cw + ct)
 
 
 def weighted_energy(w_hat: np.ndarray, t_hat: np.ndarray, params: PhysicsParams) -> np.ndarray:
-    """zeta* |w|^2 + |theta|^2 of every state in a (..., n, n) stack."""
-    flat = w_hat.shape[:-2] + (-1,)
-    return quad_weight(w_hat.shape[-1]) * (
-        params.zeta_star * (np.abs(w_hat.reshape(flat)) ** 2).sum(-1)
-        + (np.abs(t_hat.reshape(flat)) ** 2).sum(-1))
+    """zeta* |w|^2 + |theta|^2 of every state in a half stack."""
+    return quad_weight(w_hat.shape[-2]) * (params.zeta_star * _column_sum(np.abs(w_hat) ** 2)
+                                           + _column_sum(np.abs(t_hat) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -360,25 +440,18 @@ def biot_savart(w_hat: np.ndarray):
 # quadratic term
 
 
-def _band(f_hat: np.ndarray, h: Symbols) -> np.ndarray:
-    # the k2 >= 0 columns of a coefficient stack, cut to the 2/3 band
-    return np.where(h.dealias, f_hat[..., :h.dealias.shape[-1]], 0.0)
-
-
 def physical_fields(w_hat: np.ndarray, t_hat: np.ndarray) -> np.ndarray:
     """The six dealiased physical fields (u1, u2, dw/dx1, dw/dx2, dtheta/dx1,
-    dtheta/dx2) of a (..., n, n) stack, u the velocity of w (mean unchecked),
-    as one (6, ..., n, n) array from one inverse transform. Only the k2 >= 0
-    columns are read."""
-    n = w_hat.shape[-1]
-    h = _half_symbols(n)
-    wm, tm = _band(w_hat, h), _band(t_hat, h)
-    half = np.empty((6,) + wm.shape, np.complex128)
-    for out, ik, f in zip(half, (h.ik2, h.neg_ik1, h.ik1, h.ik2, h.ik1, h.ik2),
-                          (wm, wm, wm, wm, tm, tm)):
-        np.multiply(ik, f, out=out)
-    half[:2] *= h.inv_ksq       # the Biot-Savart pair (i k2, -i k1) / |k|^2
-    return _inverse(half, n)
+    dtheta/dx2) of a half stack pair, u the velocity of w (mean unchecked), as
+    one (6, ..., n, n) array from one inverse transform."""
+    n = w_hat.shape[-2]
+    sym_w, sym_t = _field_symbols(n)
+    lead = (1,) * (w_hat.ndim - 2)          # the symbols broadcast over the batch
+    out = np.empty((6,) + w_hat.shape, np.complex128)
+    np.multiply(sym_w.reshape((4,) + lead + sym_w.shape[1:]), w_hat, out=out[:4])
+    np.multiply(sym_t.reshape((2,) + lead + sym_t.shape[1:]), t_hat, out=out[4:])
+    out[:2] *= half_symbols(n).inv_ksq     # the Biot-Savart pair (i k2, -i k1) / |k|^2
+    return _inverse(out, n)
 
 
 def transport(vel: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -395,11 +468,12 @@ def block_rows(n: int) -> int:
 
 
 def blockwise(step, w: np.ndarray, t: np.ndarray):
-    """The image (w', t') of a (..., n, n) pair under a rowwise map, made
+    """The image (w', t') of a half stack pair under a rowwise map, made
     block by block: step(w, t, out_w, out_t) writes the image of a block of
-    at most `block_rows(n)` rows, (rows, n, n) each, into out_w and out_t."""
-    n = w.shape[-1]
-    w3, t3 = w.reshape((-1, n, n)), t.reshape((-1, n, n))
+    at most `block_rows(n)` rows, (rows, n, n//2+1) each, into out_w and
+    out_t."""
+    n = w.shape[-2]
+    w3, t3 = w.reshape((-1,) + w.shape[-2:]), t.reshape((-1,) + t.shape[-2:])
     out_w, out_t = np.empty(w3.shape, np.complex128), np.empty(t3.shape, np.complex128)
     r = block_rows(n)
     for i in range(0, len(w3), r):
@@ -416,14 +490,16 @@ def nonlinear_B(u: SpectralState, v: SpectralState | None = None) -> SpectralSta
     """
     if v is not None and u.n != v.n:
         raise ValueError("resolution mismatch")
-    require_mean_free(_band(u.w_hat, _half_symbols(u.n)))
+    uw, ut = u.halves()
+    require_mean_free(np.where(half_symbols(u.n).dealias, uw, 0.0))
     if v is None:
-        f = physical_fields(u.w_hat, u.theta_hat)
+        f = physical_fields(uw, ut)
         vel, grad = f[:2], f[2:]
     else:
-        f = physical_fields(np.stack((u.w_hat, v.w_hat)), np.stack((u.theta_hat, v.theta_hat)))
+        vw, vt = v.halves()
+        f = physical_fields(np.stack((uw, vw)), np.stack((ut, vt)))
         vel, grad = f[:2, 0], f[2:, 1]
-    return SpectralState(*transport(vel, grad))
+    return SpectralState.from_halves(*transport(vel, grad))
 
 
 def drift_F(state: SpectralState, params: PhysicsParams) -> SpectralState:
@@ -435,7 +511,7 @@ def drift_F(state: SpectralState, params: PhysicsParams) -> SpectralState:
 # spectral projections
 
 
-def _pn_mask(n: int, level: float) -> np.ndarray:
+def pn_mask(n: int, level: float) -> np.ndarray:
     # Euclidean ball, boundary included, mean mode excluded
     kk = ksq(n)
     return (kk > 0) & (kk <= level**2 + 1e-9)
@@ -443,13 +519,13 @@ def _pn_mask(n: int, level: float) -> np.ndarray:
 
 def project_PN(state: SpectralState, level: float) -> SpectralState:
     """Restrict to modes 0 < |k| <= level (Euclidean norm, inclusive)."""
-    m = _pn_mask(state.n, level)
+    m = pn_mask(state.n, level)
     return SpectralState(np.where(m, state.w_hat, 0.0), np.where(m, state.theta_hat, 0.0))
 
 
 def project_QN(state: SpectralState, level: float) -> SpectralState:
     """Complement projection: identity minus the ball restriction."""
-    m = _pn_mask(state.n, level)
+    m = pn_mask(state.n, level)
     return SpectralState(np.where(m, 0.0, state.w_hat), np.where(m, 0.0, state.theta_hat))
 
 
@@ -485,6 +561,7 @@ class TrigSlots:
     elements on one slot."""
 
     def __init__(self, n: int, elements):
+        c_half = n // 2 + 1
         comps: dict = {}        # (element, slot): value; k = 0 sums its two slots
         for j, ((k1, k2), m, scale) in enumerate(elements):
             if max(abs(k1), abs(k2)) > n // 2 - 1:
@@ -493,8 +570,9 @@ class TrigSlots:
             part = 0 if m == 0 else 1   # cos: real amp at k and -k; sin: imaginary -amp, amp
             for r, c, v in ((k1 % n, k2 % n, -amp if part else amp),
                             (-k1 % n, -k2 % n, amp)):
-                key = (j, 2 * (r * n + c) + part)
-                comps[key] = comps.get(key, 0.0) + scale * v
+                if c < c_half:          # the half storage keeps k2 >= 0
+                    key = (j, 2 * (r * c_half + c) + part)
+                    comps[key] = comps.get(key, 0.0) + scale * v
         kept = [(j, i, v) for (j, i), v in comps.items() if v != 0.0]
         rows, idx, vals = zip(*kept) if kept else ((), (), ())
         if len(set(idx)) != len(idx):
@@ -502,19 +580,28 @@ class TrigSlots:
         self.n, self.dim = n, len(elements)
         self.rows, self.idx = np.array(rows, np.intp), np.array(idx, np.intp)
         self.vals = np.array(vals, np.float64)
+        # a slot off column 0 stands for itself and its mirror (|k2| < n/2)
+        self._gather_vals = np.where(self.idx // 2 % c_half == 0, 1.0, 2.0) * self.vals
 
     def scatter(self, c: np.ndarray) -> np.ndarray:
-        """sum_j c_j e_j of rows c (..., d) as (..., n, n): c_j v per slot, into zeros."""
-        out = np.zeros(c.shape[:-1] + (2 * self.n * self.n,))
+        """sum_j c_j e_j of rows c (..., d) as a half stack (..., n, n//2+1):
+        c_j v per slot, into zeros."""
+        shape = (self.n, self.n // 2 + 1)
+        out = np.zeros(c.shape[:-1] + (2 * shape[0] * shape[1],))
         out[..., self.idx] = c[..., self.rows] * self.vals
-        return out.view(np.complex128).reshape(c.shape[:-1] + (self.n, self.n))
+        return out.view(np.complex128).reshape(c.shape[:-1] + shape)
 
     def _sums(self, x: np.ndarray) -> np.ndarray:
-        """Re sum x conj(e_j) of a stack x, (..., d): its x v added onto zero."""
+        """Re sum x conj(e_j) over the full spectrum of a half stack x,
+        (..., d): its x v added onto zero, twice for a slot off column 0 (as
+        x (2 v), the same bits). Raises ValueError on any other layout."""
+        if x.shape[-2:] != (self.n, self.n // 2 + 1):
+            raise ValueError(f"expected a half stack (..., {self.n}, {self.n // 2 + 1}), "
+                             f"got shape {x.shape}")
         flat = np.ascontiguousarray(x, np.complex128).view(np.float64)
-        flat = flat.reshape(x.shape[:-2] + (2 * self.n * self.n,))
+        flat = flat.reshape(x.shape[:-2] + (2 * x.shape[-2] * x.shape[-1],))
         out = np.zeros(x.shape[:-2] + (self.dim,))
-        np.add.at(out, (..., self.rows), flat[..., self.idx] * self.vals)
+        np.add.at(out, (..., self.rows), flat[..., self.idx] * self._gather_vals)
         return out
 
 
@@ -529,12 +616,13 @@ def slot_pairings(xw: np.ndarray, xt: np.ndarray, yw: TrigSlots | None,
     """`pairings` of a stack x against the states y_j = (yw_j, yt_j) of two
     slot tables (yw None: zero vorticity), shape (..., d)."""
     cw = 0.0 if yw is None else yw._sums(xw)
-    return quad_weight(xt.shape[-1]) * (params.zeta_star * cw + yt._sums(xt))
+    return quad_weight(xt.shape[-2]) * (params.zeta_star * cw + yt._sums(xt))
 
 
 def trig_hat(n: int, k1: int, k2: int, m: int) -> np.ndarray:
-    """Coefficients of cos(k.x) (m = 0) or sin(k.x) (m = 1) on the n-grid."""
-    return trig_slots(n, (((k1, k2), m, 1.0),)).scatter(np.ones(1))
+    """Coefficients (n, n) of cos(k.x) (m = 0) or sin(k.x) (m = 1) on the n-grid."""
+    # + 0.0: the mirror's conjugate of a +0.0 imaginary part is -0.0
+    return full(trig_slots(n, (((k1, k2), m, 1.0),)).scatter(np.ones(1))) + 0.0
 
 
 def sigma_state(n: int, k: tuple[int, int], m: int) -> SpectralState:
@@ -548,12 +636,12 @@ def psi_state(n: int, k: tuple[int, int], m: int) -> SpectralState:
 
 
 def mode_coeff(f_hat: np.ndarray, k: tuple[int, int], m: int) -> np.ndarray:
-    """Coefficient of the (k, m) trig element in every real field of a
-    (..., n, n) stack (L2 projection), read from the element's slots.
+    """Coefficient of the (k, m) trig element in every real field of a half
+    stack (L2 projection), read from the element's slots.
     Raises ValueError for k = (0, 0), which has no basis element."""
     if tuple(k) == (0, 0):
         raise ValueError("zero mode has no basis element")
-    n = f_hat.shape[-1]
+    n = f_hat.shape[-2]
     sums = trig_slots(n, ((tuple(k), m, 1.0),))._sums(f_hat)[..., 0]
     return quad_weight(n) * sums / TRIG_NORM_SQ
 

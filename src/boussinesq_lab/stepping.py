@@ -15,20 +15,27 @@ N(U) = -B(U, U) + G U the explicit part.
 
 Every forward time loop in the package is built from three pieces here:
   * `Stepper.advance(w, t)`, the only step kernel, on raw coefficient arrays
-    of shape (..., n, n); one path has an empty batch shape, an ensemble a
-    leading batch axis. It runs on blocks of `sp.block_rows(n)` paths
-    (`sp.blockwise`), and per block its quadratic term is one
-    `sp.physical_fields` call (one stacked real inverse transform of the six
-    fields) and one `sp.transport` of the two stacked products (one real
-    forward transform); their outputs are exactly conjugate-symmetric,
-    so the step keeps the state so with no projection;
+    in the half storage of the spectral module, shape (..., n, n//2+1): the
+    k2 >= 0 columns of real fields, which is all their coefficients hold.
+    One path has an empty batch shape, an ensemble a leading batch axis.
+    The decay, gain and buoyancy symbols are half arrays too, so the
+    combine runs on the half width and no step writes a k2 < 0 column. It
+    runs on blocks of `sp.block_rows(n)` paths (`sp.blockwise`), and per
+    block its quadratic term is one `sp.physical_fields` call (one stacked
+    real inverse transform of the six fields) and one `sp.transport` of the
+    two stacked products (one real forward transform), whose self-mirrored
+    columns are exactly symmetric, so the step keeps the state so with no
+    projection;
   * `KickSchedule`, which owns the rule that dt divides the clock grid step,
     the map from a step to the clock cell whose jump ends it, which cells
     carry mass (`jumps`), the checks on the noise triple and on the clock
     covering the sweep, and the kicks, a slot-table scatter with no BLAS;
-  * `sweep`, the forward loop: advance, kick at cell ends, call the hooks.
-    `simulate`, the ensemble batches and the tangent, Gramian and control
-    sweeps of the variation module are hooks on it.
+  * `sweep`, the forward loop on a half pair: advance, kick at cell ends,
+    call the hooks. `simulate`, the ensemble batches and the tangent,
+    Gramian and control sweeps of the variation module are hooks on it; each
+    takes its start state to the half storage once (`SpectralState.halves`)
+    and writes full arrays (`SpectralState.from_halves`) only for what it
+    returns or records as states.
 `blown_up` is the one blow-up predicate of `simulate` and the batches, and
 `horizon_steps` the one rule turning a horizon into a step count.
 """
@@ -72,7 +79,7 @@ class Stepper:
     def __post_init__(self) -> None:
         if self.dt <= 0:
             raise ValueError("step size must be positive")
-        kk = sp.ksq(self.n)
+        kk = sp.half_symbols(self.n).ksq
         for comp, nu in (("w", self.params.nu1), ("t", self.params.nu2)):
             z = nu * kk * self.dt
             if self.scheme is StepScheme.ETD_EULER:
@@ -85,15 +92,15 @@ class Stepper:
                 raise ValueError(f"unknown scheme {self.scheme}")
             setattr(self, f"decay_{comp}", decay)
             setattr(self, f"gain_{comp}", gain)
-        self.buoyancy = self.params.g * sp.symbols(self.n).ik1
+        self.buoyancy = self.params.g * sp.half_symbols(self.n).ik1
 
     def advance(self, w: np.ndarray, t: np.ndarray):
-        """One deterministic substep of coefficient arrays of shape (..., n, n),
+        """One deterministic substep of a half stack pair (..., n, n//2+1),
         made in blocks of `sp.block_rows(n)` paths."""
         return sp.blockwise(self._advance_block, w, t)
 
     def _advance_block(self, w, t, out_w, out_t) -> None:
-        # the substep of one (rows, n, n) block, written into out_w and out_t
+        # the substep of one (rows, n, n//2+1) block, written into out_w and out_t
         f = sp.physical_fields(w, t)
         adv_w, adv_t = sp.transport(f[:2], f[2:])
         np.add(self.decay_w * w, self.gain_w * (self.buoyancy * t - adv_w), out=out_w)
@@ -117,7 +124,7 @@ def blown_up(energy_sq, ceiling: float = NORM_CEILING):
 def step(state: SpectralState, stepper: Stepper,
          kick: SpectralState | None = None) -> SpectralState:
     """Deterministic substep (a sweep of one step), then an optional temperature kick."""
-    out = SpectralState(*sweep(stepper, state.w_hat, state.theta_hat, 1))
+    out = SpectralState.from_halves(*sweep(stepper, *state.halves(), 1))
     if kick is not None:
         out = out + kick
     return out
@@ -180,13 +187,15 @@ class KickSchedule:
         return {i: c for i, c in self.cell_at.items() if increments[c] > 0.0}
 
     def increment(self, cell: int) -> np.ndarray:
-        """Temperature kick sum_j dw_j alpha_j trig_j of one cell, per path."""
+        """Temperature kick sum_j dw_j alpha_j trig_j of one cell, per path, in
+        half storage."""
         return self.slots.scatter(self.dw[..., cell, :])
 
 
 def sweep(stepper: Stepper, w: np.ndarray, t: np.ndarray, n_steps: int,
           kicks: KickSchedule | None = None, on_step=None, on_kick=None):
-    """The forward loop: n_steps of advance, kick at cell ends, hooks.
+    """The forward loop over a half stack pair (w, t): n_steps of advance,
+    kick at cell ends, hooks.
 
     Raises ValueError when the dealiased vorticity has a nonzero mean; the
     step leaves the mean mode unchanged, so one check at entry covers every
@@ -197,7 +206,7 @@ def sweep(stepper: Stepper, w: np.ndarray, t: np.ndarray, n_steps: int,
     hook returning True ends the sweep after that step. The arrays are
     never written in place. Returns the last (w, t).
     """
-    sp.require_mean_free(np.where(sp.symbols(stepper.n).dealias, w, 0.0))
+    sp.require_mean_free(np.where(sp.half_symbols(stepper.n).dealias, w, 0.0))
     for i in range(n_steps):
         w1, t1 = stepper.advance(w, t)
         cell = kicks.cell_at.get(i) if kicks is not None else None
@@ -268,9 +277,9 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
     (norm0, norm1, w_part, theta_part, grad_th, clock_steps, pre_jump,
      grad_pre_jump, jump_ident) = np.zeros((9, n_steps + 1))
 
-    def record(i: int, state: SpectralState) -> None:
-        w0, w1 = sp.sobolev_sq(state.w_hat, (0, 1))
-        tq, gt = sp.sobolev_sq(state.theta_hat, (0, 1))
+    def record(i: int, w: np.ndarray, t: np.ndarray) -> None:
+        w0, w1 = sp.sobolev_sq(w, (0, 1))
+        tq, gt = sp.sobolev_sq(t, (0, 1))
         wq = p.zeta_star * w0
         norm0[i] = np.sqrt(wq + tq)
         norm1[i] = np.sqrt(p.zeta_star * w1 + gt)
@@ -278,7 +287,8 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
         theta_part[i] = tq
         grad_th[i] = gt
 
-    record(0, u0)
+    start = u0.halves()
+    record(0, *start)
     snapshots = [u0.copy()]
     snapshot_times = [0.0]
     states = [u0.copy()] if store_full else None
@@ -289,27 +299,29 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
     def on_kick(i, cell, t, kick):
         nonlocal ell
         pre_jump[i + 1], grad_pre_jump[i + 1] = sp.sobolev_sq(t, (0, 1))
-        jump_ident[i + 1] = 2.0 * sp.l2_dot(t, kick) + sp.l2_dot(kick, kick)
+        jump_ident[i + 1] = 2.0 * sp.half_dot(t, kick) + sp.half_dot(kick, kick)
         ell += path.increments[cell]
 
     def on_step(i, pre, post, cell):
         nonlocal last, blew_up
         last = i + 1
-        state = SpectralState(*post)
-        record(last, state)
+        record(last, *post)
         if cell is None:
             pre_jump[last] = theta_part[last]
             grad_pre_jump[last] = grad_th[last]
         clock_steps[last] = ell
-        if store_full:
-            states.append(state)
         blew_up = bool(blown_up(w_part[last] + theta_part[last], ceiling))
-        if last % snapshot_stride == 0 or last == n_steps or blew_up:
-            snapshots.append(state)
-            snapshot_times.append(times[last])
+        snap = last % snapshot_stride == 0 or last == n_steps or blew_up
+        if store_full or snap:
+            state = SpectralState.from_halves(*post)
+            if store_full:
+                states.append(state)
+            if snap:
+                snapshots.append(state)
+                snapshot_times.append(times[last])
         return blew_up
 
-    sweep(stepper, u0.w_hat, u0.theta_hat, n_steps, kicks, on_step, on_kick)
+    sweep(stepper, *start, n_steps, kicks, on_step, on_kick)
     cut = last + 1
     return Trajectory(
         times=times[:cut], norm0=norm0[:cut], norm1=norm1[:cut], w_part=w_part[:cut],

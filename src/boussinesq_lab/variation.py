@@ -18,12 +18,19 @@ two Gramian assemblies agree to machine precision. It keeps one transform
 per field: stacking its six forward transforms made the adjoint Gramian
 sweep slower.
 
-Stacks of perturbations are raw complex arrays of shape (batch, n, n) so the
-FFT work is batched. Every forward sweep here (tangent flow, second
-variation, Gramian columns, control windows) is a hook on the stepping
-module's one forward loop `sweep`, which advances the base with the one step
-kernel and applies the kicks of a `KickSchedule`; each hook linearizes at
-the pre-step base that `sweep` hands it. The adjoint transport is the one
+Stacks of perturbations and costates are raw complex arrays in the half
+storage of the spectral module, shape (batch, n, n//2+1), so the FFT work
+is batched and no loop writes a k2 < 0 column; states enter a loop through
+`stack_states` or `SpectralState.halves` and leave it through
+`unstack_states` or `SpectralState.from_halves`. Every pairing on a stack
+counts each column as often as the full spectrum holds it, and in that
+pairing `sp.to_physical` and `sp.from_physical` are each other's transpose,
+so the adjoint stays the exact transpose of the tangent. Every forward
+sweep here (tangent flow, second variation, Gramian columns, control
+windows) is a hook on the stepping module's one forward loop `sweep`, which
+advances the base with the one step kernel and applies the kicks of a
+`KickSchedule`; each hook linearizes at the pre-step base that `sweep`
+hands it. The adjoint transport is the one
 backward loop, over a stored base path.
 """
 
@@ -59,9 +66,10 @@ class Linearizer:
         self.n = stepper.n
         self.zeta = stepper.params.zeta_star
 
-    def prepare(self, base: SpectralState):
-        """The base's six physical fields, which each step at that base reuses."""
-        return sp.physical_fields(base.w_hat, base.theta_hat)
+    def prepare(self, base):
+        """The six physical fields of a base (w, t) in half storage, which
+        each step at that base reuses."""
+        return sp.physical_fields(*base)
 
     def drift_direction(self, prep, xw: np.ndarray, xt: np.ndarray):
         """D(U) xi for a stack of perturbations (leading batch axes allowed)."""
@@ -73,7 +81,7 @@ class Linearizer:
         return sp.blockwise(lambda *block: self._tangent_block(prep, *block), xw, xt)
 
     def _tangent_block(self, prep, xw, xt, out_w, out_t) -> None:
-        # the tangent step of one (rows, n, n) block, written into out_w and out_t
+        # the tangent step of one (rows, n, n//2+1) block, written into out_w and out_t
         st = self.stepper
         dw_, dt_ = self.drift_direction(prep, xw, xt)
         np.add(st.decay_w * xw, st.gain_w * dw_, out=out_w)
@@ -83,12 +91,11 @@ class Linearizer:
         """One adjoint step: M(U)* rho in the weighted state inner product.
 
         `sp.to_physical` and `sp.from_physical` serve as each other's
-        transpose; that holds on conjugate-symmetric arrays, which every
-        costate is (the terminals are real fields and each stage keeps the
-        symmetry), not on arbitrary complex ones.
+        transpose in the pairing of the half storage, which counts each
+        column as often as the full spectrum holds it.
         """
         st = self.stepper
-        s = sp.symbols(self.n)
+        s = sp.half_symbols(self.n)
         u1, u2, dw1, dw2, dt1, dt2 = prep
         fft = sp.from_physical
         aw = st.gain_w * rw
@@ -109,11 +116,14 @@ class Linearizer:
 
 
 def stack_states(states) -> tuple[np.ndarray, np.ndarray]:
-    return (np.stack([s.w_hat for s in states]), np.stack([s.theta_hat for s in states]))
+    """The (w, t) half stacks of a sequence of states."""
+    return (sp.half(np.stack([s.w_hat for s in states])),
+            sp.half(np.stack([s.theta_hat for s in states])))
 
 
 def unstack_states(w: np.ndarray, t: np.ndarray) -> list[SpectralState]:
-    return [SpectralState(w[i].copy(), t[i].copy()) for i in range(w.shape[0])]
+    """The states of (w, t) half stacks."""
+    return [SpectralState.from_halves(w[i], t[i]) for i in range(w.shape[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -126,24 +136,24 @@ def flow_with_tangent(u0: SpectralState, n_steps: int, lin: Linearizer,
                       on_step=None, store_base: bool = False):
     """Advance base state and a perturbation stack in lockstep.
 
-    kicks carries the base path's forcing (None: unforced).
-    on_step(i, base, xw, xt) is called after step i completes (post kick).
-    Returns (base_final, xw, xt, bases) with bases the per-step base states
-    (length n_steps + 1) when store_base, else None.
+    xw, xt is a half stack pair; kicks carries the base path's forcing (None:
+    unforced). on_step(i, base, xw, xt) is called after step i completes
+    (post kick), base the (w, t) half pair. Returns (base_final, xw, xt,
+    bases) with bases the per-step base states (length n_steps + 1) when
+    store_base, else None.
     """
     bases = [u0.copy()] if store_base else None
 
     def hook(i, pre, post, cell):
         nonlocal xw, xt
-        xw, xt = lin.tangent(lin.prepare(SpectralState(*pre)), xw, xt)
-        base = SpectralState(*post)
+        xw, xt = lin.tangent(lin.prepare(pre), xw, xt)
         if store_base:
-            bases.append(base)
+            bases.append(SpectralState.from_halves(*post))
         if on_step is not None:
-            on_step(i, base, xw, xt)
+            on_step(i, post, xw, xt)
 
-    w, t = sweep(lin.stepper, u0.w_hat, u0.theta_hat, n_steps, kicks, hook)
-    return SpectralState(w, t), xw, xt, bases
+    w, t = sweep(lin.stepper, *u0.halves(), n_steps, kicks, hook)
+    return SpectralState.from_halves(w, t), xw, xt, bases
 
 
 def _jump_columns(u0: SpectralState, n_steps: int, lin: Linearizer,
@@ -155,14 +165,14 @@ def _jump_columns(u0: SpectralState, n_steps: int, lin: Linearizer,
     alpha sigma_j (times sqrt(dl) when sqrt_mass) and then ride the tangent
     flow, behind the optional lead stack (w, t) that starts at step 0.
     Returns (final base, xw, xt, masses): lead rows first, then d columns
-    per jump in time order, and masses the dl of each jump.
+    per jump in time order, as half stacks, and masses the dl of each jump.
     """
     d = kicks.slots.dim
     sig = kicks.slots.scatter(np.eye(d)) + 0.0      # + 0.0: no -0.0 off the slots
     jumps = kicks.jumps(increments)
     masses = [increments[c] for c in jumps.values()]
     n_lead = 0 if lead is None else len(lead[0])
-    xw = np.zeros((n_lead + d * len(masses), lin.n, lin.n), np.complex128)
+    xw = np.zeros((n_lead + d * len(masses),) + sig.shape[1:], np.complex128)
     xt = np.zeros_like(xw)
     if lead is not None:
         xw[:n_lead], xt[:n_lead] = lead
@@ -171,14 +181,14 @@ def _jump_columns(u0: SpectralState, n_steps: int, lin: Linearizer,
     def hook(i, pre, post, cell):
         nonlocal active
         if active:
-            prep = lin.prepare(SpectralState(*pre))
+            prep = lin.prepare(pre)
             xw[:active], xt[:active] = lin.tangent(prep, xw[:active], xt[:active])
         if i in jumps:
             xt[active:active + d] = np.sqrt(increments[cell]) * sig if sqrt_mass else sig
             active += d
 
-    w, t = sweep(lin.stepper, u0.w_hat, u0.theta_hat, n_steps, kicks, hook)
-    return SpectralState(w, t), xw, xt, masses
+    w, t = sweep(lin.stepper, *u0.halves(), n_steps, kicks, hook)
+    return SpectralState.from_halves(w, t), xw, xt, masses
 
 
 def jacobian_forward(u0: SpectralState, horizon: float, stepper: Stepper,
@@ -201,8 +211,8 @@ def adjoint_backward(bases, stepper: Stepper, terminals, record_at=None):
 
     bases is the list of per-step base states (length n_steps + 1).
     record_at(step_index, rw, rt) is called at loop entry for index j + 1
-    (the costate there is K_{t_{j+1}, T}), and once more for index 0.
-    Returns the costates at time 0.
+    (the costate there is K_{t_{j+1}, T}, as half stacks), and once more for
+    index 0. Returns the costates at time 0.
     """
     lin = Linearizer(stepper)
     rw, rt = stack_states(terminals)
@@ -210,7 +220,7 @@ def adjoint_backward(bases, stepper: Stepper, terminals, record_at=None):
     for j in range(n_steps - 1, -1, -1):
         if record_at is not None:
             record_at(j + 1, rw, rt)
-        prep = lin.prepare(bases[j])
+        prep = lin.prepare(bases[j].halves())
         rw, rt = lin.adjoint(prep, rw, rt)
     if record_at is not None:
         record_at(0, rw, rt)
@@ -230,12 +240,12 @@ def second_variation(u0: SpectralState, horizon: float, stepper: Stepper,
     st = stepper
     n_steps = horizon_steps(horizon, st.dt)
     xw, xt = stack_states([phi, psi])
-    jw = np.zeros_like(u0.w_hat)
-    jt = np.zeros_like(u0.theta_hat)
+    jw = np.zeros_like(xw[0])
+    jt = np.zeros_like(xt[0])
 
     def hook(i, pre, post, cell):
         nonlocal xw, xt, jw, jt
-        prep = lin.prepare(SpectralState(*pre))
+        prep = lin.prepare(pre)
         # source from the current first variations, rows 0 and 1 of one stack
         fields = sp.physical_fields(xw, xt)
         src_w, src_t = _symmetric_B(fields[:, 0], fields[:, 1])
@@ -244,9 +254,8 @@ def second_variation(u0: SpectralState, horizon: float, stepper: Stepper,
         jt = st.decay_t * jt + st.gain_t * (djt - src_t)
         xw, xt = lin.tangent(prep, xw, xt)
 
-    sweep(st, u0.w_hat, u0.theta_hat, n_steps,
-          KickSchedule.along(path, st, n_steps, model, dw), hook)
-    return SpectralState(jw, jt)
+    sweep(st, *u0.halves(), n_steps, KickSchedule.along(path, st, n_steps, model, dw), hook)
+    return SpectralState.from_halves(jw, jt)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +293,15 @@ class HNBasis:
         return len(self.labels)
 
     def states(self) -> list[SpectralState]:
-        # + 0.0: the other elements' slots hold 0 * v, -0.0 for negative v
+        # + 0.0: the other elements' slots hold 0 * v, -0.0 for negative v,
+        # and the mirror's conjugate of a +0.0 imaginary part is -0.0
         unit = np.eye(self.dim)
-        return unstack_states(self.w_slots.scatter(unit) + 0.0, self.t_slots.scatter(unit) + 0.0)
+        w = sp.full(self.w_slots.scatter(unit)) + 0.0
+        t = sp.full(self.t_slots.scatter(unit)) + 0.0
+        return [SpectralState(w[i].copy(), t[i].copy()) for i in range(self.dim)]
 
     def coords(self, xw: np.ndarray, xt: np.ndarray) -> np.ndarray:
-        """Weighted inner products of a stack (..., n, n) with every element."""
+        """Weighted inner products of a half stack with every element."""
         return sp.slot_pairings(xw, xt, self.w_slots, self.t_slots, self.params)
 
     def sublevel_mask(self, level: float) -> np.ndarray:
@@ -373,7 +385,8 @@ def min_eigen_probe(matrix: np.ndarray, p_mask: np.ndarray, alpha: float,
     eigenvector is feasible the problem is closed. Otherwise the minimum sits
     on the boundary |P phi| = alpha; every multiplier mu >= 0 gives the lower
     bound lambda_min(M - mu P) + mu alpha^2, and the multiplier is bisected
-    until the eigenvector's P-mass matches alpha within tol. Feasible
+    until the eigenvector's P-mass matches alpha within tol, for at most
+    max_iter halvings, or until the bracket reaches roundoff width. Feasible
     candidates rebalanced onto the boundary supply the matching upper bound,
     which stays informative even when an eigenvalue crossing makes the
     P-mass jump past alpha; every unit vector inside the P block is feasible
@@ -423,6 +436,8 @@ def min_eigen_probe(matrix: np.ndarray, p_mask: np.ndarray, alpha: float,
     mu, pm = mu_hi, pm0
     for _ in range(max_iter):
         mu = 0.5 * (mu_lo + mu_hi)
+        if mu == mu_lo or mu == mu_hi:
+            break       # roundoff width: every later halving repeats this mu
         lam, v, pm = eig_min(mu)
         best_lower = max(best_lower, lam + mu * alpha**2)
         if abs(pm - alpha) <= tol:
@@ -482,7 +497,7 @@ def control_window(rho_in: SpectralState, u0: SpectralState, n_steps: int,
 
     if not controlled or q == 0:
         base, xw, xt, _ = flow_with_tangent(u0, n_steps, lin, *rho, kicks)
-        return ControlWindow(rho_out=SpectralState(xw[0], xt[0]), base_out=base,
+        return ControlWindow(rho_out=SpectralState.from_halves(xw[0], xt[0]), base_out=base,
                              recursion_residual=0.0, v_norm_sq=0.0,
                              n_jumps=n_jumps, degenerate=(q == 0), beta=0.0)
 
@@ -514,7 +529,7 @@ def control_window(rho_in: SpectralState, u0: SpectralState, n_steps: int,
     den = np.sqrt(sp.weighted_energy(rho_w, rho_t, params))
     resid = float(num / max(den, 1e-300))
     v_norm_sq = float(np.sum(weights * v * v))
-    return ControlWindow(rho_out=SpectralState(rho_w, rho_t), base_out=base,
+    return ControlWindow(rho_out=SpectralState.from_halves(rho_w, rho_t), base_out=base,
                          recursion_residual=resid, v_norm_sq=v_norm_sq,
                          n_jumps=n_jumps, degenerate=False, beta=float(beta))
 
@@ -660,7 +675,7 @@ def duality_gap(u0: SpectralState, horizon: float, stepper: Stepper,
                                          store_base=True)
     back = adjoint_backward(bases, stepper, [phi])
     p = stepper.params
-    fwd = sp.state_dot(SpectralState(xw[0], xt[0]), phi, p)
+    fwd = sp.state_dot(SpectralState.from_halves(xw[0], xt[0]), phi, p)
     bwd = sp.state_dot(xi, back[0], p)
     scale = max(abs(fwd), abs(bwd), 1e-300)
     return float(abs(fwd - bwd) / scale)
@@ -702,11 +717,12 @@ def tail_coupling_series(u0: SpectralState, horizon: float, stepper: Stepper,
     tail_sq = np.empty((len(seeds), n_steps + 1))
     band_sq = np.empty((len(seeds), n_steps + 1))
 
+    masks = [sp.half(sp.pn_mask(stepper.n, lv)) for lv in levels]
+
     def split(j, w, t):
         tot = sp.weighted_energy(w, t, p)
-        for a, lv in enumerate(levels):
-            band = sp.project_PN(SpectralState(w[a], t[a]), lv)
-            bnd = sp.weighted_norm(band, p) ** 2
+        for a, m in enumerate(masks):
+            bnd = float(sp.weighted_norms(np.where(m, w[a], 0.0), np.where(m, t[a], 0.0), p)) ** 2
             band_sq[a, j] = bnd
             tail_sq[a, j] = max(tot[a] - bnd, 0.0)
 

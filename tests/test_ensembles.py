@@ -119,7 +119,7 @@ def test_observables_pickle(big_state):
 
 def test_squashed_mode_tracks_coefficient(big_state):
     o = en.squashed_mode_observable((1, 0), 0, "theta")
-    c = sp.mode_coeff(big_state.theta_hat, (1, 0), 0)
+    c = sp.mode_coeff(sp.half(big_state.theta_hat), (1, 0), 0)
     assert o(big_state, PARAMS) == pytest.approx(c / (1 + abs(c)), rel=1e-12)
 
 
@@ -344,7 +344,7 @@ def test_observables_on_a_stack_match_each_state(n):
             c = sp.l2_dot(f_hat, sp.trig_hat(n, k[0], k[1], m)) / sp.TRIG_NORM_SQ
             want[o.name].append(c / (1.0 + abs(c)))
     for o in (energy, theta_mode, w_mode):
-        got = o.fun(w, t, PARAMS)
+        got = o.fun(sp.half(w), sp.half(t), PARAMS)
         assert got.shape == (3,)
         assert got.tolist() == want[o.name]
         assert [float(o(u, PARAMS)) for u in states] == want[o.name]

@@ -1,5 +1,6 @@
 """Bracket algebra, recovery identities, and the reachability closure."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -255,6 +256,17 @@ def test_span_log_is_deterministic():
     assert a.to_json() == b.to_json()
     assert a.log_lines() == b.log_lines()
     assert a.log_lines()[-1] == "PASS"
+
+
+@pytest.mark.parametrize("level, digest", [
+    (4, "96867f94e94fccaae4d24ea4b71ff85d10d481b48b04020d4bc57bb1e1480c90"),
+    (8, "fc95a71f4c328f71344335c226b39d4ad89589cc2745c1508fce56db7a44ab46"),
+])
+def test_span_log_is_pinned(level, digest):
+    # the closure that paired every two known modes in every round wrote
+    # these logs; pairing only with the newest modes must not move them
+    res = hb.span_generation([(1, 0), (0, 1)], level)
+    assert hashlib.sha256(res.to_json().encode()).hexdigest() == digest
 
 
 def test_even_sublattice_generators_fail():

@@ -136,7 +136,7 @@ def test_forcing_is_temperature_only_random_direction():
     # state at zero, so the vorticity stays zero and the temperature is the kick
     slots = NoiseModel().slots(16)
     dw = rng_stream(5, 1).standard_normal((1, 4))
-    zero = np.zeros((16, 16), np.complex128)
+    zero = np.zeros((16, 9), np.complex128)          # half storage
     stepper = Stepper(16, sp.PhysicsParams(), DEFAULT_SCHEME, 1e-3)
     w, t = sweep(stepper, zero, zero, 1, KickSchedule(1e-3, 1e-3, 1, dw=dw, slots=slots))
     assert np.max(np.abs(w)) == 0.0

@@ -91,8 +91,8 @@ def test_a_step_makes_one_inverse_and_one_forward_transform_per_block(fft_calls,
     for n, batch in ((16, ()), (48, (2,)), (32, (sp.block_rows(32),)), (32, (200,))):
         stepper = Stepper(n, PhysicsParams(), StepScheme.ETD_EULER, 5e-3)
         u = random_state(n, rng)
-        w = np.broadcast_to(u.w_hat, batch + (n, n))
-        t = np.broadcast_to(u.theta_hat, batch + (n, n))
+        w = np.broadcast_to(sp.half(u.w_hat), batch + (n, n // 2 + 1))
+        t = np.broadcast_to(sp.half(u.theta_hat), batch + (n, n // 2 + 1))
         fft_calls.clear()
         stepper.advance(w, t)
         blocks = math.ceil(math.prod(batch) / sp.block_rows(n))
@@ -136,12 +136,12 @@ def _symmetric_stack(n, rng, shape=(2, 3)):
 def test_transforms_match_the_complex_fft(n, rng):
     f_hat = _symmetric_stack(n, rng)
     ref = np.fft.ifft2(f_hat).real
-    got = sp.to_physical(f_hat)
+    got = sp.to_physical(sp.half(f_hat))
     assert got.dtype == np.float64 and got.shape == f_hat.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     f = rng.standard_normal((2, 3, n, n))
     ref = np.fft.fft2(f)
-    got = sp.from_physical(f)
+    got = sp.full(sp.from_physical(f))
     assert got.shape == f.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -151,18 +151,19 @@ def test_forward_transforms_are_exactly_conjugate_symmetric(n, rng):
     # hermitize is a no-op on what the step stores, bit for bit once the
     # sign of zero is normalized (+ 0.0): its complex scale maps -0j to +0j
     f = rng.standard_normal((2, 3, n, n))
-    for x in (sp.masked_transform(f), sp.from_physical(f)):
+    for x in (sp.full(sp.masked_transform(f)), sp.full(sp.from_physical(f))):
         assert (sp.hermitize(x) + 0.0).tobytes() == (x + 0.0).tobytes()
-    masked = sp.masked_transform(f)
+    masked = sp.full(sp.masked_transform(f))
     ref = np.where(sp.symbols(n).bmask, np.fft.fft2(f), 0.0)
     assert np.max(np.abs(masked - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _per_field_fields(w_hat, t_hat):
-    # the six fields of `physical_fields`, one inverse transform each
-    n = w_hat.shape[-1]
-    h = sp._half_symbols(n)
-    wm, tm = sp._band(w_hat, h), sp._band(t_hat, h)
+    # the six fields of `physical_fields` of a half stack pair, one inverse
+    # transform each
+    n = w_hat.shape[-2]
+    h = sp.half_symbols(n)
+    wm, tm = np.where(h.dealias, w_hat, 0.0), np.where(h.dealias, t_hat, 0.0)
     halves = (h.ik2 * wm * h.inv_ksq, h.neg_ik1 * wm * h.inv_ksq,
               h.ik1 * wm, h.ik2 * wm, h.ik1 * tm, h.ik2 * tm)
     return [sp._inverse(x, n) for x in halves]
@@ -171,7 +172,7 @@ def _per_field_fields(w_hat, t_hat):
 @pytest.mark.parametrize("n", [9, 16, 48])
 @pytest.mark.parametrize("batch", [(), (3,), (200,)])
 def test_stacked_transforms_equal_per_field_transforms(n, batch, rng):
-    w, t = _symmetric_stack(n, rng, batch), _symmetric_stack(n, rng, batch)
+    w, t = sp.half(_symmetric_stack(n, rng, batch)), sp.half(_symmetric_stack(n, rng, batch))
     fields = sp.physical_fields(w, t)
     assert fields.shape == (6,) + batch + (n, n)
     for got, want in zip(fields, _per_field_fields(w, t)):
@@ -186,16 +187,71 @@ def test_stacked_transforms_equal_per_field_transforms(n, batch, rng):
 def test_nonlinear_b_equals_its_per_field_formula(n, rng):
     u, v = random_state(n, rng), random_state(n, rng)
     for a, b in ((u, u), (u, v)):
-        u1, u2 = _per_field_fields(a.w_hat, a.theta_hat)[:2]
-        w1, w2, t1, t2 = _per_field_fields(b.w_hat, b.theta_hat)[2:]
-        want = (sp.masked_transform(u1 * w1 + u2 * w2), sp.masked_transform(u1 * t1 + u2 * t2))
+        u1, u2 = _per_field_fields(*a.halves())[:2]
+        w1, w2, t1, t2 = _per_field_fields(*b.halves())[2:]
+        want = (sp.full(sp.masked_transform(u1 * w1 + u2 * w2)),
+                sp.full(sp.masked_transform(u1 * t1 + u2 * t2)))
         got = nonlinear_B(a) if b is a else nonlinear_B(a, b)
         assert got.w_hat.tobytes() == want[0].tobytes()
         assert got.theta_hat.tobytes() == want[1].tobytes()
 
 
+@pytest.mark.parametrize("n", TRANSFORM_SIZES)
+def test_full_of_half_is_the_identity_on_real_fields(n, rng):
+    f = _symmetric_stack(n, rng)
+    h = sp.half(f)
+    assert h.shape == (2, 3, n, n // 2 + 1) and h.flags.c_contiguous
+    assert np.array_equal(sp.full(h), f)
+    assert sp.half(sp.full(h)).tobytes() == h.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # norms and pairings
+
+
+@pytest.mark.parametrize("n", TRANSFORM_SIZES)
+def test_half_weighted_sums_match_the_full_spectrum(n, rng):
+    # each column off k2 = 0 and off the Nyquist column stands for itself
+    # and its mirror, so the half sums equal the sums over all n^2 entries
+    params = PhysicsParams(nu1=2.0, nu2=3.0, g=2.0)       # zeta* = 1.5
+    xw, xt = _symmetric_stack(n, rng), _symmetric_stack(n, rng)
+    yw, yt = _symmetric_stack(n, rng, (4,)), _symmetric_stack(n, rng, (4,))
+    q, kk = sp.quad_weight(n), sp.ksq(n)
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    full_sq = lambda f: (np.abs(f) ** 2).sum(axis=(-2, -1))
+    close(sp.weighted_energy(sp.half(xw), sp.half(xt), params),
+          q * (1.5 * full_sq(xw) + full_sq(xt)))
+    for s in (0, 1, 2.5):
+        want = q * (kk ** s * np.abs(xw) ** 2 if s else np.abs(xw) ** 2).sum(axis=(-2, -1))
+        close(sp.sobolev_sq(sp.half(xw), s), want)
+    want = q * (1.5 * np.einsum("...ij,dij->...d", xw, np.conj(yw)).real
+                + np.einsum("...ij,dij->...d", xt, np.conj(yt)).real)
+    close(sp.pairings(*map(sp.half, (xw, xt, yw, yt)), params), want)
+    close(sp.half_dot(sp.half(xw), sp.half(yw[0])), q * (xw * np.conj(yw[0])).real.sum(axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("n", TRANSFORM_SIZES)
+def test_slot_gather_on_the_half_equals_the_full_dense_pairing(n, rng):
+    # the gather reads one product per slot off k2 = 0, counted twice: the
+    # same bits as the sum of the element's two products over the full array
+    params = PhysicsParams(nu1=2.0, nu2=3.0, g=2.0)
+    e = n // 2 - 1
+    distinct = [(e, e), (e, -e), (e, 0), (0, e), (1, -e), (-e, 1)]
+    elements = tuple((k, m, float(s)) for k, s in zip(distinct, rng.uniform(0.5, 2.0, 6))
+                     for m in (0, 1))
+    table = sp.trig_slots(n, elements)
+    dense = np.stack([s * _trig_formula(n, k[0], k[1], m) for k, m, s in elements])
+    xw, xt = _symmetric_stack(n, rng), _symmetric_stack(n, rng)
+    cw = np.einsum("...ij,dij->...d", xw, np.conj(dense)).real
+    ct = np.einsum("...ij,dij->...d", xt, np.conj(dense)).real
+    want = sp.quad_weight(n) * (params.zeta_star * cw + ct)
+    got = sp.slot_pairings(sp.half(xw), sp.half(xt), table, table, params)
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="half stack"):
+        table._sums(xw)
 
 
 def test_parseval_against_physical_quadrature(rng):
@@ -203,7 +259,7 @@ def test_parseval_against_physical_quadrature(rng):
     f = random_state(n, rng).w_hat
     g = random_state(n, rng).w_hat
     spec_dot = sp.l2_dot(f, g)
-    quad = (2.0 * np.pi / n) ** 2 * np.sum(sp.to_physical(f) * sp.to_physical(g))
+    quad = (2.0 * np.pi / n) ** 2 * np.sum(sp.to_physical(sp.half(f)) * sp.to_physical(sp.half(g)))
     assert abs(spec_dot - quad) <= 1e-10 * max(1.0, abs(spec_dot))
 
 
@@ -220,7 +276,7 @@ def test_weighted_norm_rejects_negative_smoothness(small_state, params):
 
 
 def test_sobolev_sq_sums_several_indices_from_one_pass(rng):
-    f = _symmetric_stack(16, rng)
+    f = sp.half(_symmetric_stack(16, rng))
     sums = sp.sobolev_sq(f, (0, 1, 2.5))
     assert isinstance(sums, tuple) and len(sums) == 3
     for s, got in zip((0, 1, 2.5), sums):
@@ -267,7 +323,7 @@ def test_trig_hat_matches_grid_evaluation(k1, k2, m):
     x1, x2 = sp.grid_points(n)
     phase = k1 * x1 + k2 * x2
     field = np.cos(phase) if m == 0 else np.sin(phase)
-    oracle = sp.from_physical(field + 0.0 * x1 * x2)
+    oracle = sp.full(sp.from_physical(field + 0.0 * x1 * x2))
     built = sp.trig_hat(n, k1, k2, m)
     assert np.max(np.abs(built - oracle)) < 1e-10 * n * n
 
@@ -304,7 +360,7 @@ def test_slot_scatter_matches_the_trig_formula(n, rng):
             want = _trig_formula(n, k[0], k[1], m)
             assert sp.trig_hat(n, k[0], k[1], m).tobytes() == want.tobytes()
             got = sp.trig_slots(n, ((k, m, 1.0),)).scatter(np.ones(1))
-            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == sp.half(want).tobytes()
     # a table of several scaled elements, no two of them equal up to sign:
     # one product per component
     e = n // 2 - 1
@@ -318,7 +374,7 @@ def test_slot_scatter_matches_the_trig_formula(n, rng):
         # + 0.0 on both sides: the BLAS sum may leave -0.0 where no element
         # sits (it does at n = 9)
         want = np.tensordot(rows, dense, axes=1) + 0.0
-        assert (table.scatter(rows) + 0.0).tobytes() == want.tobytes()
+        assert (table.scatter(rows) + 0.0).tobytes() == sp.half(want).tobytes()
     with pytest.raises(ValueError, match="resolvable band"):
         sp.trig_slots(n, (((n // 2, 0), 0, 1.0),))
 
@@ -344,6 +400,7 @@ def test_slot_gather_matches_the_dense_pairing(n, rng):
     states = [random_state(n, rng) for _ in range(6)]
     xw = np.stack([u.w_hat for u in states]).reshape(2, 3, n, n)
     xt = np.stack([u.theta_hat for u in states]).reshape(2, 3, n, n)
+    xw, xt, dense_w, dense_t, sig = map(sp.half, (xw, xt, dense_w, dense_t, sig))
     for w, t in ((xw, xt), (xw[1, 2], xt[1, 2])):          # a batch and one state
         got = basis.coords(w, t)
         assert got.shape == w.shape[:-2] + (basis.dim,)
@@ -356,6 +413,7 @@ def test_slot_gather_matches_the_dense_pairing(n, rng):
 def test_mode_coeff_roundtrip():
     n = 32
     field = 2.5 * sp.trig_hat(n, 1, 2, 1) - 0.75 * sp.trig_hat(n, 3, 0, 0)
+    field = sp.half(field)
     assert abs(sp.mode_coeff(field, (1, 2), 1) - 2.5) < 1e-12
     assert abs(sp.mode_coeff(field, (3, 0), 0) + 0.75) < 1e-12
     assert abs(sp.mode_coeff(field, (2, 2), 0)) < 1e-12
@@ -427,8 +485,9 @@ def test_apply_a_single_mode():
     p = PhysicsParams(nu1=0.7, nu2=1.3, g=1.0)
     u = sigma_state(n, (2, 1), 0) + psi_state(n, (1, 1), 1)
     au = apply_A(u, p)
-    assert abs(sp.mode_coeff(au.theta_hat, (2, 1), 0) - 1.3 * 5.0) < 1e-12
-    assert abs(sp.mode_coeff(au.w_hat, (1, 1), 1) - 0.7 * 2.0) < 1e-12
+    aw, at = au.halves()
+    assert abs(sp.mode_coeff(at, (2, 1), 0) - 1.3 * 5.0) < 1e-12
+    assert abs(sp.mode_coeff(aw, (1, 1), 1) - 0.7 * 2.0) < 1e-12
 
 
 def test_apply_g_parity_rule():
@@ -441,7 +500,7 @@ def test_apply_g_parity_rule():
             gu = apply_G(sigma_state(n, k, m), p)
             assert np.max(np.abs(gu.theta_hat)) == 0.0
             expect = (-1.0) ** (m + 1) * p.g * k[0]
-            got = sp.mode_coeff(gu.w_hat, k, (m + 1) % 2)
+            got = sp.mode_coeff(sp.half(gu.w_hat), k, (m + 1) % 2)
             assert abs(got - expect) < 1e-12, (k, m)
 
 
@@ -451,8 +510,9 @@ def test_drift_on_single_temperature_mode():
     k = (1, 2)
     f = drift_F(sigma_state(n, k, 0), p)
     # -A sigma + G sigma, the quadratic term vanishes on a pure temperature state
-    assert abs(sp.mode_coeff(f.theta_hat, k, 0) + 2.0 * 5.0) < 1e-12
-    assert abs(sp.mode_coeff(f.w_hat, k, 1) - (-1.0) * 1.5 * 1.0) < 1e-12
+    fw, ft = f.halves()
+    assert abs(sp.mode_coeff(ft, k, 0) + 2.0 * 5.0) < 1e-12
+    assert abs(sp.mode_coeff(fw, k, 1) - (-1.0) * 1.5 * 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

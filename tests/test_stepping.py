@@ -40,11 +40,11 @@ def test_single_temperature_mode_decay_is_exact():
     z = p.nu2 * 4.0 * dt
 
     etd = step(u, Stepper(n, p, StepScheme.ETD_EULER, dt))
-    ratio = sp.mode_coeff(etd.theta_hat, k, 0)
+    ratio = sp.mode_coeff(sp.half(etd.theta_hat), k, 0)
     assert ratio == pytest.approx(np.exp(-z), rel=0, abs=1e-15)
 
     imex = step(u, Stepper(n, p, StepScheme.IMEX_EULER, dt))
-    ratio = sp.mode_coeff(imex.theta_hat, k, 0)
+    ratio = sp.mode_coeff(sp.half(imex.theta_hat), k, 0)
     assert ratio == pytest.approx(1.0 / (1.0 + z), rel=0, abs=1e-15)
 
 
@@ -56,7 +56,7 @@ def test_single_vorticity_mode_decay():
     dt = 0.02
     out = step(u, Stepper(n, p, StepScheme.ETD_EULER, dt))
     expect = np.exp(-p.nu1 * 5.0 * dt)
-    assert abs(sp.mode_coeff(out.w_hat, k, 1) - expect) < 1e-13
+    assert abs(sp.mode_coeff(sp.half(out.w_hat), k, 1) - expect) < 1e-13
 
 
 def test_lyapunov_norm_nonincreasing_without_forcing(rng):
@@ -256,19 +256,47 @@ def test_step_needs_no_hermitize(monkeypatch, rng):
     model = NoiseModel()
     stepper = Stepper(n, PhysicsParams(), StepScheme.ETD_EULER, dt)
     u, v = random_state(n, rng), random_state(n, rng)
-    w, t = np.stack([u.w_hat, v.w_hat]), np.stack([u.theta_hat, v.theta_hat])
+    w, t = sp.half(np.stack([u.w_hat, v.w_hat])), sp.half(np.stack([u.theta_hat, v.theta_hat]))
     kicks = KickSchedule(dt, dt, 3, dw=rng.standard_normal((2, 3, model.dim)),
                          slots=model.slots(n))
     monkeypatch.setattr(sp, "hermitize", refuse)
     w, t = sweep(stepper, w, t, 3, kicks)
-    for x in (w, t):        # and the stored state stays exactly symmetric
+    for h in (w, t):        # and the stored state stays exactly symmetric
+        x = sp.full(h)
+        assert np.array_equal(sp.half(x), h)
         assert np.array_equal(x, np.conj(np.roll(x[..., ::-1, ::-1], (1, 1), axis=(-2, -1))))
     sp.nonlinear_B(u, v)
 
 
+@pytest.mark.parametrize("n", [16, 9])
+def test_kernels_never_write_a_mirror(monkeypatch, n, rng):
+    # the step, the tangent and the adjoint run on the half storage: none of
+    # them reaches `sp.full`, the only writer of k2 < 0 columns
+    def refuse(h):
+        raise AssertionError("full called")
+
+    dt = 5e-3
+    model = NoiseModel()
+    stepper = Stepper(n, PhysicsParams(), StepScheme.ETD_EULER, dt)
+    lin = var.Linearizer(stepper)
+    u, v = random_state(n, rng), random_state(n, rng)
+    w, t = sp.half(np.stack([u.w_hat, v.w_hat])), sp.half(np.stack([u.theta_hat, v.theta_hat]))
+    kicks = KickSchedule(dt, dt, 3, dw=rng.standard_normal((2, 3, model.dim)),
+                         slots=model.slots(n))
+    prep = lin.prepare(u.halves())
+    xw, xt = _states(n, sp.block_rows(n) + 1, rng)     # two blocks
+    monkeypatch.setattr(sp, "full", refuse)
+    w1, t1 = sweep(stepper, w, t, 3, kicks)
+    assert w1.shape == t1.shape == (2, n, n // 2 + 1)
+    fw, ft = lin.tangent(prep, xw, xt)
+    bw, bt = lin.adjoint(prep, xw, xt)
+    assert fw.shape == bw.shape == xw.shape
+
+
 def _states(n, rows, rng):
     states = [random_state(n, rng) for _ in range(rows)]
-    return np.stack([u.w_hat for u in states]), np.stack([u.theta_hat for u in states])
+    return (sp.half(np.stack([u.w_hat for u in states])),
+            sp.half(np.stack([u.theta_hat for u in states])))
 
 
 def test_blocked_advance_equals_one_block(rng):
@@ -280,17 +308,17 @@ def test_blocked_advance_equals_one_block(rng):
     w, t = _states(n, 2 * r + 1, rng)
     for rows in (r - 1, r, r + 1, 2 * r + 1):
         got = stepper.advance(w[:rows], t[:rows])
-        want = np.empty((2, rows, n, n), np.complex128)
+        want = np.empty((2, rows, n, n // 2 + 1), np.complex128)
         stepper._advance_block(w[:rows], t[:rows], *want)
         for x, y in zip(got, want):
-            assert x.shape == (rows, n, n)
+            assert x.shape == (rows, n, n // 2 + 1)
             assert x.tobytes() == y.tobytes()
 
 
 def test_blocked_tangent_equals_one_block(rng):
     n = 16
     lin = var.Linearizer(Stepper(n, PhysicsParams(), StepScheme.ETD_EULER, 1e-2))
-    prep = lin.prepare(random_state(n, rng))
+    prep = lin.prepare(random_state(n, rng).halves())
     xw, xt = _states(n, 440, rng)
     assert 440 > sp.block_rows(n)
     got = lin.tangent(prep, xw, xt)
@@ -312,8 +340,8 @@ def test_kick_scatter_equals_the_dense_sum(n, rng):
         kicks = KickSchedule(1e-2, 1e-2, 5, dw=rows, slots=model.slots(n))
         for cell in range(5):
             got = kicks.increment(cell)
-            assert got.shape == rows.shape[:-2] + (n, n)
-            assert got.tobytes() == np.tensordot(rows[..., cell, :], basis, axes=1).tobytes()
+            assert got.shape == rows.shape[:-2] + (n, n // 2 + 1)
+            assert got.tobytes() == sp.half(np.tensordot(rows[..., cell, :], basis, axes=1)).tobytes()
     with pytest.raises(ValueError, match="share"):
         sp.trig_slots(n, (((1, 0), 0, 1.0), ((1, 0), 0, 2.0)))
 

@@ -41,11 +41,11 @@ def test_drift_direction_matches_operator_formula(params, rng, stepper32):
     base = sp.random_state(32, rng)
     xi = sp.random_state(32, rng)
     lin = var.Linearizer(stepper32)
-    dw_, dt_ = lin.drift_direction(lin.prepare(base), xi.w_hat, xi.theta_hat)
+    dw_, dt_ = lin.drift_direction(lin.prepare(base.halves()), *xi.halves())
     want = sp.apply_G(xi, params) - sp.nonlinear_B(base, xi) - sp.nonlinear_B(xi, base)
     scale = np.abs(want.w_hat).max() + np.abs(want.theta_hat).max()
-    assert np.allclose(dw_, want.w_hat, atol=1e-10 * scale)
-    assert np.allclose(dt_, want.theta_hat, atol=1e-10 * scale)
+    assert np.allclose(dw_, sp.half(want.w_hat), atol=1e-10 * scale)
+    assert np.allclose(dt_, sp.half(want.theta_hat), atol=1e-10 * scale)
 
 
 def test_tangent_zero_base_modal_oracle(params, stepper32):
@@ -60,11 +60,11 @@ def test_tangent_zero_base_modal_oracle(params, stepper32):
     _, xw, xt, _ = var.flow_with_tangent(sp.state_zeros(32), n_steps, lin, xw, xt)
 
     ik1 = 1j * sp.wavenumbers(32)[0]
-    acc = np.zeros_like(xi.theta_hat)
+    acc = np.zeros_like(sp.half(xi.theta_hat))
     for p in range(n_steps):
         acc += st.decay_w ** (n_steps - 1 - p) * st.decay_t**p
-    want_t = st.decay_t**n_steps * xi.theta_hat
-    want_w = params.g * st.gain_w * ik1 * acc * xi.theta_hat
+    want_t = st.decay_t**n_steps * sp.half(xi.theta_hat)
+    want_w = params.g * st.gain_w * ik1 * acc * sp.half(xi.theta_hat)
     assert np.allclose(xt[0], want_t, atol=1e-12)
     assert np.allclose(xw[0], want_w, atol=1e-12)
 
@@ -120,14 +120,14 @@ def test_jacobian_fd_imex(params, rng):
 def test_adjoint_single_step_transpose(params, rng, stepper32):
     lin = var.Linearizer(stepper32)
     base = sp.random_state(32, rng)
-    prep = lin.prepare(base)
+    prep = lin.prepare(base.halves())
     for _ in range(5):
         xi = sp.random_state(32, rng)
         rho = sp.random_state(32, rng)
-        fw, ft = lin.tangent(prep, xi.w_hat, xi.theta_hat)
-        bw, bt = lin.adjoint(prep, rho.w_hat, rho.theta_hat)
-        lhs = sp.state_dot(SpectralState(fw, ft), rho, params)
-        rhs = sp.state_dot(xi, SpectralState(bw, bt), params)
+        fw, ft = lin.tangent(prep, *xi.halves())
+        bw, bt = lin.adjoint(prep, *rho.halves())
+        lhs = sp.state_dot(SpectralState.from_halves(fw, ft), rho, params)
+        rhs = sp.state_dot(xi, SpectralState.from_halves(bw, bt), params)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
 
 
@@ -167,13 +167,13 @@ def test_adjoint_zeta_weighting(rng):
     stepper = Stepper(24, params, DEFAULT_SCHEME, 1e-3)
     lin = var.Linearizer(stepper)
     base = sp.random_state(24, rng)
-    prep = lin.prepare(base)
+    prep = lin.prepare(base.halves())
     xi = sp.random_state(24, rng)
     rho = sp.random_state(24, rng)
-    fw, ft = lin.tangent(prep, xi.w_hat, xi.theta_hat)
-    bw, bt = lin.adjoint(prep, rho.w_hat, rho.theta_hat)
-    lhs = sp.state_dot(SpectralState(fw, ft), rho, params)
-    rhs = sp.state_dot(xi, SpectralState(bw, bt), params)
+    fw, ft = lin.tangent(prep, *xi.halves())
+    bw, bt = lin.adjoint(prep, *rho.halves())
+    lhs = sp.state_dot(SpectralState.from_halves(fw, ft), rho, params)
+    rhs = sp.state_dot(xi, SpectralState.from_halves(bw, bt), params)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
 
 
@@ -282,7 +282,7 @@ def test_gramian_single_jump_trace(params):
     dirs = [SpectralState(np.zeros((n, n), np.complex128), a * sp.trig_hat(n, k[0], k[1], m))
             for (k, m), a in zip(model.directions(), model.alphas)]
     cols = var.jacobian_forward(start, (n_steps - jump_step - 1) * dt, stepper, dirs)
-    want = 0.3 * sum(float(np.sum(basis.coords(c.w_hat, c.theta_hat) ** 2)) for c in cols)
+    want = 0.3 * sum(float(np.sum(basis.coords(*c.halves()) ** 2)) for c in cols)
     assert np.trace(out.matrix) == pytest.approx(want, rel=1e-10)
 
 
@@ -307,12 +307,12 @@ def test_malliavin_fd_identity(params):
     def on_step(i, pre, post, cell):
         nonlocal cw, ct
         if cw is not None:
-            cw, ct = lin.tangent(lin.prepare(SpectralState(*pre)), cw, ct)
+            cw, ct = lin.tangent(lin.prepare(pre), cw, ct)
         if cell == row:
-            cw = np.zeros((n, n), np.complex128)
-            ct = alpha * sp.trig_hat(n, k[0], k[1], m)
+            cw = np.zeros((n, n // 2 + 1), np.complex128)
+            ct = alpha * sp.half(sp.trig_hat(n, k[0], k[1], m))
 
-    sweep(stepper, u0.w_hat, u0.theta_hat, n_steps, kicks, on_step)
+    sweep(stepper, *u0.halves(), n_steps, kicks, on_step)
     assert cw is not None
 
     bumped = dw.copy()
@@ -321,8 +321,8 @@ def test_malliavin_fd_identity(params):
     shifted = simulate(u0, horizon, stepper, model=model, path=path, dw=bumped).final
     fd = SpectralState((shifted.w_hat - ref.w_hat) / eps,
                        (shifted.theta_hat - ref.theta_hat) / eps)
-    gap = sp.weighted_norm(fd - SpectralState(cw, ct), params)
-    assert gap <= 1e-3 * sp.weighted_norm(SpectralState(cw, ct), params)
+    gap = sp.weighted_norm(fd - SpectralState.from_halves(cw, ct), params)
+    assert gap <= 1e-3 * sp.weighted_norm(SpectralState.from_halves(cw, ct), params)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +380,26 @@ def test_eigen_probe_random_invariants():
                 lam = np.linalg.eigvalsh(m - mu * np.diag(mask.astype(float)))[0]
                 best = max(best, lam + mu * 0.49)
             assert probe.lower >= best - 1e-3 * max(1.0, abs(best))
+
+
+def test_eigen_probe_bisection_stops_at_roundoff_width(monkeypatch):
+    # the eigenvector jumps from e2 (P-mass 0) to e1 (P-mass 1) where
+    # 2 - mu = 0.7, so the P-mass never comes within tol of alpha; once the
+    # bracket is one ulp wide each further halving repeats the same eigh.
+    # The fields are pinned from the search that ran all 200 halvings
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(1)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    probe = var.min_eigen_probe(np.diag([2.0, 0.7, 3.0]), np.array([True, False, False]), 0.5)
+    assert len(calls) < 60          # 203 without the stop
+    assert (probe.lower, probe.upper, probe.unconstrained, probe.mu, probe.boundary_gap) == (
+        1.025, 1.0250000000000004, 0.7, 1.2999999999999998, 0.5)
+    assert probe.active
 
 
 def test_eigen_probe_rejects_bad_input():
