@@ -381,7 +381,7 @@ def cmd_span(cfg: RunConfig, out: Path, args) -> bool:
           f"{len(result.missing)} targets missing")
     if result.success and not args.no_verify:
         need = max(max(abs(k[0]), abs(k[1])) for k in result.reached)
-        n_v = 3 * need + (3 * need) % 2
+        n_v = 3 * need + 1 + (3 * need + 1) % 2     # the least even n with 3 need < n
         n_v = max(n_v, 12)
         replay = verify_span(result, n_v, cfg.params())
         payload.update({"replay_grid": n_v, "replay_checked": replay["checked"],

@@ -408,7 +408,7 @@ def verify_span(result: SpanResult, n: int, params: PhysicsParams) -> dict:
     operator-evaluated bracket fields must match the grid element to 1e-10
     relative to its largest coefficient (floored at 1). Every
     mode touched by a replayed product has to survive the 2/3 dealiasing,
-    so the grid must satisfy n // 3 >= the largest wavenumber involved.
+    so the grid must satisfy 3 k < n for the largest wavenumber k involved.
     """
     need = 0
     for der in result.reached.values():
@@ -417,9 +417,9 @@ def verify_span(result: SpanResult, n: int, params: PhysicsParams) -> dict:
         j, k = der.parents
         need = max(need, abs(j[0]), abs(j[1]), abs(k[0]), abs(k[1]),
                    abs(der.mode[0]), abs(der.mode[1]))
-    if n // 3 < need:
-        raise ValueError(f"grid n={n} dealiases above wavenumber {n // 3}, "
-                         f"but the log touches {need}; need n >= {3 * need}")
+    if 3 * need >= n:
+        raise ValueError(f"grid n={n} dealiases above wavenumber {(n - 1) // 3}, "
+                         f"but the log touches {need}; need n >= {3 * need + 1}")
     checked = 0
     max_err = 0.0
     for mode, der in sorted(result.reached.items()):

@@ -2,10 +2,12 @@
 
 Fields live on a uniform n x n grid covering [-pi, pi)^2. The state is the
 pair U = (w, theta): w is the scalar vorticity of the velocity field, theta
-the temperature. All operators here are exact on the retained Fourier modes;
-quadratic terms are evaluated pseudo-spectrally with the 2/3 dealiasing rule
-so that products of two band-limited fields are alias-free on the retained
-band.
+the temperature. All operators here are exact on the retained Fourier modes.
+Quadratic terms are evaluated pseudo-spectrally with the 2/3 dealiasing
+rule: the retained band is 3 |k_i| < n on both axes, so a product of two
+band-limited fields has its modes at |k_i| <= 2 kmax < n - kmax, and none
+aliases back into the band (Orszag, J. Atmos. Sci. 28, 1971). Products are
+alias-free on the retained band, and the band cut drops the rest.
 
 Storage. Every field is real, so its unnormalized fft2 coefficients are
 conjugate-symmetric, f(-k) = conj f(k), and the k2 >= 0 columns hold them
@@ -204,7 +206,7 @@ class Symbols:
     neg_ik1: np.ndarray      # -i k1
     ksq: np.ndarray          # |k|^2
     inv_ksq: np.ndarray      # 1 / |k|^2, zero on the mean mode
-    dealias: np.ndarray      # 2/3 rule: |k_i| <= n // 3 on both axes
+    dealias: np.ndarray      # 2/3 rule: 3 |k_i| < n on both axes
     bmask: np.ndarray        # the 2/3 mask without the mean mode
 
 
@@ -214,7 +216,7 @@ def symbols(n: int) -> Symbols:
     kk = ksq(n)
     inv = np.zeros((n, n))
     np.divide(1.0, kk, out=inv, where=kk > 0)
-    dealias = (np.abs(k1) <= n // 3) & (np.abs(k2) <= n // 3)
+    dealias = (3 * np.abs(k1) < n) & (3 * np.abs(k2) < n)
     return Symbols(ik1=1j * k1, ik2=1j * k2, neg_ik1=-1j * k1, ksq=kk, inv_ksq=inv,
                    dealias=dealias, bmask=dealias & (kk > 0))
 
@@ -663,9 +665,10 @@ def modes_in_ball(level: float) -> list[tuple[int, int]]:
 
 def random_state(n: int, rng: np.random.Generator, amplitude: float = 1.0,
                  decay: float = 2.0, kmax: int | None = None) -> SpectralState:
-    """Random smooth mean-free state with spectrum damped like |k|^-decay."""
+    """Random smooth mean-free state with spectrum damped like |k|^-decay;
+    kmax defaults to the edge of the 2/3 band, the largest k with 3 k < n."""
     if kmax is None:
-        kmax = n // 3
+        kmax = (n - 1) // 3
     k1, k2 = wavenumbers(n)
     band = (ksq(n) > 0) & (np.abs(k1) <= kmax) & (np.abs(k2) <= kmax)
     kk = np.where(band, ksq(n), 1.0)

@@ -183,6 +183,33 @@ def test_stacked_transforms_equal_per_field_transforms(n, batch, rng):
         assert got.tobytes() == sp.masked_transform(f).tobytes()
 
 
+def _padded_product(a, b):
+    # the product of two (n, n) coefficient arrays computed without aliasing,
+    # on a grid of 2n points per axis, read back at the n-grid wavenumbers
+    n, m = a.shape[-1], 2 * a.shape[-1]
+    k = np.fft.fftfreq(n, 1.0 / n).astype(int) % m
+    pad = np.zeros((2, m, m), np.complex128)
+    pad[0][np.ix_(k, k)], pad[1][np.ix_(k, k)] = a, b
+    fa, fb = np.fft.ifft2(pad * (m * m / (n * n))).real
+    return np.fft.fft2(fa * fb)[np.ix_(k, k)] * (n * n / (m * m))
+
+
+@pytest.mark.parametrize("n", [9, 16, 24, 32, 48])
+def test_products_of_band_limited_fields_are_alias_free(n, rng):
+    # on the 2/3 band 3 |k_i| < n no mode of a product aliases back into the
+    # band; at n = 9, 24 and 48 the band |k_i| <= n // 3 let the edge alias
+    band = sp.symbols(n).dealias
+    a, b = (np.where(band, random_state(n, rng, kmax=n // 2).w_hat, 0.0) for _ in range(2))
+    got = sp.full(sp.masked_transform(sp.to_physical(sp.half(a)) * sp.to_physical(sp.half(b))))
+    want = np.where(sp.symbols(n).bmask, _padded_product(a, b), 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the band edge squared: cos(K x1)^2 = (1 + cos(2 K x1)) / 2 has no mode
+    # inside the mean-free band
+    x1, x2 = sp.grid_points(n)
+    edge = int(np.abs(sp.wavenumbers(n)[0][band[:, 0]]).max())
+    assert np.max(np.abs(sp.masked_transform(np.cos(edge * x1) ** 2 + 0.0 * x2))) <= 1e-12 * n * n
+
+
 @pytest.mark.parametrize("n", [9, 16])
 def test_nonlinear_b_equals_its_per_field_formula(n, rng):
     u, v = random_state(n, rng), random_state(n, rng)
