@@ -344,10 +344,11 @@ def span_generation(zset, level: int) -> SpanResult:
     nonzero, and j - k (canonicalized) when the b-coefficient is nonzero.
     First derivation wins, breadth first, pairs scanned in sorted order, so
     the log is reproducible; a round scans only the pairs with a mode reached
-    in the round before, since the others offered all they could then. Candidates keep |k1| + |k2| <= level + 2 plus
-    the largest generator's. Vorticity coverage rides on the temperature
-    result: off-axis modes solve through the buoyancy term, axis modes need
-    the neighbor column one step to the right.
+    in the round before, since the others offered all they could then.
+    Candidates keep |k1| + |k2| <= level + 2 plus the largest generator's.
+    Vorticity coverage rides on the temperature result: off-axis modes solve
+    through the buoyancy term, axis modes need the neighbor column one step
+    to the right.
     """
     zset = tuple(sorted(tuple(int(c) for c in z) for z in zset))
     for z in zset:

@@ -243,9 +243,7 @@ def _column_weights(n: int) -> np.ndarray:
     """Multiplicity of each half-storage column in the full spectrum: 1 for
     k2 = 0 and, for even n, the Nyquist column k2 = n/2; 2 for the others."""
     wt = np.full(n // 2 + 1, 2.0)
-    wt[0] = 1.0
-    if n % 2 == 0:
-        wt[-1] = 1.0
+    wt[_self_mirrored(n)] = 1.0
     return wt
 
 
@@ -255,8 +253,8 @@ def grid_points(n: int):
     return x[:, None], x[None, :]
 
 
-def _inverse(half: np.ndarray, n: int) -> np.ndarray:
-    return scipy.fft.irfft2(half, s=(n, n), axes=(-2, -1))
+def _inverse(h: np.ndarray, n: int) -> np.ndarray:
+    return scipy.fft.irfft2(h, s=(n, n), axes=(-2, -1))
 
 
 def half(f: np.ndarray) -> np.ndarray:
@@ -583,7 +581,7 @@ class TrigSlots:
         self.rows, self.idx = np.array(rows, np.intp), np.array(idx, np.intp)
         self.vals = np.array(vals, np.float64)
         # a slot off column 0 stands for itself and its mirror (|k2| < n/2)
-        self._gather_vals = np.where(self.idx // 2 % c_half == 0, 1.0, 2.0) * self.vals
+        self._gather_vals = _column_weights(n)[self.idx // 2 % c_half] * self.vals
 
     def scatter(self, c: np.ndarray) -> np.ndarray:
         """sum_j c_j e_j of rows c (..., d) as a half stack (..., n, n//2+1):
