@@ -11,35 +11,27 @@ alias-free on the retained band, and the band cut drops the rest.
 
 Storage. Every field is real, so its unnormalized fft2 coefficients are
 conjugate-symmetric, f(-k) = conj f(k), and the k2 >= 0 columns hold them
-all. Two layouts follow:
-  * the full layout, (..., n, n) complex arrays in the wavenumber order of
-    np.fft.fftfreq, is the public boundary: `SpectralState`, the operators
-    on states (`nonlinear_B`, `drift_F`, `apply_A`, `apply_G`,
-    `biot_savart`, the projections, `state_dot`, `l2_dot`,
-    `weighted_norm`), the trig states, and every array a caller of the
-    package receives;
-  * the half storage, (..., n, n//2+1) arrays of the k2 >= 0 columns, is
-    what every loop of the package runs on: the transforms
-    (`physical_fields`, `transport`, `masked_transform`, `to_physical`,
-    `from_physical`), the blocks of `blockwise`, the norms and pairings on
-    raw arrays (`sobolev_sq`, `weighted_norms`, `weighted_energy`,
-    `pairings`, `half_dot`, `slot_pairings`, `mode_coeff`) and the slot
-    tables. Its symbols are `half_symbols`.
-A state changes layout once where it enters or leaves a loop: `half` takes
-the k2 >= 0 columns, and `full` writes the k2 < 0 columns as the conjugate
-mirror; `full` is the only writer of those columns. The columns k2 = 0 and,
-for even n, the Nyquist column k2 = n/2 hold their own mirror; the forward
-transforms symmetrize them exactly in place (`_symmetrize`), as `full`
-writes them, so `half(full(h))` is h. Odd n has no Nyquist column.
-A half stack stays such an exact half: the step adds half stacks and scales
-them by even real symbols and by i k1, which keeps the self-mirrored columns
-symmetric as long as the Nyquist row k1 = n/2 is zero, as it is for every
+all. The full layout, (..., n, n) complex arrays in the wavenumber order of
+np.fft.fftfreq, is the public boundary: `SpectralState`, the operators on
+states (`nonlinear_B`, `drift_F`, `apply_A`, `apply_G`, `biot_savart`, the
+projections, `state_dot`, `l2_dot`, `weighted_norm`), the trig states, and
+every array a caller receives. The half storage, (..., n, n//2+1) arrays of
+the k2 >= 0 columns, is what every loop runs on: the transforms, the blocks
+of `blockwise`, the norms and pairings of raw arrays and the slot tables,
+with the symbols `half_symbols`. A state changes layout once where it
+enters or leaves a loop: `half` takes the k2 >= 0 columns, and `full`, the
+only writer of k2 < 0 columns, adds their conjugate mirror. The column
+k2 = 0 and, for even n, the Nyquist column k2 = n/2 hold their own mirror;
+the forward transforms make them exactly symmetric in place, as `full`
+writes them, so `half(full(h))` is h. The step adds half stacks and scales
+them by even real symbols and by i k1, which keeps those columns symmetric
+as long as the Nyquist row k1 = n/2 is zero, as it is for every
 band-limited state, kick and dealiased product. `hermitize` projects a full
 array onto the conjugate-symmetric ones and is needed only where
 coefficients are drawn at random (`random_state`).
 
 Transforms. This is the one transform layer: no other module calls an FFT,
-and they are the real transforms of `scipy.fft`. The step kernel, its
+and its transforms are the real ones of `scipy.fft`. The step kernel, its
 tangent and adjoint, the second variation and `nonlinear_B` share the
 symbol table, the six dealiased physical fields of a stack
 `physical_fields`, and the masked forward transform `masked_transform`.
@@ -47,38 +39,34 @@ symbol table, the six dealiased physical fields of a stack
 by two products with one cached symbol stack that is zero outside the 2/3
 band, and makes one inverse transform of it; `transport` (the advection of
 the step and of `nonlinear_B`) and the tangent's bilinear form stack their
-two products into one `masked_transform`: one inverse and one forward
-transform instead of six and two, which removes most of the per-call cost
-of `scipy.fft` at small batches. Each output is bit-equal to its per-field
-transform. A large stack is not transformed whole, which is slower: its
-arrays outgrow the cache and are fresh memory on every step. `blockwise`
-applies the step and the tangent to blocks of `block_rows(n)` rows, the
-rows whose six half fields fill about 1 MiB (75 at n = 16, 20 at n = 32, 9
-at n = 48); a batch no larger than one block is one block. The adjoint
-keeps one transform per field: stacking its six forward transforms measured
-slower.
+two products into one `masked_transform`. Each output is bit-equal to its
+per-field transform. A large stack is not transformed whole, which is
+slower: its arrays outgrow the cache and are fresh memory on every step.
+`blockwise` applies the step and the tangent to blocks of `block_rows(n)`
+rows, the rows whose six half fields fill about 1 MiB (75 at n = 16, 20 at
+n = 32, 9 at n = 48). The adjoint keeps one transform per field: stacking
+its six forward transforms measured slower.
 
 Pairings. Every coefficient-space inner product of the package goes through
 `pairings` (stack against stack), `slot_pairings` (stack against a slot
 table), `weighted_energy` (squared norms of a stack) or the scalar helpers
-below, so the quadrature weight `quad_weight` is read nowhere else. On the
-half storage a sum counts each column as often as the full spectrum holds
-it (`_column_weights`): twice, except k2 = 0 and the Nyquist column, once.
+below, so the quadrature weight `quad_weight` is read nowhere else. A sum
+over the half storage counts each column as often as the full spectrum
+holds it (`_column_weights`): once for the self-mirrored columns, twice for
+the others.
 
 Trig elements are placed by slot tables (`TrigSlots`). A slot is one real
-component of a coefficient array, the real or imaginary part of one entry,
-and has the weight `quad_weight` in a pairing like every entry of the full
-layout; cos(k.x) and sin(k.x) fill two, at k and -k, of which the half
-storage keeps those with k2 >= 0: both on k2 = 0, one elsewhere. The
-scatter writes one product c_j v per kept slot into zeros, the k2 >= 0 half
-of the full scatter bit for bit. The gather `slot_pairings` equals the
-pairing against the dense full stack bit for bit: at a slot the real part
-of the dense product is x v (the element's other part is zero there), off
-the slots it is +-0, and adding zero to a nonzero sum is exact, so the
-dense sum rounds as the two slot products do in either order. Off k2 = 0
-the two products are equal, so the gather adds x (2 v) = 2 (x v) onto zero,
-the same bits as adding x v twice; on k2 = 0 it adds both. It weights the
-sums as quad_weight * (zeta* cw + ct).
+component of a coefficient array, the real or imaginary part of one entry;
+cos(k.x) and sin(k.x) fill two, at k and -k, and the half storage keeps
+those with k2 >= 0: both on k2 = 0, one elsewhere. The scatter writes one
+product c_j v per kept slot into zeros, the k2 >= 0 half of the full
+scatter bit for bit. The gather `slot_pairings` equals the pairing against
+the dense full stack bit for bit: at a slot the real part of the dense
+product is x v (the element's other part is zero there), off the slots it
+is +-0, and adding zero to a nonzero sum is exact, so the dense sum rounds
+as the two slot products do in either order. Off k2 = 0 those products are
+equal, and the gather adds x (2 v) = 2 (x v) onto zero, the same bits; on
+k2 = 0 it adds both. It weights the sums as quad_weight * (zeta* cw + ct).
 
 Conventions:
   * axis 0 of an array is x1, axis 1 is x2;

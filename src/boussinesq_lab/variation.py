@@ -30,8 +30,8 @@ sweep here (tangent flow, second variation, Gramian columns, control
 windows) is a hook on the stepping module's one forward loop `sweep`, which
 advances the base with the one step kernel and applies the kicks of a
 `KickSchedule`; each hook linearizes at the pre-step base that `sweep`
-hands it. The adjoint transport is the one
-backward loop, over a stored base path.
+hands it. The adjoint transport is the one backward loop, over a stored
+base path.
 """
 
 from __future__ import annotations

@@ -257,7 +257,8 @@ def test_half_weighted_sums_match_the_full_spectrum(n, rng):
     want = q * (1.5 * np.einsum("...ij,dij->...d", xw, np.conj(yw)).real
                 + np.einsum("...ij,dij->...d", xt, np.conj(yt)).real)
     close(sp.pairings(*map(sp.half, (xw, xt, yw, yt)), params), want)
-    close(sp.half_dot(sp.half(xw), sp.half(yw[0])), q * (xw * np.conj(yw[0])).real.sum(axis=(-2, -1)))
+    close(sp.half_dot(sp.half(xw), sp.half(yw[0])),
+          q * (xw * np.conj(yw[0])).real.sum(axis=(-2, -1)))
 
 
 @pytest.mark.parametrize("n", TRANSFORM_SIZES)

@@ -341,7 +341,8 @@ def test_kick_scatter_equals_the_dense_sum(n, rng):
         for cell in range(5):
             got = kicks.increment(cell)
             assert got.shape == rows.shape[:-2] + (n, n // 2 + 1)
-            assert got.tobytes() == sp.half(np.tensordot(rows[..., cell, :], basis, axes=1)).tobytes()
+            want = sp.half(np.tensordot(rows[..., cell, :], basis, axes=1))
+            assert got.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="share"):
         sp.trig_slots(n, (((1, 0), 0, 1.0), ((1, 0), 0, 2.0)))
 
