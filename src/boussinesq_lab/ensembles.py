@@ -32,7 +32,7 @@ from .noise import (
     sample_subordinator,
     subordinated_increments,
 )
-from .spectral import PhysicsParams, SpectralState
+from .spectral import SpectralState
 from .stepping import KickSchedule, Stepper, blown_up, sweep
 
 
@@ -47,9 +47,6 @@ class Observable:
 
     name: str
     fun: object
-
-    def __call__(self, state: SpectralState, params: PhysicsParams):
-        return self.fun(*state.halves(), params)
 
 
 def _squashed_energy(w, t, params):

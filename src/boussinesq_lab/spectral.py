@@ -269,10 +269,7 @@ def full(h: np.ndarray) -> np.ndarray:
     # column -k2, so columns n - c .. 1 fill c .. n - 1
     np.conjugate(h[..., :1, n - c:0:-1], out=out[..., :1, c:])
     np.conjugate(h[..., :0:-1, n - c:0:-1], out=out[..., 1:, c:])
-    selfs = _self_mirrored(n)
-    col = h[..., selfs]
-    out[..., :1, selfs] = 0.5 * (col[..., :1, :] + np.conj(col[..., :1, :]))
-    out[..., 1:, selfs] = 0.5 * (col[..., 1:, :] + np.conj(col[..., :0:-1, :]))
+    _symmetrize(out[..., :c])
     return out
 
 

@@ -116,18 +116,10 @@ def horizon_steps(horizon: float, dt: float) -> int:
     return n_steps
 
 
-def blown_up(energy_sq, ceiling: float = NORM_CEILING):
-    """Weighted smoothness-0 energy not finite or above ceiling**2, elementwise."""
-    return ~np.isfinite(energy_sq) | (energy_sq > ceiling**2)
-
-
-def step(state: SpectralState, stepper: Stepper,
-         kick: SpectralState | None = None) -> SpectralState:
-    """Deterministic substep (a sweep of one step), then an optional temperature kick."""
-    out = SpectralState.from_halves(*sweep(stepper, *state.halves(), 1))
-    if kick is not None:
-        out = out + kick
-    return out
+def blown_up(energy_sq):
+    """Weighted smoothness-0 energy not finite or above NORM_CEILING**2,
+    elementwise."""
+    return ~np.isfinite(energy_sq) | (energy_sq > NORM_CEILING**2)
 
 
 class KickSchedule:
@@ -227,7 +219,7 @@ class Trajectory:
     """Recorded output of simulate.
 
     Scalar series are per accepted step (length n_steps + 1); snapshots keep
-    every snapshot_stride-th state plus the final one, which after a blow-up
+    every SNAPSHOT_STRIDE-th state plus the final one, which after a blow-up
     is the state where the run stopped. Pre/post jump
     temperature norms support the energy audit.
     """
@@ -256,15 +248,12 @@ class Trajectory:
 
 def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
              model: NoiseModel | None = None, path: SubordinatorPath | None = None,
-             dw: np.ndarray | None = None,
-             snapshot_stride: int = SNAPSHOT_STRIDE,
-             store_full: bool = False,
-             ceiling: float = NORM_CEILING) -> Trajectory:
+             dw: np.ndarray | None = None, store_full: bool = False) -> Trajectory:
     """Integrate from u0 over [0, horizon], recording scalar series.
 
     With a clock path (and its model and dw) given, the dw rows are applied as
     temperature kicks at their cells' right endpoints. horizon = 0 returns just
-    the initial state. On blow-up (`blown_up` at ceiling) integration stops and
+    the initial state. On blow-up (`blown_up`) integration stops and
     the flag is set; no exception is raised.
     """
     dt = stepper.dt
@@ -310,8 +299,8 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
             pre_jump[last] = theta_part[last]
             grad_pre_jump[last] = grad_th[last]
         clock_steps[last] = ell
-        blew_up = bool(blown_up(w_part[last] + theta_part[last], ceiling))
-        snap = last % snapshot_stride == 0 or last == n_steps or blew_up
+        blew_up = bool(blown_up(w_part[last] + theta_part[last]))
+        snap = last % SNAPSHOT_STRIDE == 0 or last == n_steps or blew_up
         if store_full or snap:
             state = SpectralState.from_halves(*post)
             if store_full:
@@ -334,13 +323,11 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
 
 
 def run_with_noise(u0: SpectralState, horizon: float, stepper: Stepper,
-                   model: NoiseModel, spec, seed: int,
-                   store_full: bool = False, snapshot_stride: int = SNAPSHOT_STRIDE):
+                   model: NoiseModel, spec, seed: int):
     """Convenience wrapper: draw the noise of `seed` (`sample_noise`), then
     simulate."""
     path, dw = sample_noise(spec, model, horizon, seed)
-    traj = simulate(u0, horizon, stepper, model=model, path=path, dw=dw,
-                    store_full=store_full, snapshot_stride=snapshot_stride)
+    traj = simulate(u0, horizon, stepper, model=model, path=path, dw=dw)
     return traj, path, dw
 
 

@@ -26,12 +26,17 @@ is batched and no loop writes a k2 < 0 column; states enter a loop through
 counts each column as often as the full spectrum holds it, and in that
 pairing `sp.to_physical` and `sp.from_physical` are each other's transpose,
 so the adjoint stays the exact transpose of the tangent. Every forward
-sweep here (tangent flow, second variation, Gramian columns, control
-windows) is a hook on the stepping module's one forward loop `sweep`, which
-advances the base with the one step kernel and applies the kicks of a
+sweep here is a hook on the stepping module's one forward loop `sweep`,
+which advances the base with the one step kernel and applies the kicks of a
 `KickSchedule`; each hook linearizes at the pre-step base that `sweep`
-hands it. The adjoint transport is the one backward loop, over a stored
-base path.
+hands it. `flow_with_tangent` is the one forward tangent driver: the
+Jacobian flow, the tail coupling, the duality check, the Gramian columns
+and both kinds of control window are its lead rows, its jump columns or
+both, and its on_step hook records a base path where one is needed. Only
+the second variation, whose source couples two tangent rows, runs its own
+hook. `adjoint_backward` is the one backward loop, on half stacks over a
+stored base path; the adjoint Gramian seeds it straight from the basis
+slot tables.
 """
 
 from __future__ import annotations
@@ -131,51 +136,33 @@ def unstack_states(w: np.ndarray, t: np.ndarray) -> list[SpectralState]:
 
 
 def flow_with_tangent(u0: SpectralState, n_steps: int, lin: Linearizer,
-                      xw: np.ndarray, xt: np.ndarray,
-                      kicks: KickSchedule | None = None,
-                      on_step=None, store_base: bool = False):
-    """Advance base state and a perturbation stack in lockstep.
+                      kicks: KickSchedule | None = None, lead=None,
+                      increments: np.ndarray | None = None, sqrt_mass: bool = False,
+                      on_step=None):
+    """Advance the base state and a tangent stack in lockstep, the one
+    forward tangent driver.
 
-    xw, xt is a half stack pair; kicks carries the base path's forcing (None:
-    unforced). on_step(i, base, xw, xt) is called after step i completes
-    (post kick), base the (w, t) half pair. Returns (base_final, xw, xt,
-    bases) with bases the per-step base states (length n_steps + 1) when
-    store_base, else None.
+    kicks carries the base path's forcing (None: unforced). The stack holds
+    the optional lead pair (w, t) of half stacks, which starts at step 0,
+    then, when the clock increments are given, the columns
+    J_{r, T} alpha sigma_j of every jump of kicks: the d columns of a cell
+    with mass dl > 0 enter right after its kick as alpha sigma_j (times
+    sqrt(dl) when sqrt_mass) and then ride the tangent flow. on_step(i, post,
+    xw, xt) is called after step i completes, post the (w, t) base pair
+    after its kick and xw, xt the stacks, whose columns not yet entered are
+    zero. Returns (final base, xw, xt, masses): lead rows first, then d
+    columns per jump in time order, and masses the dl of each jump.
     """
-    bases = [u0.copy()] if store_base else None
-
-    def hook(i, pre, post, cell):
-        nonlocal xw, xt
-        xw, xt = lin.tangent(lin.prepare(pre), xw, xt)
-        if store_base:
-            bases.append(SpectralState.from_halves(*post))
-        if on_step is not None:
-            on_step(i, post, xw, xt)
-
-    w, t = sweep(lin.stepper, *u0.halves(), n_steps, kicks, hook)
-    return SpectralState.from_halves(w, t), xw, xt, bases
-
-
-def _jump_columns(u0: SpectralState, n_steps: int, lin: Linearizer,
-                  kicks: KickSchedule, increments: np.ndarray,
-                  lead=None, sqrt_mass: bool = False):
-    """Propagate the columns J_{r, T} alpha sigma_j of every jump in a window.
-
-    The d columns of a cell with mass dl > 0 enter right after its kick as
-    alpha sigma_j (times sqrt(dl) when sqrt_mass) and then ride the tangent
-    flow, behind the optional lead stack (w, t) that starts at step 0.
-    Returns (final base, xw, xt, masses): lead rows first, then d columns
-    per jump in time order, as half stacks, and masses the dl of each jump.
-    """
-    d = kicks.slots.dim
-    sig = kicks.slots.scatter(np.eye(d)) + 0.0      # + 0.0: no -0.0 off the slots
-    jumps = kicks.jumps(increments)
+    jumps = {} if increments is None else kicks.jumps(increments)
     masses = [increments[c] for c in jumps.values()]
+    d = kicks.slots.dim if jumps else 0
     n_lead = 0 if lead is None else len(lead[0])
-    xw = np.zeros((n_lead + d * len(masses),) + sig.shape[1:], np.complex128)
+    xw = np.zeros((n_lead + d * len(masses), lin.n, lin.n // 2 + 1), np.complex128)
     xt = np.zeros_like(xw)
     if lead is not None:
         xw[:n_lead], xt[:n_lead] = lead
+    if jumps:
+        sig = kicks.slots.scatter(np.eye(d)) + 0.0      # + 0.0: no -0.0 off the slots
     active = n_lead
 
     def hook(i, pre, post, cell):
@@ -186,6 +173,8 @@ def _jump_columns(u0: SpectralState, n_steps: int, lin: Linearizer,
         if i in jumps:
             xt[active:active + d] = np.sqrt(increments[cell]) * sig if sqrt_mass else sig
             active += d
+        if on_step is not None:
+            on_step(i, post, xw, xt)
 
     w, t = sweep(lin.stepper, *u0.halves(), n_steps, kicks, hook)
     return SpectralState.from_halves(w, t), xw, xt, masses
@@ -198,24 +187,23 @@ def jacobian_forward(u0: SpectralState, horizon: float, stepper: Stepper,
     Returns the list J_{0,T} xi for xi in directions; the optional noise
     triple freezes a forcing realization into the base path.
     """
-    lin = Linearizer(stepper)
     n_steps = horizon_steps(horizon, stepper.dt)
-    xw, xt = stack_states(directions)
-    _, xw, xt, _ = flow_with_tangent(u0, n_steps, lin, xw, xt,
-                                     KickSchedule.along(path, stepper, n_steps, model, dw))
+    _, xw, xt, _ = flow_with_tangent(u0, n_steps, Linearizer(stepper),
+                                     KickSchedule.along(path, stepper, n_steps, model, dw),
+                                     lead=stack_states(directions))
     return unstack_states(xw, xt)
 
 
-def adjoint_backward(bases, stepper: Stepper, terminals, record_at=None):
-    """Transport terminal costates backward through a stored base path.
+def adjoint_backward(bases, lin: Linearizer, rw: np.ndarray, rt: np.ndarray,
+                     record_at=None):
+    """Transport terminal costates, the half stacks (rw, rt), backward
+    through a stored base path.
 
     bases is the list of per-step base states (length n_steps + 1).
     record_at(step_index, rw, rt) is called at loop entry for index j + 1
-    (the costate there is K_{t_{j+1}, T}, as half stacks), and once more for
-    index 0. Returns the costates at time 0.
+    (the costate there is K_{t_{j+1}, T}), and once more for index 0.
+    Returns the costates at time 0 as half stacks.
     """
-    lin = Linearizer(stepper)
-    rw, rt = stack_states(terminals)
     n_steps = len(bases) - 1
     for j in range(n_steps - 1, -1, -1):
         if record_at is not None:
@@ -224,7 +212,7 @@ def adjoint_backward(bases, stepper: Stepper, terminals, record_at=None):
         rw, rt = lin.adjoint(prep, rw, rt)
     if record_at is not None:
         record_at(0, rw, rt)
-    return unstack_states(rw, rt)
+    return rw, rt
 
 
 def second_variation(u0: SpectralState, horizon: float, stepper: Stepper,
@@ -292,14 +280,6 @@ class HNBasis:
     def dim(self) -> int:
         return len(self.labels)
 
-    def states(self) -> list[SpectralState]:
-        # + 0.0: the other elements' slots hold 0 * v, -0.0 for negative v,
-        # and the mirror's conjugate of a +0.0 imaginary part is -0.0
-        unit = np.eye(self.dim)
-        w = sp.full(self.w_slots.scatter(unit)) + 0.0
-        t = sp.full(self.t_slots.scatter(unit)) + 0.0
-        return [SpectralState(w[i].copy(), t[i].copy()) for i in range(self.dim)]
-
     def coords(self, xw: np.ndarray, xt: np.ndarray) -> np.ndarray:
         """Weighted inner products of a half stack with every element."""
         return sp.slot_pairings(xw, xt, self.w_slots, self.t_slots, self.params)
@@ -334,8 +314,8 @@ def malliavin_forward(u0: SpectralState, n_steps: int, stepper: Stepper,
     the Gramian is the outer-product sum of their band coordinates.
     """
     kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
-    _, xw, xt, masses = _jump_columns(u0, n_steps, Linearizer(stepper), kicks,
-                                      path.increments, sqrt_mass=True)
+    _, xw, xt, masses = flow_with_tangent(u0, n_steps, Linearizer(stepper), kicks,
+                                          increments=path.increments, sqrt_mass=True)
     coords = basis.coords(xw, xt)
     return GramianResult(matrix=coords.T @ coords, basis=basis, n_jumps=len(masses),
                          degenerate=not masses, clock_mass=sum(masses, 0.0))
@@ -356,7 +336,11 @@ def malliavin_backward(bases, stepper: Stepper, model, path,
             pair = sp.slot_pairings(rw, rt, None, slots, stepper.params).T
             rows.append(np.sqrt(dl) * pair)
 
-    adjoint_backward(bases, stepper, basis.states(), record_at=record)
+    # the basis stack, seeded from the slot tables; + 0.0: the other
+    # elements' slots hold 0 * v, -0.0 for negative v
+    eye = np.eye(basis.dim)
+    adjoint_backward(bases, Linearizer(stepper), basis.w_slots.scatter(eye) + 0.0,
+                     basis.t_slots.scatter(eye) + 0.0, record_at=record)
     g = np.concatenate(rows) if rows else np.zeros((0, basis.dim))     # (jumps * d, dim)
     masses = [path.increments[c] for c in jump_steps.values()]
     return GramianResult(matrix=g.T @ g, basis=basis, n_jumps=len(masses),
@@ -377,16 +361,15 @@ class EigenProbe:
     active: bool              # constraint active (unconstrained minimizer infeasible)
 
 
-def min_eigen_probe(matrix: np.ndarray, p_mask: np.ndarray, alpha: float,
-                    tol: float = 1e-3, max_iter: int = 200) -> EigenProbe:
+def min_eigen_probe(matrix: np.ndarray, p_mask: np.ndarray, alpha: float) -> EigenProbe:
     """Minimize <M phi, phi> over unit phi with |P phi| >= alpha.
 
     P is the coordinate projection onto p_mask. If the unconstrained minimal
     eigenvector is feasible the problem is closed. Otherwise the minimum sits
     on the boundary |P phi| = alpha; every multiplier mu >= 0 gives the lower
     bound lambda_min(M - mu P) + mu alpha^2, and the multiplier is bisected
-    until the eigenvector's P-mass matches alpha within tol, for at most
-    max_iter halvings, or until the bracket reaches roundoff width. Feasible
+    until the eigenvector's P-mass matches alpha within 1e-3, for at most
+    200 halvings, or until the bracket reaches roundoff width. Feasible
     candidates rebalanced onto the boundary supply the matching upper bound,
     which stays informative even when an eigenvalue crossing makes the
     P-mass jump past alpha; every unit vector inside the P block is feasible
@@ -434,13 +417,13 @@ def min_eigen_probe(matrix: np.ndarray, p_mask: np.ndarray, alpha: float,
         mu_hi *= 2.0
     mu_lo, v_lo = 0.0, v0
     mu, pm = mu_hi, pm0
-    for _ in range(max_iter):
+    for _ in range(200):
         mu = 0.5 * (mu_lo + mu_hi)
         if mu == mu_lo or mu == mu_hi:
             break       # roundoff width: every later halving repeats this mu
         lam, v, pm = eig_min(mu)
         best_lower = max(best_lower, lam + mu * alpha**2)
-        if abs(pm - alpha) <= tol:
+        if abs(pm - alpha) <= 1e-3:
             break
         if pm < alpha:
             mu_lo, v_lo = mu, v
@@ -489,20 +472,19 @@ def control_window(rho_in: SpectralState, u0: SpectralState, n_steps: int,
     Free windows transport rho by the plain tangent flow. beta = None picks
     1e-4 of the mean weighted column mass.
     """
-    lin = Linearizer(stepper)
     kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
     n_jumps = len(kicks.jumps(path.increments))
     q = n_jumps * model.dim
-    rho = stack_states([rho_in])
-
-    if not controlled or q == 0:
-        base, xw, xt, _ = flow_with_tangent(u0, n_steps, lin, *rho, kicks)
+    controlled = controlled and q > 0
+    # propagate rho, and in a controlled window all jump columns with it
+    base, xw, xt, masses = flow_with_tangent(
+        u0, n_steps, Linearizer(stepper), kicks, lead=stack_states([rho_in]),
+        increments=path.increments if controlled else None)
+    if not controlled:
         return ControlWindow(rho_out=SpectralState.from_halves(xw[0], xt[0]), base_out=base,
                              recursion_residual=0.0, v_norm_sq=0.0,
                              n_jumps=n_jumps, degenerate=(q == 0), beta=0.0)
 
-    # propagate rho and all jump columns together
-    base, xw, xt, masses = _jump_columns(u0, n_steps, lin, kicks, path.increments, lead=rho)
     weights = np.repeat(masses, model.dim)
     y_w, y_t = xw[0], xt[0]                  # J rho
     cw, ct = xw[1:], xt[1:]                  # columns J_{r_i, t} alpha sigma_j
@@ -644,10 +626,12 @@ def jacobian_fd_check(u0: SpectralState, horizon: float, stepper: Stepper,
 
 def second_variation_fd_check(u0: SpectralState, horizon: float, stepper: Stepper,
                               phi: SpectralState, psi: SpectralState,
-                              eps: float = 1e-4, model=None, path=None, dw=None) -> float:
-    """Relative gap between the second variation and a mixed second difference."""
+                              model=None, path=None, dw=None) -> float:
+    """Relative gap between the second variation and a mixed second
+    difference of step 1e-4."""
     j2 = second_variation(u0, horizon, stepper, phi, psi, model=model, path=path, dw=dw)
     p = stepper.params
+    eps = 1e-4
 
     def at(a, b):
         bumped = SpectralState(u0.w_hat + a * phi.w_hat + b * psi.w_hat,
@@ -669,14 +653,15 @@ def duality_gap(u0: SpectralState, horizon: float, stepper: Stepper,
     """Relative gap of <J xi, phi> against <xi, K phi> on one window."""
     lin = Linearizer(stepper)
     n_steps = horizon_steps(horizon, stepper.dt)
-    xw, xt = stack_states([xi])
-    _, xw, xt, bases = flow_with_tangent(u0, n_steps, lin, xw, xt,
-                                         KickSchedule.along(path, stepper, n_steps, model, dw),
-                                         store_base=True)
-    back = adjoint_backward(bases, stepper, [phi])
+    bases = [u0.copy()]
+    _, xw, xt, _ = flow_with_tangent(
+        u0, n_steps, lin, KickSchedule.along(path, stepper, n_steps, model, dw),
+        lead=stack_states([xi]),
+        on_step=lambda i, post, *_: bases.append(SpectralState.from_halves(*post)))
+    rw, rt = adjoint_backward(bases, lin, *stack_states([phi]))
     p = stepper.params
     fwd = sp.state_dot(SpectralState.from_halves(xw[0], xt[0]), phi, p)
-    bwd = sp.state_dot(xi, back[0], p)
+    bwd = sp.state_dot(xi, SpectralState.from_halves(rw[0], rt[0]), p)
     scale = max(abs(fwd), abs(bwd), 1e-300)
     return float(abs(fwd - bwd) / scale)
 
@@ -701,7 +686,6 @@ def tail_coupling_series(u0: SpectralState, horizon: float, stepper: Stepper,
     propagated along a common base path; the split energies over time are the
     raw material for the dissipation-envelope checks.
     """
-    lin = Linearizer(stepper)
     p = stepper.params
     n_steps = horizon_steps(horizon, stepper.dt)
     seeds = []
@@ -733,8 +717,9 @@ def tail_coupling_series(u0: SpectralState, horizon: float, stepper: Stepper,
         split(i + 1, w, t)
         times[i + 1] = (i + 1) * stepper.dt
 
-    flow_with_tangent(u0, n_steps, lin, xw, xt,
-                      KickSchedule.along(path, stepper, n_steps, model, dw), on_step=on_step)
+    flow_with_tangent(u0, n_steps, Linearizer(stepper),
+                      KickSchedule.along(path, stepper, n_steps, model, dw), lead=(xw, xt),
+                      on_step=on_step)
     return [TailCoupling(level=int(lv), times=times.copy(),
                          tail_sq=tail_sq[a].copy(), band_sq=band_sq[a].copy())
             for a, lv in enumerate(levels)]

@@ -105,22 +105,22 @@ def test_default_observables_bounded(big_state):
     obs = en.default_observables()
     assert len({o.name for o in obs}) == 3
     for o in obs:
-        assert abs(o(big_state, PARAMS)) < 1.0
+        assert abs(o.fun(*big_state.halves(), PARAMS)) < 1.0
     zero = sp.state_zeros(24)
-    assert en.squashed_energy_observable()(zero, PARAMS) == 0.0
+    assert en.squashed_energy_observable().fun(*zero.halves(), PARAMS) == 0.0
 
 
 def test_observables_pickle(big_state):
     obs = en.default_observables()
     back = pickle.loads(pickle.dumps(obs))
     for a, b in zip(obs, back):
-        assert a(big_state, PARAMS) == b(big_state, PARAMS)
+        assert a.fun(*big_state.halves(), PARAMS) == b.fun(*big_state.halves(), PARAMS)
 
 
 def test_squashed_mode_tracks_coefficient(big_state):
     o = en.squashed_mode_observable((1, 0), 0, "theta")
     c = sp.mode_coeff(sp.half(big_state.theta_hat), (1, 0), 0)
-    assert o(big_state, PARAMS) == pytest.approx(c / (1 + abs(c)), rel=1e-12)
+    assert o.fun(*big_state.halves(), PARAMS) == pytest.approx(c / (1 + abs(c)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +347,7 @@ def test_observables_on_a_stack_match_each_state(n):
         got = o.fun(sp.half(w), sp.half(t), PARAMS)
         assert got.shape == (3,)
         assert got.tolist() == want[o.name]
-        assert [float(o(u, PARAMS)) for u in states] == want[o.name]
+        assert [float(o.fun(*u.halves(), PARAMS)) for u in states] == want[o.name]
 
 
 def test_eproperty_probe_sees_a_perturbed_noise_block(stepper24, monkeypatch):
@@ -390,15 +390,47 @@ REACHABILITY_ALLOWLIST = {
 }
 
 
-def _referenced_names(tree) -> set:
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _local_names(fn) -> set:
+    """The names a function binds as an argument or a local (not global)."""
+    a = fn.args
+    names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x}
+    declared = set()
+    todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, _SCOPES):
+            names.add(getattr(node, "name", None))     # a nested def binds its name
+            continue                                    # but its body is its own scope
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             names.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
+def _referenced_names(tree) -> set:
+    # a name that a function binds as an argument or a local shadows the
+    # module-level def of that name, so its uses there reach nothing
+    names = set()
+
+    def visit(node, bound):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            bound = bound | _local_names(node)
+        if isinstance(node, ast.Name):
+            if node.id not in bound:
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(tree, frozenset())
     return names
 
 

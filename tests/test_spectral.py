@@ -413,8 +413,11 @@ def test_slot_gather_matches_the_dense_pairing(n, rng):
     # two products as the dense sum over all n^2 entries, bit for bit
     params = PhysicsParams(nu1=2.0, nu2=3.0, g=2.0)       # zeta* = 1.5
     basis = HNBasis(n, 4, params)
-    dense_w = np.stack([u.w_hat for u in basis.states()])
-    dense_t = np.stack([u.theta_hat for u in basis.states()])
+    # + 0.0: the other elements' slots hold 0 * v, -0.0 for negative v,
+    # and the mirror's conjugate of a +0.0 imaginary part is -0.0
+    eye = np.eye(basis.dim)
+    dense_w = sp.full(basis.w_slots.scatter(eye)) + 0.0
+    dense_t = sp.full(basis.t_slots.scatter(eye)) + 0.0
     # the basis states are the scaled elements in one slot and zeros in the other
     zero = np.zeros((n, n), np.complex128)
     for (kind, k, m), wh, th in zip(basis.labels, dense_w, dense_t):

@@ -24,7 +24,6 @@ from boussinesq_lab.stepping import (
     energy_audit,
     run_with_noise,
     simulate,
-    step,
     sweep,
 )
 
@@ -39,11 +38,11 @@ def test_single_temperature_mode_decay_is_exact():
     dt = 0.05
     z = p.nu2 * 4.0 * dt
 
-    etd = step(u, Stepper(n, p, StepScheme.ETD_EULER, dt))
+    etd = simulate(u, dt, Stepper(n, p, StepScheme.ETD_EULER, dt)).final
     ratio = sp.mode_coeff(sp.half(etd.theta_hat), k, 0)
     assert ratio == pytest.approx(np.exp(-z), rel=0, abs=1e-15)
 
-    imex = step(u, Stepper(n, p, StepScheme.IMEX_EULER, dt))
+    imex = simulate(u, dt, Stepper(n, p, StepScheme.IMEX_EULER, dt)).final
     ratio = sp.mode_coeff(sp.half(imex.theta_hat), k, 0)
     assert ratio == pytest.approx(1.0 / (1.0 + z), rel=0, abs=1e-15)
 
@@ -54,7 +53,7 @@ def test_single_vorticity_mode_decay():
     k = (2, 1)
     u = psi_state(n, k, 1)
     dt = 0.02
-    out = step(u, Stepper(n, p, StepScheme.ETD_EULER, dt))
+    out = simulate(u, dt, Stepper(n, p, StepScheme.ETD_EULER, dt)).final
     expect = np.exp(-p.nu1 * 5.0 * dt)
     assert abs(sp.mode_coeff(sp.half(out.w_hat), k, 1) - expect) < 1e-13
 
@@ -228,7 +227,7 @@ def test_noise_triple_is_checked_once(entry, piece, rng):
         calls[entry]()
 
 
-@pytest.mark.parametrize("entry", ["simulate", "step", "BatchRunner.run", "jacobian_forward"])
+@pytest.mark.parametrize("entry", ["simulate", "BatchRunner.run", "jacobian_forward"])
 def test_entry_rejects_a_vorticity_mean(entry, rng):
     n, dt = 16, 5e-3
     model = NoiseModel()
@@ -237,7 +236,6 @@ def test_entry_rejects_a_vorticity_mean(entry, rng):
     u0.w_hat[0, 0] = 3.0 * n * n
     calls = {
         "simulate": lambda: simulate(u0, 4 * dt, stepper),
-        "step": lambda: step(u0, stepper),
         "BatchRunner.run": lambda: BatchRunner(stepper, model).run(
             u0.w_hat[None], u0.theta_hat[None], np.zeros((1, 2, model.dim)), grid_step=2 * dt),
         "jacobian_forward": lambda: var.jacobian_forward(u0, 4 * dt, stepper, [u0]),
@@ -270,8 +268,9 @@ def test_step_needs_no_hermitize(monkeypatch, rng):
 
 @pytest.mark.parametrize("n", [16, 9])
 def test_kernels_never_write_a_mirror(monkeypatch, n, rng):
-    # the step, the tangent and the adjoint run on the half storage: none of
-    # them reaches `sp.full`, the only writer of k2 < 0 columns
+    # the step, the tangent, the adjoint and the adjoint Gramian run on the
+    # half storage: none of them reaches `sp.full`, the only writer of
+    # k2 < 0 columns
     def refuse(h):
         raise AssertionError("full called")
 
@@ -285,12 +284,19 @@ def test_kernels_never_write_a_mirror(monkeypatch, n, rng):
                          slots=model.slots(n))
     prep = lin.prepare(u.halves())
     xw, xt = _states(n, sp.block_rows(n) + 1, rng)     # two blocks
+    # a stored 3-step path for the adjoint Gramian, recorded before the patch
+    path = sample_subordinator(SubordinatorSpec(grid_step=dt), 3 * dt, rng_stream(3, ROLE_CLOCK))
+    dw = subordinated_increments(path, model.dim, rng_stream(3, ROLE_BROWNIAN))
+    traj = simulate(u, 3 * dt, stepper, model=model, path=path, dw=dw, store_full=True)
+    basis = var.HNBasis(n, 2, stepper.params)
     monkeypatch.setattr(sp, "full", refuse)
     w1, t1 = sweep(stepper, w, t, 3, kicks)
     assert w1.shape == t1.shape == (2, n, n // 2 + 1)
     fw, ft = lin.tangent(prep, xw, xt)
     bw, bt = lin.adjoint(prep, xw, xt)
     assert fw.shape == bw.shape == xw.shape
+    gram = var.malliavin_backward(traj.states, stepper, model, path, basis)
+    assert gram.n_jumps > 0 and gram.matrix.shape == (basis.dim, basis.dim)
 
 
 def _states(n, rows, rng):
@@ -397,13 +403,13 @@ def test_blow_up_guard():
     rng = np.random.default_rng(4)
     u0 = random_state(n, rng, amplitude=2e4, decay=0.5)
     stepper = Stepper(n, p, StepScheme.ETD_EULER, 0.05)
-    traj = simulate(u0, 5.0, stepper, ceiling=1e6)
+    traj = simulate(u0, 5.0, stepper)
     assert traj.blew_up
     assert traj.times[-1] < 5.0
     assert np.all(np.isfinite(traj.norm0[:-1]))
     # the run stops off the snapshot stride: the last snapshot is where it stopped
     assert traj.snapshot_times[-1] == traj.times[-1]
-    full = simulate(u0, 5.0, stepper, ceiling=1e6, store_full=True)
+    full = simulate(u0, 5.0, stepper, store_full=True)
     assert np.array_equal(traj.final.w_hat, full.final.w_hat)
     assert np.array_equal(traj.final.theta_hat, full.final.theta_hat)
 
@@ -476,8 +482,7 @@ def test_energy_audit_jump_identity(rng):
 
 def test_snapshot_stride(rng):
     u0 = random_state(16, rng)
-    traj = simulate(u0, 0.1, Stepper(16, PhysicsParams(), StepScheme.ETD_EULER, 1e-3),
-                    snapshot_stride=10)
+    traj = simulate(u0, 0.1, Stepper(16, PhysicsParams(), StepScheme.ETD_EULER, 1e-3))
     assert len(traj.snapshot_times) == 11
     assert traj.snapshot_times[1] == pytest.approx(0.01)
     full = simulate(u0, 0.05, Stepper(16, PhysicsParams(), StepScheme.ETD_EULER, 1e-2),

@@ -55,9 +55,9 @@ def test_tangent_zero_base_modal_oracle(params, stepper32):
     lin = var.Linearizer(stepper32)
     st = stepper32
     xi = sp.sigma_state(32, (1, 2), 0)
-    xw, xt = var.stack_states([xi])
     n_steps = 25
-    _, xw, xt, _ = var.flow_with_tangent(sp.state_zeros(32), n_steps, lin, xw, xt)
+    _, xw, xt, _ = var.flow_with_tangent(sp.state_zeros(32), n_steps, lin,
+                                         lead=var.stack_states([xi]))
 
     ik1 = 1j * sp.wavenumbers(32)[0]
     acc = np.zeros_like(sp.half(xi.theta_hat))
@@ -87,10 +87,10 @@ def test_jacobian_semigroup_split(params, rng, stepper32):
     u0 = sp.random_state(32, rng)
     xi = sp.random_state(32, rng)
     lin = var.Linearizer(stepper32)
-    xw, xt = var.stack_states([xi])
-    _, xw_a, xt_a, _ = var.flow_with_tangent(u0, 60, lin, xw.copy(), xt.copy())
-    mid, xw_b, xt_b, _ = var.flow_with_tangent(u0, 25, lin, xw.copy(), xt.copy())
-    _, xw_b, xt_b, _ = var.flow_with_tangent(mid, 35, lin, xw_b, xt_b)
+    lead = var.stack_states([xi])
+    _, xw_a, xt_a, _ = var.flow_with_tangent(u0, 60, lin, lead=lead)
+    mid, xw_b, xt_b, _ = var.flow_with_tangent(u0, 25, lin, lead=lead)
+    _, xw_b, xt_b, _ = var.flow_with_tangent(mid, 35, lin, lead=(xw_b, xt_b))
     assert np.allclose(xw_a, xw_b, atol=1e-13 * max(1.0, np.abs(xw_a).max()))
     assert np.allclose(xt_a, xt_b, atol=1e-13 * max(1.0, np.abs(xt_a).max()))
 
@@ -197,7 +197,7 @@ def test_second_variation_fd(params, rng):
     u0 = sp.random_state(24, rng)
     phi = sp.random_state(24, rng)
     psi = sp.random_state(24, rng)
-    rel = var.second_variation_fd_check(u0, 0.05, stepper, phi, psi, eps=1e-4)
+    rel = var.second_variation_fd_check(u0, 0.05, stepper, phi, psi)
     assert rel <= 1e-3
 
 
@@ -384,7 +384,7 @@ def test_eigen_probe_random_invariants():
 
 def test_eigen_probe_bisection_stops_at_roundoff_width(monkeypatch):
     # the eigenvector jumps from e2 (P-mass 0) to e1 (P-mass 1) where
-    # 2 - mu = 0.7, so the P-mass never comes within tol of alpha; once the
+    # 2 - mu = 0.7, so the P-mass never comes within 1e-3 of alpha; once the
     # bracket is one ulp wide each further halving repeats the same eigh.
     # The fields are pinned from the search that ran all 200 halvings
     calls = []
