@@ -402,8 +402,10 @@ def _local_names(fn) -> set:
     while todo:
         node = todo.pop()
         if isinstance(node, _SCOPES):
-            names.add(getattr(node, "name", None))     # a nested def binds its name
-            continue                                    # but its body is its own scope
+            # a nested def binds its name, but its body is a scope of its own
+            if not isinstance(node, ast.Lambda):
+                names.add(node.name)
+            continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, (ast.Global, ast.Nonlocal)):
