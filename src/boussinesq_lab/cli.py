@@ -34,6 +34,11 @@ from .stepping import energy_audit, horizon_steps, run_with_noise, simulate
 from .variation import (HNBasis, control_experiment, malliavin_backward,
                         malliavin_forward, min_eigen_probe)
 
+# pass thresholds of the brackets and ergodicity commands
+TOL_EXACT = 1e-10           # brackets: symbolic against operator
+TOL_NUMERIC = 1e-6          # brackets: operator against central differences
+SLOPE_MIN = 0.8             # ergodicity: e-property log-log slope (acceptance 10)
+
 SNAPSHOT_MAGIC = b"BQLB"
 SNAPSHOT_VERSION = 1
 _HEADER = struct.Struct("<4sIII dddd 16s")
@@ -171,7 +176,7 @@ def cmd_audit(cfg: RunConfig, out: Path, args) -> bool:
     stepper = cfg.stepper()
     traj, _, _ = run_with_noise(_initial_state(cfg), cfg.horizon, stepper,
                                 cfg.model(), cfg.spec(), cfg.seed)
-    coarse = energy_audit(traj, cfg.params(), stepper)
+    coarse = energy_audit(traj, stepper)
 
     # halving dt keeps the clock grid divisible, so the same jumps land at the
     # same times; the residual rate mixes trapezoid quadrature (second order)
@@ -180,7 +185,7 @@ def cmd_audit(cfg: RunConfig, out: Path, args) -> bool:
     half = replace(cfg, dt=cfg.dt / 2.0)
     traj_f, _, _ = run_with_noise(_initial_state(half), half.horizon, half.stepper(),
                                   half.model(), half.spec(), half.seed)
-    fine = energy_audit(traj_f, half.params(), half.stepper())
+    fine = energy_audit(traj_f, half.stepper())
     order_ok = (fine.dissipation_residual_rate <= 0.7 * coarse.dissipation_residual_rate
                 or coarse.dissipation_residual_rate < 1e-12)
     jump_ok = coarse.max_jump_residual <= 1e-10
@@ -290,9 +295,8 @@ def cmd_malliavin(cfg: RunConfig, out: Path, args) -> bool:
 
     if args.control_windows > 0:
         kappa0 = 0.05 * params.nu / model.b0
-        ctl = control_experiment(cfg.seed, 4, args.control_windows, cfg.n, params,
-                                 cfg.spec(), model, cfg.dt, 0.1 * kappa0,
-                                 amplitude=cfg.amplitude)
+        ctl = control_experiment(cfg.seed, 4, args.control_windows, stepper, cfg.spec(),
+                                 model, 0.1 * kappa0, amplitude=cfg.amplitude)
         with open(out / "control_trace.csv", "w") as fh:
             fh.write(f"# config {cfg.digest}\n# path,window,edge_step,costate_norm\n")
             for i, edges in enumerate(ctl.edge_steps):
@@ -342,17 +346,17 @@ def cmd_brackets(cfg: RunConfig, out: Path, args) -> bool:
         target = sp.psi_state(n, j, m)
         worst_psi = max(worst_psi, _rel_gap(rec, target, params))
 
-    exact_ok = worst_exact <= args.tol_exact
-    num_ok = worst_num <= args.tol_numeric
-    psi_ok = worst_psi <= args.tol_numeric
+    exact_ok = worst_exact <= TOL_EXACT
+    num_ok = worst_num <= TOL_NUMERIC
+    psi_ok = worst_psi <= TOL_NUMERIC
     _write_json(out / "brackets.json", {
         "n": n,
         "pairs": checks,
         "worst_symbolic_vs_operator": worst_exact,
         "worst_operator_vs_numerical": worst_num,
         "worst_psi_recovery": worst_psi,
-        "tol_exact": args.tol_exact,
-        "tol_numeric": args.tol_numeric,
+        "tol_exact": TOL_EXACT,
+        "tol_numeric": TOL_NUMERIC,
     }, cfg)
     print(f"  symbolic vs operator brackets: {worst_exact:.3e} "
           f"({'ok' if exact_ok else 'BAD'})")
@@ -452,7 +456,7 @@ def cmd_ergodicity(cfg: RunConfig, out: Path, args) -> bool:
         ep = eproperty_probe(cfg.seed, stepper, model, spec, base,
                              args.ep_horizon, args.paths)
         decreasing = bool(np.all(np.diff(ep.sup_gaps) < 0))
-        ep_ok = ep.coupled and ep.slope >= args.slope_min and decreasing
+        ep_ok = ep.coupled and ep.slope >= SLOPE_MIN and decreasing
         np.savetxt(out / "eproperty.csv",
                    np.column_stack([ep.deltas, ep.sup_gaps, ep.state_gaps]),
                    delimiter=",", header=f"config {cfg.digest}\ndelta,sup_gap,state_gap")
@@ -506,6 +510,24 @@ def cmd_ergodicity(cfg: RunConfig, out: Path, args) -> bool:
 # dispatch
 
 
+def _checked(kind, ok, what: str):
+    """argparse type: kind(text) that must satisfy ok, or a usage error
+    (exit 2, before any output directory is made)."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {kind.__name__}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+    return parse
+
+
+def _int_from(low: int):
+    return _checked(int, lambda x: x >= low, f"an integer >= {low}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bqlab",
@@ -520,35 +542,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("audit", help="energy balance and reproducibility checks")
 
     p = sub.add_parser("malliavin", help="jump Gramian and its smallest eigenvalue")
-    p.add_argument("--alpha", type=float, default=0.5,
+    p.add_argument("--alpha", type=_checked(float, lambda x: 0.0 < x <= 1.0, "in (0, 1]"),
+                   default=0.5,
                    help="low-mode mass floor for the constrained eigenvalue")
     p.add_argument("--window", type=float, default=0.05,
                    help="propagation window, a multiple of grid.dt")
     p.add_argument("--check-adjoint", action="store_true",
                    help="assemble the Gramian a second time by the adjoint sweep")
-    p.add_argument("--control-windows", type=int, default=0,
+    p.add_argument("--control-windows", type=_int_from(0), default=0,
                    help="also trace this many alternating damped/free recurrence "
                         "windows (costly: one tangent row per direction per cell)")
 
-    p = sub.add_parser("brackets", help="verify the bracket identities numerically")
-    p.add_argument("--tol-exact", type=float, default=1e-10)
-    p.add_argument("--tol-numeric", type=float, default=1e-6)
+    sub.add_parser("brackets", help="verify the bracket identities numerically")
 
     p = sub.add_parser("span", help="run the directional span induction")
-    p.add_argument("--level", type=int, default=8)
+    p.add_argument("--level", type=_int_from(1), default=8)
     p.add_argument("--no-verify", action="store_true",
                    help="skip the grid replay of the derivation log")
 
     p = sub.add_parser("moments", help="moment plateaus and recurrence moments")
-    p.add_argument("--paths", type=int, default=16)
-    p.add_argument("--eta-paths", type=int, default=400)
+    p.add_argument("--paths", type=_int_from(2), default=16)
+    p.add_argument("--eta-paths", type=_int_from(2), default=400)
     p.add_argument("--kappa-frac", type=float, default=0.1,
                    help="threshold radius as a fraction of the safe bound")
 
     p = sub.add_parser("ergodicity", help="equicontinuity and invariant statistics")
-    p.add_argument("--paths", type=int, default=12)
+    p.add_argument("--paths", type=_int_from(1), default=12)
     p.add_argument("--ep-horizon", type=float, default=0.4)
-    p.add_argument("--slope-min", type=float, default=0.8)
     p.add_argument("--invariant-horizon", type=float, default=24.0,
                    help="window for the stationary time averages")
     p.add_argument("--skip-eproperty", action="store_true")

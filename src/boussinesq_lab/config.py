@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 from dataclasses import dataclass, replace
 
 from .noise import NoiseModel, SubordinatorSpec
@@ -22,12 +21,12 @@ class ConfigError(ValueError):
     """Bad configuration file or values; the message names the spot."""
 
 
-_SCHEMA = {
-    "grid": {"n": int, "dt": float, "scheme": str},
-    "physics": {"nu1": float, "nu2": float, "g": float},
-    "noise": {"family": str, "a": float, "b": float, "grid_step": float,
-              "modes": str, "alphas": str},
-    "run": {"seed": int, "horizon": float, "amplitude": float, "level": int},
+# section -> keys, in the canonical order of the digest lines and the INI text
+_SECTIONS = {
+    "grid": ("n", "dt", "scheme"),
+    "physics": ("nu1", "nu2", "g"),
+    "noise": ("family", "a", "b", "grid_step", "modes", "alphas"),
+    "run": ("seed", "horizon", "amplitude", "level"),
 }
 
 
@@ -97,25 +96,9 @@ class RunConfig:
     # serialization ----------------------------------------------------
 
     def canonical_lines(self) -> list:
-        """Normalized key=value lines; the digest input and the INI body."""
-        return [
-            f"grid.n={self.n}",
-            f"grid.dt={float(self.dt)!r}",
-            f"grid.scheme={self.scheme}",
-            f"physics.nu1={float(self.nu1)!r}",
-            f"physics.nu2={float(self.nu2)!r}",
-            f"physics.g={float(self.g)!r}",
-            f"noise.family={self.family}",
-            f"noise.a={float(self.a)!r}",
-            f"noise.b={float(self.b)!r}",
-            f"noise.grid_step={float(self.grid_step)!r}",
-            "noise.modes=" + " ".join(f"{k1},{k2}" for k1, k2 in self.modes),
-            "noise.alphas=" + " ".join(f"{float(x)!r}" for x in self.alphas),
-            f"run.seed={self.seed}",
-            f"run.horizon={float(self.horizon)!r}",
-            f"run.amplitude={float(self.amplitude)!r}",
-            f"run.level={self.level}",
-        ]
+        """Normalized section.key=value lines; the digest input."""
+        return [f"{sec}.{key}={_text(key, getattr(self, key))}"
+                for sec, keys in _SECTIONS.items() for key in keys]
 
     @property
     def digest(self) -> str:
@@ -123,18 +106,20 @@ class RunConfig:
         return hashlib.sha256(payload).hexdigest()
 
     def to_ini(self) -> str:
-        out = io.StringIO()
-        section = None
-        for line in self.canonical_lines():
-            dotted, value = line.split("=", 1)
-            sec, key = dotted.split(".", 1)
-            if sec != section:
-                if section is not None:
-                    out.write("\n")
-                out.write(f"[{sec}]\n")
-                section = sec
-            out.write(f"{key} = {value}\n")
-        return out.getvalue()
+        return "\n".join(f"[{sec}]\n" + "".join(f"{key} = {_text(key, getattr(self, key))}\n"
+                                                for key in keys)
+                         for sec, keys in _SECTIONS.items())
+
+
+def _text(key: str, value) -> str:
+    """Canonical text of one value: floats by repr, so they parse back exactly."""
+    if key == "modes":
+        return " ".join(f"{k1},{k2}" for k1, k2 in value)
+    if key == "alphas":
+        return " ".join(repr(float(x)) for x in value)
+    if isinstance(getattr(RunConfig, key), float):
+        return repr(float(value))
+    return str(value)
 
 
 def _parse_modes(text: str):
@@ -180,19 +165,19 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"malformed config: {exc}") from exc
     values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _SECTIONS[section]:
                 line = _line_of(text, section, key)
                 where = f" (line {line})" if line else ""
                 raise ConfigError(f"unknown key {section}.{key}{where}")
-            kind = _SCHEMA[section][key]
             if key == "modes":
                 values["modes"] = _parse_modes(raw)
             elif key == "alphas":
                 values["alphas"] = _parse_alphas(raw)
             else:
+                kind = type(getattr(RunConfig, key))     # the field default's type
                 try:
                     values[key] = kind(raw)
                 except ValueError:

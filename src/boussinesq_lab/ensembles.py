@@ -14,6 +14,7 @@ observable maps half stacks to (...) values, one call per record.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from functools import partial
 
@@ -129,13 +130,17 @@ class BatchRunner:
         dw has shape (B, cells, d); the step size must divide the clock grid
         step, and jumps are applied at the right endpoint of their cell,
         after the deterministic substep, exactly as a single path is run.
-        Raises RuntimeError naming the step, the first offending path and
-        its energy when a recorded energy is `blown_up`.
+        A dw of another shape raises ValueError. Raises RuntimeError naming
+        the step, the first offending path and its energy when a recorded
+        energy is `blown_up`.
         """
         st = self.stepper
         w = sp.half(np.asarray(w, dtype=np.complex128))
         t = sp.half(np.asarray(t, dtype=np.complex128))
-        n_b = dw.shape[0]
+        n_b = len(w)
+        if np.ndim(dw) != 3 or dw.shape[0] != n_b:
+            raise ValueError(f"Brownian increments dw have shape {np.shape(dw)}, "
+                             f"expected (paths, cells, model.dim) with {n_b} paths")
         kicks = KickSchedule(grid_step, st.dt, dw.shape[1], dw=dw, slots=self.slots)
         n_steps = kicks.n_steps
         if n_steps % record_every:
@@ -211,16 +216,18 @@ def moment_experiment(seed: int, n_paths: int, horizon: float, stepper: Stepper,
     return MomentCurve(out.times, out.energy_sq)
 
 
+def _worst_sigmas(fits) -> float:
+    """Worst pairwise gap of (mean, stderr) fits in combined standard errors;
+    NaN when a stderr is NaN (fewer than two paths or batches), so a verdict
+    `<= bound` on it fails."""
+    gaps = [abs(a[0] - b[0]) / np.maximum(np.hypot(a[1], b[1]), 1e-300)
+            for a, b in itertools.combinations(fits, 2)]
+    return float(np.max(gaps, initial=0.0))
+
+
 def plateau_agreement(curves) -> float:
     """Worst pairwise plateau gap in combined standard errors."""
-    fits = [c.plateau() for c in curves]
-    worst = 0.0
-    for i in range(len(fits)):
-        for j in range(i + 1, len(fits)):
-            gap = abs(fits[i][0] - fits[j][0])
-            se = np.hypot(fits[i][1], fits[j][1])
-            worst = max(worst, gap / max(se, 1e-300))
-    return worst
+    return _worst_sigmas([c.plateau() for c in curves])
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +257,6 @@ class StoppingMomentReport:
     n_paths: int
     censored: int
     doubled_estimate: float
-    doubled_stderr: float
     doubling_gap: float       # relative change when the path count doubles
     tail_margin: float        # rate-function cost over the moment growth rate
     heavy_tail: bool
@@ -276,7 +282,7 @@ def stopping_moment_experiment(spec: SubordinatorSpec, nu: float, kappa: float,
     return StoppingMomentReport(
         estimate=first["estimate"], stderr=first["stderr"],
         n_paths=n_paths, censored=first["censored"],
-        doubled_estimate=second["estimate"], doubled_stderr=second["stderr"],
+        doubled_estimate=second["estimate"],
         doubling_gap=gap, tail_margin=float(margin), heavy_tail=bool(margin < 2.0))
 
 
@@ -348,17 +354,15 @@ def eproperty_probe(seed: int, stepper: Stepper, model: NoiseModel,
 @dataclass
 class HittingEstimate:
     start: tuple              # mesh coordinates (vorticity weight, temperature weight)
-    start_norm: float
     hits: int
     n_paths: int
-    lower_bound: float        # one-sided Clopper-Pearson at the report confidence
+    lower_bound: float        # one-sided 95% Clopper-Pearson bound
 
 
 @dataclass
 class IrreducibilityReport:
     radius: float
     horizon: float
-    confidence: float
     estimates: list
     all_positive: bool
 
@@ -397,12 +401,11 @@ def irreducibility_probe(seed: int, stepper: Stepper, model: NoiseModel,
             lower = float(beta_dist.ppf(1.0 - confidence, hits, n_paths - hits + 1))
         else:
             lower = 0.0
-        estimates.append(HittingEstimate(
-            start=(a, b), start_norm=sp.weighted_norm(u0s[si], stepper.params),
-            hits=hits, n_paths=n_paths, lower_bound=lower))
+        estimates.append(HittingEstimate(start=(a, b), hits=hits, n_paths=n_paths,
+                                         lower_bound=lower))
     return IrreducibilityReport(
-        radius=radius, horizon=horizon, confidence=confidence,
-        estimates=estimates, all_positive=all(e.lower_bound > 0 for e in estimates))
+        radius=radius, horizon=horizon, estimates=estimates,
+        all_positive=all(e.lower_bound > 0 for e in estimates))
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +479,8 @@ def invariant_statistics(seed: int, initials, horizon: float, stepper: Stepper,
     estimates = [[_stationary_estimate(obs.name, out.observed[oi, b, burn:], n_batches)
                   for oi, obs in enumerate(observables)]
                  for b in range(len(initials))]
-    worst = 0.0
-    for oi in range(len(observables)):
-        for i in range(len(estimates)):
-            for j in range(i + 1, len(estimates)):
-                a, b = estimates[i][oi], estimates[j][oi]
-                se = float(np.hypot(a.stderr, b.stderr))
-                worst = max(worst, abs(a.mean - b.mean) / max(se, 1e-300))
+    # per observable, its estimates from every start
+    worst = float(np.max([_worst_sigmas([(e.mean, e.stderr) for e in column])
+                          for column in zip(*estimates)], initial=0.0))
     return InvariantReport(estimates=estimates, max_gap_sigmas=worst,
                            agree=bool(worst <= 3.0))

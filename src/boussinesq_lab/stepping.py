@@ -131,7 +131,8 @@ class KickSchedule:
     n_cells cells. dw holds one row of Brownian increments per cell, shape
     (n_cells, d) for one path or (B, n_cells, d) for a batch; slots is the
     slot table of the model's amplitude-scaled directions (`NoiseModel.slots`).
-    Both are needed only for `increment`.
+    Both are needed only for `increment`; a dw whose last two axes are not
+    (n_cells, slots.dim) raises ValueError.
     """
 
     def __init__(self, grid_step: float, dt: float, n_cells: int,
@@ -142,6 +143,9 @@ class KickSchedule:
             n_steps = n_cells * q
         if n_cells * q < n_steps:
             raise ValueError("clock path too short for the requested horizon")
+        if dw is not None and np.shape(dw)[-2:] != (n_cells, slots.dim):
+            raise ValueError(f"Brownian increments dw have shape {np.shape(dw)}, "
+                             f"expected (cells, model.dim) = {(n_cells, slots.dim)}")
         self.n_steps = n_steps
         self.dw = dw
         self.slots = slots
@@ -164,14 +168,13 @@ class KickSchedule:
         (cells, model.dim); a missing or misshaped piece raises ValueError."""
         if path is None:
             return None
-        cells = len(path.increments)
         for piece, name in ((model, "a noise model"), (dw, "Brownian increments dw")):
             if piece is None:
                 raise ValueError(f"clock path given without {name}")
-        if np.shape(dw) != (cells, model.dim):
-            raise ValueError(f"Brownian increments dw have shape {np.shape(dw)}, "
-                             f"expected (cells, model.dim) = {(cells, model.dim)}")
-        return cls(path.spec.grid_step, stepper.dt, cells, n_steps, dw,
+        if np.ndim(dw) != 2:
+            raise ValueError(f"Brownian increments dw of one path have shape {np.shape(dw)}, "
+                             f"expected (cells, model.dim)")
+        return cls(path.spec.grid_step, stepper.dt, len(path.increments), n_steps, dw,
                    model.slots(stepper.n))
 
     def jumps(self, increments: np.ndarray) -> dict:
@@ -352,13 +355,13 @@ class EnergyAudit:
 
     dissipation_residual_rate: float   # sum |residual| per unit time
     max_jump_residual: float
-    total_steps: int
     n_jumps: int
 
 
-def energy_audit(traj: Trajectory, params: PhysicsParams, stepper: Stepper) -> EnergyAudit:
-    """Audit a recorded trajectory against the temperature energy balance."""
-    nu2 = params.nu2
+def energy_audit(traj: Trajectory, stepper: Stepper) -> EnergyAudit:
+    """Audit a recorded trajectory of stepper against the temperature energy
+    balance."""
+    nu2 = stepper.params.nu2
     dt = stepper.dt
     n_steps = len(traj.times) - 1
     total = 0.0
@@ -379,4 +382,4 @@ def energy_audit(traj: Trajectory, params: PhysicsParams, stepper: Stepper) -> E
     horizon = traj.times[-1] - traj.times[0]
     rate = total / horizon if horizon > 0 else 0.0
     return EnergyAudit(dissipation_residual_rate=rate, max_jump_residual=max_jump,
-                       total_steps=n_steps, n_jumps=n_jumps)
+                       n_jumps=n_jumps)

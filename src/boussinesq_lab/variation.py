@@ -47,7 +47,7 @@ import numpy as np
 
 from . import spectral as sp
 from .spectral import PhysicsParams, SpectralState
-from .stepping import DEFAULT_SCHEME, KickSchedule, Stepper, horizon_steps, sweep
+from .stepping import KickSchedule, Stepper, horizon_steps, sweep
 
 
 # ---------------------------------------------------------------------------
@@ -521,17 +521,16 @@ class ControlDecayResult:
     edge_steps: list            # per path: window edges in step units
     rho_norms: np.ndarray       # (n_paths, n_windows + 1) costate norms at edges
     residual_max: float
-    v_norm_sq_max: float
     n_degenerate: int           # controlled windows without jump mass
 
 
 CLOCK_DOUBLINGS = 10        # control_experiment's clock grows at most 2**10-fold
 
 
-def control_experiment(seed: int, n_paths: int, n_windows: int, n: int,
-                       params: PhysicsParams, spec, model, dt: float,
-                       kappa: float, amplitude: float = 1.0) -> ControlDecayResult:
-    """Alternate controlled and free windows along renewal times of the clock.
+def control_experiment(seed: int, n_paths: int, n_windows: int, stepper: Stepper,
+                       spec, model, kappa: float, amplitude: float = 1.0) -> ControlDecayResult:
+    """Alternate controlled and free windows of stepper along renewal times of
+    the clock.
 
     Window edges are the clock-penalized renewal times rounded up to the
     clock grid; even windows apply the Tikhonov control at `control_window`'s
@@ -543,14 +542,12 @@ def control_experiment(seed: int, n_paths: int, n_windows: int, n: int,
     """
     from .noise import ROLE_INIT, ROLE_SCRATCH, rng_stream, sample_noise, stopping_times
 
-    h = spec.grid_step
-    q = KickSchedule.steps_per_cell(h, dt)
-    stepper = Stepper(n, params, DEFAULT_SCHEME, dt)
+    n, params, h = stepper.n, stepper.params, spec.grid_step
+    q = KickSchedule.steps_per_cell(h, stepper.dt)
 
     edge_steps_all = []
     norms = np.full((n_paths, n_windows + 1), np.nan)
     residual_max = 0.0
-    v_max = 0.0
     n_degen = 0
     for i in range(n_paths):
         horizon = 1.8 * (n_windows + 1) / params.nu
@@ -585,12 +582,10 @@ def control_experiment(seed: int, n_paths: int, n_windows: int, n: int,
             if w % 2 == 0 and res.degenerate:
                 n_degen += 1
             residual_max = max(residual_max, res.recursion_residual)
-            v_max = max(v_max, res.v_norm_sq)
             rho, base = res.rho_out, res.base_out
             norms[i, w + 1] = sp.weighted_norm(rho, params)
     return ControlDecayResult(edge_steps=edge_steps_all, rho_norms=norms,
-                              residual_max=residual_max, v_norm_sq_max=v_max,
-                              n_degenerate=n_degen)
+                              residual_max=residual_max, n_degenerate=n_degen)
 
 
 # ---------------------------------------------------------------------------
@@ -625,18 +620,17 @@ def jacobian_fd_check(u0: SpectralState, horizon: float, stepper: Stepper,
 
 
 def second_variation_fd_check(u0: SpectralState, horizon: float, stepper: Stepper,
-                              phi: SpectralState, psi: SpectralState,
-                              model=None, path=None, dw=None) -> float:
-    """Relative gap between the second variation and a mixed second
-    difference of step 1e-4."""
-    j2 = second_variation(u0, horizon, stepper, phi, psi, model=model, path=path, dw=dw)
+                              phi: SpectralState, psi: SpectralState) -> float:
+    """Relative gap between the noise-free second variation and a mixed
+    second difference of step 1e-4."""
+    j2 = second_variation(u0, horizon, stepper, phi, psi)
     p = stepper.params
     eps = 1e-4
 
     def at(a, b):
         bumped = SpectralState(u0.w_hat + a * phi.w_hat + b * psi.w_hat,
                                u0.theta_hat + a * phi.theta_hat + b * psi.theta_hat)
-        return _flow(bumped, horizon, stepper, model=model, path=path, dw=dw)
+        return _flow(bumped, horizon, stepper)
 
     fpp = at(eps, eps)
     fp0 = at(eps, 0.0)

@@ -260,6 +260,42 @@ def test_bad_config_value(tmp_path):
         assert not out.exists(), text
 
 
+@pytest.mark.parametrize("argv", [
+    ("malliavin", "--alpha", "2"),
+    ("malliavin", "--control-windows", "-1"),
+    ("span", "--level", "0"),
+    ("moments", "--paths", "1"),
+    ("moments", "--eta-paths", "1"),
+    ("ergodicity", "--paths", "0"),
+])
+def test_out_of_range_argument_is_usage_error(tmp_path, capsys, argv):
+    # refused by the parser: exit 2 before any output directory is made
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(out), *argv])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert f"argument {argv[1]}" in capsys.readouterr().err
+
+
+def test_malliavin_control_trace_follows_the_scheme(tiny_cfg, tmp_path):
+    # the control windows run the configured scheme, so imex_euler and the
+    # default etd_euler give different costate norms
+    cfg_file, _ = tiny_cfg
+    imex = tmp_path / "imex.ini"
+    imex.write_text(TINY.replace("dt = 0.005", "dt = 0.005\nscheme = imex_euler"))
+    traces = []
+    for i, fname in enumerate((cfg_file, imex)):
+        out = tmp_path / f"runs{i}"
+        assert run_cli(fname, out, "malliavin", "--control-windows", "1") == 0
+        cfg = load_config(fname)
+        lines = (out / cfg.digest[:12] / "malliavin" / "control_trace.csv").read_text()
+        traces.append(lines.splitlines()[1:])
+    assert traces[0][0] == traces[1][0] == "# path,window,edge_step,costate_norm"
+    assert len(traces[0]) == len(traces[1]) == 1 + 4 * 2
+    assert traces[0] != traces[1]
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "boussinesq_lab", "--help"],
                           capture_output=True, text=True)

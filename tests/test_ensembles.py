@@ -81,6 +81,16 @@ def test_batch_rejects_bad_grid(stepper24):
         runner.run(w, w, dw, SPEC.grid_step, record_every=7)
 
 
+@pytest.mark.parametrize("shape", [(2, 4, MODEL.dim + 2), (2, 4, MODEL.dim - 1),
+                                   (3, 4, MODEL.dim)])
+def test_batch_rejects_misshaped_noise(stepper24, shape):
+    # extra direction columns, too few, and a batch-size mismatch are refused
+    # with simulate's message rather than ignored or failing inside numpy
+    w = np.zeros((2, 24, 24), complex)
+    with pytest.raises(ValueError, match=r"dw have shape"):
+        en.BatchRunner(stepper24, MODEL).run(w, w, np.zeros(shape), SPEC.grid_step)
+
+
 def test_batch_blow_up_names_path_and_energy():
     # on a nearly inviscid flow path 1 starts at energy 8.6e9 and passes the
     # 1e12 ceiling in its first step, while path 0 stays at rest; the error
@@ -137,6 +147,15 @@ def test_moment_plateau_initial_state_agreement(stepper24, big_state):
     p0, p1 = c0.plateau(), c1.plateau()
     assert p0[0] > 0 and p1[0] > 0
     assert en.plateau_agreement([c0, c1]) < 4.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_plateau_agreement_fails_without_error_bars():
+    # one path per curve has no standard error (NaN); the gap must not read
+    # as 0 sigma and pass
+    times = np.arange(5.0)
+    curves = [en.MomentCurve(times, np.full((1, 5), level)) for level in (1.0, 2.0)]
+    assert not en.plateau_agreement(curves) <= 3.0
 
 
 def test_moment_run_is_reproducible(stepper24):
@@ -273,6 +292,15 @@ def test_invariant_statistics_report(big_state):
             assert abs(est.mean) < 1.0          # all defaults are bounded by 1
     assert rep.max_gap_sigmas < 4.5
     assert rep.agree == (rep.max_gap_sigmas <= 3.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_invariant_statistics_fails_with_one_batch(stepper24, big_state):
+    # one batch mean has no standard error (NaN), so the starts cannot agree
+    rep = en.invariant_statistics(7, [sp.state_zeros(24), big_state], 0.1, stepper24,
+                                  MODEL, SPEC, n_batches=1)
+    assert np.isnan(rep.max_gap_sigmas)
+    assert not rep.agree
 
 
 def test_batch_means_variance_scaling():
@@ -452,3 +480,46 @@ def test_every_module_level_name_is_reached():
     unreached = [f"{mod}:{name}" for mod, name in defined
                  if name not in reached and name not in REACHABILITY_ALLOWLIST]
     assert unreached == []
+
+
+# dataclass fields kept although nothing reads them, each with its reason
+FIELD_ALLOWLIST = {}
+
+
+def _is_dataclass_def(node) -> bool:
+    if not isinstance(node, ast.ClassDef):
+        return False
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def _read_names(tree) -> set:
+    """Attribute names loaded anywhere in the tree, and constant getattr names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            names.add(node.args[1].value)
+    return names
+
+
+def test_every_dataclass_field_is_read():
+    # a result field that is filled but never read is dead output: it must be
+    # read somewhere in src/, tests/ or benchmarks/, or carry a reason here
+    pkg = Path(sp.__file__).parent
+    tests = Path(__file__).resolve().parent
+    trees = {f: ast.parse(f.read_text())
+             for d in (pkg, tests, tests.parent / "benchmarks") for f in sorted(d.glob("*.py"))}
+    read = set().union(*map(_read_names, trees.values()))
+    owned = [(f.stem, node.name, stmt.target.id)
+             for f in sorted(pkg.glob("*.py")) for node in trees[f].body
+             if _is_dataclass_def(node)
+             for stmt in node.body
+             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    assert set(FIELD_ALLOWLIST) <= {name for *_, name in owned}
+    unread = [f"{mod}:{cls}.{name}" for mod, cls, name in owned
+              if name not in read and name not in FIELD_ALLOWLIST]
+    assert unread == []

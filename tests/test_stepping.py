@@ -156,8 +156,8 @@ def test_divisibility_rule_is_shared(entry):
         "BatchRunner.run": lambda: BatchRunner(stepper, model).run(zeros, zeros, dw[None], h),
         "malliavin_forward": lambda: var.malliavin_forward(u0, 30, stepper, model, path, dw,
                                                            var.HNBasis(n, 2, p)),
-        "control_experiment": lambda: var.control_experiment(1, 1, 1, n, p, spec, model,
-                                                             dt, 0.0),
+        "control_experiment": lambda: var.control_experiment(1, 1, 1, stepper, spec, model,
+                                                             0.0),
         "RunConfig": lambda: RunConfig(dt=dt, grid_step=h),
     }
     with pytest.raises(ValueError, match=DIVIDE):
@@ -454,7 +454,7 @@ def linear_only_trajectory(dt, horizon=1.0):
 
 def test_energy_audit_linear_run_residual():
     traj, p, stepper = linear_only_trajectory(1e-3)
-    audit = energy_audit(traj, p, stepper)
+    audit = energy_audit(traj, stepper)
     assert audit.n_jumps == 0
     assert audit.max_jump_residual == 0.0
     assert audit.dissipation_residual_rate <= 1e-6
@@ -463,8 +463,8 @@ def test_energy_audit_linear_run_residual():
 def test_energy_audit_richardson_order():
     coarse, p, st_c = linear_only_trajectory(2e-3)
     fine, _, st_f = linear_only_trajectory(1e-3)
-    r_c = energy_audit(coarse, p, st_c).dissipation_residual_rate
-    r_f = energy_audit(fine, p, st_f).dissipation_residual_rate
+    r_c = energy_audit(coarse, st_c).dissipation_residual_rate
+    r_f = energy_audit(fine, st_f).dissipation_residual_rate
     # trapezoid quadrature of the dissipation integral: second order per unit time
     assert r_f <= 0.35 * r_c
 
@@ -475,7 +475,7 @@ def test_energy_audit_jump_identity(rng):
     u0 = random_state(n, rng)
     stepper = Stepper(n, p, StepScheme.ETD_EULER, 1e-2)
     traj, _, _ = run_with_noise(u0, 0.5, stepper, NoiseModel(), SubordinatorSpec(grid_step=1e-2), seed=9)
-    audit = energy_audit(traj, p, stepper)
+    audit = energy_audit(traj, stepper)
     assert audit.n_jumps > 10
     assert audit.max_jump_residual <= 1e-12
 

@@ -468,9 +468,9 @@ def test_control_experiment_median_decay():
     spec = SubordinatorSpec(a=8.0, b=4.0, grid_step=1e-2)
     model = NoiseModel()
     kappa = 0.1 * 0.05 * params.nu / model.b0
-    out = var.control_experiment(seed=3101, n_paths=12, n_windows=4, n=12,
-                                 params=params, spec=spec, model=model,
-                                 dt=1e-2, kappa=kappa, amplitude=0.5)
+    out = var.control_experiment(seed=3101, n_paths=12, n_windows=4,
+                                 stepper=Stepper(12, params, DEFAULT_SCHEME, 1e-2),
+                                 spec=spec, model=model, kappa=kappa, amplitude=0.5)
     assert out.residual_max <= 1e-6
     assert out.n_degenerate == 0
     med = np.median(out.rho_norms, axis=0)
@@ -485,8 +485,8 @@ def test_control_experiment_draws_a_longer_clock():
     # kappa = 0.005 both fit at once and draw what a fixed 5.4 horizon drew.
     # The edges are [0, eta_1, eta_2] in steps, rounded up to the clock grid
     def run(kappa):
-        return var.control_experiment(11, 2, 2, 16, PhysicsParams(),
-                                      SubordinatorSpec(grid_step=1e-2), NoiseModel(), 1e-2, kappa)
+        return var.control_experiment(11, 2, 2, Stepper(16, PhysicsParams(), DEFAULT_SCHEME, 1e-2),
+                                      SubordinatorSpec(grid_step=1e-2), NoiseModel(), kappa)
 
     out = run(0.01)
     assert out.edge_steps == [[0, 423, 589], [0, 306, 707]]
@@ -506,7 +506,8 @@ def test_control_experiment_first_window_ends_at_eta_1():
 
     params, spec, model = PhysicsParams(), SubordinatorSpec(grid_step=1e-2), NoiseModel()
     dt, kappa, n_windows = 5e-3, 0.005, 2
-    out = var.control_experiment(11, 2, n_windows, 16, params, spec, model, dt, kappa)
+    out = var.control_experiment(11, 2, n_windows, Stepper(16, params, DEFAULT_SCHEME, dt),
+                                 spec, model, kappa)
     for i, edges in enumerate(out.edge_steps):
         path, _ = sample_noise(spec, model, 1.8 * (n_windows + 1) / params.nu, 11, i)
         eta_1 = stopping_times(path, params.nu, kappa, model.b0, max_count=1)[1]
