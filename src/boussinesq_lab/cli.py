@@ -28,7 +28,7 @@ from .ensembles import (eproperty_probe, invariant_statistics, irreducibility_pr
 from .hormander import (bracket_z_sigma, bracket_z_sigma_field, combo_state,
                         numerical_lie_bracket, psi_recovery, span_generation,
                         verify_span, z_field)
-from .noise import ROLE_INIT, ROLE_SCRATCH, rng_stream, sample_noise, save_path
+from .noise import ROLE_INIT, ROLE_SCRATCH, grid_cells, rng_stream, sample_noise, save_path
 from .spectral import PhysicsParams, SpectralState, weighted_norm
 from .stepping import energy_audit, horizon_steps, run_with_noise, simulate
 from .variation import (HNBasis, control_experiment, malliavin_backward,
@@ -563,7 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="moment plateaus and recurrence moments")
     p.add_argument("--paths", type=_int_from(2), default=16)
     p.add_argument("--eta-paths", type=_int_from(2), default=400)
-    p.add_argument("--kappa-frac", type=float, default=0.1,
+    p.add_argument("--kappa-frac", type=_checked(float, lambda x: x > 0, "positive"),
+                   default=0.1,
                    help="threshold radius as a fraction of the safe bound")
 
     p = sub.add_parser("ergodicity", help="equicontinuity and invariant statistics")
@@ -591,6 +592,19 @@ _HANDLERS = {
 }
 
 
+def _config_argument_error(cfg: RunConfig, args) -> str | None:
+    """Why an argument does not fit the config, or None: the ergodicity
+    horizons must lie on the clock grid."""
+    if args.command == "ergodicity":
+        for flag, horizon in (("--ep-horizon", args.ep_horizon),
+                              ("--invariant-horizon", args.invariant_horizon)):
+            try:
+                grid_cells(horizon, cfg.grid_step)
+            except ValueError as exc:
+                return f"argument {flag} {horizon}: {exc} {cfg.grid_step}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -600,6 +614,10 @@ def main(argv=None) -> int:
             cfg = cfg.with_seed(args.seed)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    error = _config_argument_error(cfg, args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     out = _outdir(cfg, args.out, args.command)
     print(f"{args.command}: config {cfg.digest[:12]} -> {out}")

@@ -96,12 +96,19 @@ class SubordinatorPath:
         return float(self.cumulative[-1])
 
 
+def grid_cells(horizon: float, grid_step: float) -> int:
+    """Clock cells of a horizon, which must be a multiple of the grid step to
+    within 1e-9 max(1, horizon); raises ValueError otherwise."""
+    m = int(round(horizon / grid_step))
+    if abs(m * grid_step - horizon) > 1e-9 * max(1.0, horizon):
+        raise ValueError("horizon must be a multiple of the grid step")
+    return m
+
+
 def sample_subordinator(spec: SubordinatorSpec, horizon: float,
                         rng: np.random.Generator, seed: int | None = None) -> SubordinatorPath:
     """Draw a clock path on [0, horizon] at the spec's grid step."""
-    m = int(round(horizon / spec.grid_step))
-    if abs(m * spec.grid_step - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError("horizon must be a multiple of the grid step")
+    m = grid_cells(horizon, spec.grid_step)
     times = spec.grid_step * np.arange(m + 1)
     times[-1] = horizon
     if spec.a == 0.0:

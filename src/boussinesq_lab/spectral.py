@@ -42,10 +42,15 @@ the step and of `nonlinear_B`) and the tangent's bilinear form stack their
 two products into one `masked_transform`. Each output is bit-equal to its
 per-field transform. A large stack is not transformed whole, which is
 slower: its arrays outgrow the cache and are fresh memory on every step.
-`blockwise` applies the step and the tangent to blocks of `block_rows(n)`
-rows, the rows whose six half fields fill about 1 MiB (75 at n = 16, 20 at
-n = 32, 9 at n = 48). The adjoint keeps one transform per field: stacking
-its six forward transforms measured slower.
+`blockwise` applies the step, the tangent and the adjoint to blocks of
+`block_rows(n)` rows, the rows whose six half fields fill about 1 MiB (75 at
+n = 16, 20 at n = 32, 9 at n = 48). The blocks never share a row, so they run
+concurrently: the calling thread takes one share and a pool, made on the
+first call with more than one block and sized by the CPUs the process may
+run on (its affinity), the others. Each block makes the same arithmetic
+wherever it runs, so results do not depend on the CPU count. The adjoint
+keeps one transform per field within its block: stacking its six forward
+transforms measured slower.
 
 Pairings. Every coefficient-space inner product of the package goes through
 `pairings` (stack against stack), `slot_pairings` (stack against a slot
@@ -80,6 +85,10 @@ Conventions:
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -452,17 +461,70 @@ def block_rows(n: int) -> int:
     return max(1, 2**20 // (96 * n * (n // 2 + 1)))
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_CPUS = _cpu_count()
+_pool: ThreadPoolExecutor | None = None     # made on the first multi-block call
+_pool_lock = threading.Lock()
+_pool_thread = threading.local()            # .busy is set in the pool's threads
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.busy = True
+
+
+def _block_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="blockwise",
+                                       initializer=_mark_pool_thread)
+        return _pool
+
+
 def blockwise(step, w: np.ndarray, t: np.ndarray):
     """The image (w', t') of a half stack pair under a rowwise map, made
     block by block: step(w, t, out_w, out_t) writes the image of a block of
     at most `block_rows(n)` rows, (rows, n, n//2+1) each, into out_w and
-    out_t."""
+    out_t.
+
+    The blocks never share a row, so they run concurrently: dealt into one
+    group per CPU (at most one per block), the calling thread runs group 0
+    and the block pool the others, each under a copy of the caller's
+    context, which holds its `np.errstate`. It returns once every group is
+    done, raising the first group's error if any raised. One block, one CPU
+    or a call from a pool thread runs the blocks in turn on the calling
+    thread. The partition and each row's arithmetic are the same either
+    way, so the result is too, bit for bit."""
     n = w.shape[-2]
     w3, t3 = w.reshape((-1,) + w.shape[-2:]), t.reshape((-1,) + t.shape[-2:])
     out_w, out_t = np.empty(w3.shape, np.complex128), np.empty(t3.shape, np.complex128)
     r = block_rows(n)
-    for i in range(0, len(w3), r):
-        step(w3[i:i + r], t3[i:i + r], out_w[i:i + r], out_t[i:i + r])
+    starts = range(0, len(w3), r)
+
+    def run(group):
+        for i in group:
+            step(w3[i:i + r], t3[i:i + r], out_w[i:i + r], out_t[i:i + r])
+
+    k = min(_CPUS, len(starts))
+    if k <= 1 or getattr(_pool_thread, "busy", False):
+        run(starts)
+    else:
+        pool = _block_pool()
+        futures = [pool.submit(contextvars.copy_context().run, run, starts[g::k])
+                   for g in range(1, k)]
+        try:
+            run(starts[::k])
+        finally:
+            wait(futures)
+        for f in futures:
+            f.result()
     return out_w.reshape(w.shape), out_t.reshape(t.shape)
 
 

@@ -20,8 +20,9 @@ Every forward time loop in the package is built from three pieces here:
     One path has an empty batch shape, an ensemble a leading batch axis.
     The decay, gain and buoyancy symbols are half arrays too, so the
     combine runs on the half width and no step writes a k2 < 0 column. It
-    runs on blocks of `sp.block_rows(n)` paths (`sp.blockwise`), and per
-    block its quadratic term is one `sp.physical_fields` call (one stacked
+    runs on blocks of `sp.block_rows(n)` paths (`sp.blockwise`), which the
+    calling thread and a pool sized by the process's CPU affinity share, and
+    per block its quadratic term is one `sp.physical_fields` call (one stacked
     real inverse transform of the six fields) and one `sp.transport` of the
     two stacked products (one real forward transform), whose self-mirrored
     columns are exactly symmetric, so the step keeps the state so with no

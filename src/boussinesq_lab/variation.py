@@ -10,13 +10,14 @@ spectral module's transform layer, as the step kernel does: the base and
 the perturbations enter as `physical_fields`, and the tangent and the
 second-variation source apply the one bilinear form B(a, b) + B(b, a), whose
 two slots are one stacked `masked_transform`. Like the step, the tangent
-runs on blocks of `sp.block_rows(n)` rows (`sp.blockwise`), so one block
-makes one inverse and one forward transform. The adjoint is built by
-transposing every pipeline stage literally, with the vorticity-slot weight
-zeta* carried through, so forward/backward duality holds to roundoff and the
-two Gramian assemblies agree to machine precision. It keeps one transform
-per field: stacking its six forward transforms made the adjoint Gramian
-sweep slower.
+and the adjoint run on blocks of `sp.block_rows(n)` rows (`sp.blockwise`),
+which the calling thread and a pool sized by the process's CPU affinity
+share; a tangent block makes one inverse and one forward transform. The
+adjoint is built by transposing every pipeline stage literally, with the
+vorticity-slot weight zeta* carried through, so forward/backward duality
+holds to roundoff and the two Gramian assemblies agree to machine precision.
+It keeps one transform per field in each block: stacking its six forward
+transforms made the adjoint Gramian sweep slower.
 
 Stacks of perturbations and costates are raw complex arrays in the half
 storage of the spectral module, shape (batch, n, n//2+1), so the FFT work
@@ -93,12 +94,17 @@ class Linearizer:
         np.add(st.decay_t * xt, st.gain_t * dt_, out=out_t)
 
     def adjoint(self, prep, rw: np.ndarray, rt: np.ndarray):
-        """One adjoint step: M(U)* rho in the weighted state inner product.
+        """One adjoint step: M(U)* rho in the weighted state inner product,
+        made in blocks of `sp.block_rows(n)` rows.
 
         `sp.to_physical` and `sp.from_physical` serve as each other's
         transpose in the pairing of the half storage, which counts each
         column as often as the full spectrum holds it.
         """
+        return sp.blockwise(lambda *block: self._adjoint_block(prep, *block), rw, rt)
+
+    def _adjoint_block(self, prep, rw, rt, out_w, out_t) -> None:
+        # the adjoint step of one (rows, n, n//2+1) block, written into out_w and out_t
         st = self.stepper
         s = sp.half_symbols(self.n)
         u1, u2, dw1, dw2, dt1, dt2 = prep
@@ -115,9 +121,8 @@ class Linearizer:
         s1 = dw1 * pw + dt1 * pt / self.zeta
         s2 = dw2 * pw + dt2 * pt / self.zeta
         t2w = np.where(s.dealias, (s.ik1 * fft(s2) - s.ik2 * fft(s1)) * s.inv_ksq, 0.0)
-        out_w = st.decay_w * rw - t1w - t2w
-        out_t = st.decay_t * rt - t1t - self.zeta * st.buoyancy * aw
-        return out_w, out_t
+        np.subtract(st.decay_w * rw - t1w, t2w, out=out_w)
+        np.subtract(st.decay_t * rt - t1t, self.zeta * st.buoyancy * aw, out=out_t)
 
 
 def stack_states(states) -> tuple[np.ndarray, np.ndarray]:

@@ -267,6 +267,8 @@ def test_bad_config_value(tmp_path):
     ("moments", "--paths", "1"),
     ("moments", "--eta-paths", "1"),
     ("ergodicity", "--paths", "0"),
+    ("moments", "--kappa-frac", "-1"),
+    ("moments", "--kappa-frac", "0"),
 ])
 def test_out_of_range_argument_is_usage_error(tmp_path, capsys, argv):
     # refused by the parser: exit 2 before any output directory is made
@@ -276,6 +278,20 @@ def test_out_of_range_argument_is_usage_error(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert not out.exists()
     assert f"argument {argv[1]}" in capsys.readouterr().err
+
+
+def test_off_grid_ergodicity_horizon_is_usage_error(tiny_cfg, tmp_path, capsys):
+    # both horizons must lie on the clock grid (0.01 here), checked against
+    # the config before any output directory is made; the defaults do
+    cfg_file, cfg = tiny_cfg
+    out = tmp_path / "runs"
+    for flag, value in (("--ep-horizon", "0.205"), ("--invariant-horizon", "3.005")):
+        assert run_cli(cfg_file, out, "ergodicity", "--paths", "2", flag, value) == 2
+        assert not out.exists()
+        assert f"argument {flag} {value}: horizon must be a multiple of the grid step" \
+            in capsys.readouterr().err
+    assert run_cli(cfg_file, out, "ergodicity", "--paths", "2") == 0
+    assert (out / cfg.digest[:12] / "ergodicity" / "ergodicity.json").is_file()
 
 
 def test_malliavin_control_trace_follows_the_scheme(tiny_cfg, tmp_path):

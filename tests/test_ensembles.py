@@ -403,10 +403,14 @@ def test_eproperty_probe_sees_a_perturbed_noise_block(stepper24, monkeypatch):
 
 
 def test_no_worker_pool_in_the_package():
-    # every experiment runs as one lockstep batch in one process
-    pool = re.compile(r"BQLAB_WORKERS|\bconcurrent\.futures\b|\bfrom\s+concurrent\s+import\b")
+    # every experiment runs as one lockstep batch in one process; the only
+    # threads are those of the block pool behind `spectral.blockwise`
+    process = re.compile(r"BQLAB_WORKERS|ProcessPoolExecutor|\bmultiprocessing\b|\bos\.fork\b")
+    threads = re.compile(r"\bthreading\b|\bconcurrent\.futures\b|\bfrom\s+concurrent\s+import\b")
     pkg = Path(sp.__file__).parent
-    offenders = [f.name for f in sorted(pkg.glob("*.py")) if pool.search(f.read_text())]
+    offenders = [f.name for f in sorted(pkg.glob("*.py"))
+                 if process.search(f.read_text())
+                 or (f.name != "spectral.py" and threads.search(f.read_text()))]
     assert offenders == []
 
 
@@ -480,6 +484,21 @@ def test_every_module_level_name_is_reached():
     unreached = [f"{mod}:{name}" for mod, name in defined
                  if name not in reached and name not in REACHABILITY_ALLOWLIST]
     assert unreached == []
+
+
+def test_no_module_reads_the_environment():
+    # a run is set by its config and arguments alone: no package module
+    # names os.environ, os.getenv or environ
+    pkg = Path(sp.__file__).parent
+    offenders = []
+    for f in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text())):
+            names = ([node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [])
+            offenders += [f"{f.name}:{node.lineno}" for x in names if x in ("environ", "getenv")]
+    assert offenders == []
 
 
 # dataclass fields kept although nothing reads them, each with its reason

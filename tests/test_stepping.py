@@ -1,5 +1,9 @@
 """Integrator contracts: per-mode decay, reproducibility, energy audit."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -332,6 +336,128 @@ def test_blocked_tangent_equals_one_block(rng):
     lin._tangent_block(prep, xw, xt, *want)
     for x, y in zip(got, want):
         assert x.tobytes() == y.tobytes()
+
+
+@pytest.fixture(params=[1, 3], ids=["serial", "three_groups"])
+def cpus(request, monkeypatch):
+    # the driver's CPU count: 1 runs the blocks in turn, 3 deals them into
+    # three groups whatever the machine has
+    monkeypatch.setattr(sp, "_CPUS", request.param)
+    return request.param
+
+
+def test_blocked_adjoint_equals_one_block(cpus, rng):
+    n = 16
+    lin = var.Linearizer(Stepper(n, PhysicsParams(), StepScheme.ETD_EULER, 1e-2))
+    prep = lin.prepare(random_state(n, rng).halves())
+    rw, rt = _states(n, 440, rng)
+    assert 440 > sp.block_rows(n)
+    got = lin.adjoint(prep, rw, rt)
+    want = np.empty((2,) + rw.shape, np.complex128)
+    lin._adjoint_block(prep, rw, rt, *want)
+    for x, y in zip(got, want):
+        assert x.tobytes() == y.tobytes()
+
+
+def _copy_block(w, t, out_w, out_t):
+    out_w[...], out_t[...] = w, t
+
+
+def _zeros(n, blocks):
+    shape = (blocks * sp.block_rows(n), n, n // 2 + 1)
+    return np.zeros(shape, np.complex128), np.zeros(shape, np.complex128)
+
+
+def test_blockwise_raises_the_error_of_a_later_block(cpus):
+    # every other block still runs to its end before the error surfaces
+    n = 16
+    w, t = _zeros(n, 4)
+    done = []
+
+    def step(w, t, out_w, out_t):
+        block = int(w[0, 0, 0].real)
+        if block == 3:
+            raise KeyError(block)
+        time.sleep(0.05)
+        done.append(block)
+
+    w[:, 0, 0] = np.arange(len(w)) // sp.block_rows(n)
+    with pytest.raises(KeyError, match="3"):
+        sp.blockwise(step, w, t)
+    assert sorted(done) == [0, 1, 2]
+
+
+def test_blockwise_keeps_the_callers_errstate(cpus):
+    # a NaN cast to an integer is an invalid operation; in a non-first block
+    # it raises only if that block runs under the caller's np.errstate
+    n = 16
+    w, t = _zeros(n, 2)
+    w[sp.block_rows(n) + 1, 3, 2] = np.nan
+
+    def step(w, t, out_w, out_t):
+        w.real.astype(np.int64)
+        _copy_block(w, t, out_w, out_t)
+
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        sp.blockwise(step, w, t)
+
+
+def _in_thread(fun, timeout=60.0):
+    # fun's result, or a failure if it does not return within the timeout
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fun()), daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive() and out
+    return out[0]
+
+
+def test_nested_blockwise_returns(cpus):
+    # a block that itself calls blockwise, from the calling thread or a pool
+    # thread, neither deadlocks nor changes the result
+    n = 16
+    w, t = (np.arange(x.size, dtype=np.complex128).reshape(x.shape) for x in _zeros(n, 4))
+
+    def step(w, t, out_w, out_t):
+        # the inner call gets the block twice over, so two blocks of rows
+        inner_w, _ = sp.blockwise(_copy_block, np.concatenate([w, w]), np.concatenate([t, t]))
+        out_w[...], out_t[...] = inner_w[:len(w)], t
+
+    got_w, got_t = _in_thread(lambda: sp.blockwise(step, w, t))
+    assert got_w.tobytes() == w.tobytes() and got_t.tobytes() == t.tobytes()
+
+
+def test_concurrent_callers_get_the_one_block_result(rng):
+    # four threads step their own batches through the one pool at a short
+    # switch interval; each result equals its batch stepped as one block
+    n = 32
+    stepper = Stepper(n, PhysicsParams(), StepScheme.ETD_EULER, 5e-3)
+    batches = [_states(n, 2 * sp.block_rows(n) + 1, rng) for _ in range(4)]
+    want = []
+    for w, t in batches:
+        want.append(np.empty((2,) + w.shape, np.complex128))
+        stepper._advance_block(w, t, *want[-1])
+    results = [None] * len(batches)
+
+    def caller(i):
+        for _ in range(5):
+            results[i] = stepper.advance(*batches[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,), daemon=True)
+                   for i in range(len(batches))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(60.0)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for got, ref in zip(results, want):
+        assert got is not None
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, ref))
 
 
 @pytest.mark.parametrize("n", [16, 48])
