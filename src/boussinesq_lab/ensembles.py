@@ -6,7 +6,8 @@ Trajectory batches share the clock grid, so the whole ensemble advances as
 loop of the stepping module, `Stepper.advance` under `sweep`, that also runs
 a single path; a batch only adds its recording hook. Per-path randomness
 enters only through the clock increments and the Brownian draws, each from
-its own keyed stream, so a path's output does not depend on its batch.
+its own keyed stream (`noise.sample_noise_batch`), so a path's output does
+not depend on its batch.
 Each experiment runs its starts as one batch in one process, and each
 observable maps half stacks to (...) values, one call per record.
 """
@@ -23,15 +24,12 @@ from scipy.stats import beta as beta_dist
 
 from . import spectral as sp
 from .noise import (
-    ROLE_BROWNIAN,
-    ROLE_CLOCK,
     ROLE_SCRATCH,
     NoiseModel,
     SubordinatorSpec,
     exp_moment_eta,
     rng_stream,
-    sample_subordinator,
-    subordinated_increments,
+    sample_noise_batch,
 )
 from .spectral import SpectralState
 from .stepping import KickSchedule, Stepper, blown_up, sweep
@@ -80,22 +78,6 @@ def default_observables() -> tuple:
 
 # ---------------------------------------------------------------------------
 # shared-noise batches
-
-
-def sample_noise_batch(spec: SubordinatorSpec, model: NoiseModel, horizon: float,
-                       seed: int, n_paths: int, key_offset: int = 0):
-    """Clock paths and subordinated Brownian increments for a batch.
-
-    Every path gets its own clock and Brownian stream keyed by (seed, role,
-    path index); the shared horizon and grid step mean all paths have the
-    same cell count, which is what lets the batch advance in lockstep.
-    Returns (increments (B, cells), dw (B, cells, d)).
-    """
-    keys = range(key_offset, key_offset + n_paths)
-    paths = [sample_subordinator(spec, horizon, rng_stream(seed, ROLE_CLOCK, i)) for i in keys]
-    dws = [subordinated_increments(path, model.dim, rng_stream(seed, ROLE_BROWNIAN, i))
-           for path, i in zip(paths, keys)]
-    return np.stack([path.increments for path in paths]), np.stack(dws)
 
 
 def noise_digest(increments: np.ndarray, dw: np.ndarray) -> str:
@@ -241,11 +223,9 @@ def clock_rate_function(spec: SubordinatorSpec, c: float) -> float:
     rate c >= a/b is b c - a - a log(b c / a); below the mean rate the cost
     of staying high is zero.
     """
-    if spec.family != "gamma":
-        raise ValueError(f"no rate function for family {spec.family!r}")
     if spec.a == 0.0:
         return np.inf
-    if c <= spec.a / spec.b:
+    if c <= spec.mean_rate:
         return 0.0
     return float(spec.b * c - spec.a - spec.a * np.log(spec.b * c / spec.a))
 

@@ -66,20 +66,11 @@ def bracket_z_sigma(j: Mode, m: int, k: Mode, mp: int) -> dict:
     pref = Fraction(perp_dot(j, k), 2) * sign
     par = (m + mp + 1) % 2
     out: dict = {}
-
-    def add(mode: Mode, parity: int, coef: Fraction) -> None:
-        if coef == 0 or mode == (0, 0):
-            return
-        kc, mc, s = sp.canonicalize(mode, parity)
-        key = (kc, mc)
-        got = out.get(key, Fraction(0)) + s * coef
-        if got:
-            out[key] = got
-        else:
-            out.pop(key, None)
-
-    add((j[0] - k[0], j[1] - k[1]), par, pref * coeff_b(j, k) * (1 if mp == 0 else -1))
-    add((j[0] + k[0], j[1] + k[1]), par, -pref * coeff_a(j, k))
+    for mode, coef in (((j[0] - k[0], j[1] - k[1]), pref * coeff_b(j, k) * (1 if mp == 0 else -1)),
+                       ((j[0] + k[0], j[1] + k[1]), -pref * coeff_a(j, k))):
+        if mode != (0, 0):
+            kc, mc, s = sp.canonicalize(mode, par)
+            combo_add(out, {(kc, mc): s * coef})
     return out
 
 

@@ -9,6 +9,11 @@ which is exact in law for the integrals the solver consumes (the clock is
 constant between its jumps and every cell's mass is collapsed to one atom).
 The forced directions are one slot table of the spectral module
 (`NoiseModel.slots`), and a kick is its scatter.
+
+Every map from the clock onto the step grid lives here: one keyed draw per
+path (`sample_noise`, and `sample_noise_batch` for paths in lockstep), one
+rounding of a time up onto the clock grid, and one first-crossing rule of
+the renewal criterion behind both `stopping_times` and `first_eta_batch`.
 """
 
 from __future__ import annotations
@@ -125,15 +130,36 @@ def subordinated_increments(path: SubordinatorPath, d: int,
     return z * np.sqrt(path.increments)[:, None]
 
 
+def _cells_up(t: float, grid_step: float) -> int:
+    """Cells covering [0, t]: t / grid_step rounded up once rounded to 9
+    decimals, so a time on the grid up to roundoff gains no cell."""
+    return int(np.ceil(round(t / grid_step, 9)))
+
+
+def _keyed_draw(spec: SubordinatorSpec, dim: int, cells: int, seed: int, *key: int):
+    """(clock path, dw) over `cells` cells from the streams (seed, ROLE_CLOCK,
+    *key) and (seed, ROLE_BROWNIAN, *key); the path records seed."""
+    path = sample_subordinator(spec, cells * spec.grid_step,
+                               rng_stream(seed, ROLE_CLOCK, *key), seed=seed)
+    return path, subordinated_increments(path, dim, rng_stream(seed, ROLE_BROWNIAN, *key))
+
+
 def sample_noise(spec: SubordinatorSpec, model: NoiseModel, horizon: float,
                  seed: int, *key: int):
     """One path's noise (clock path, dw) over the horizon rounded up to whole
-    cells (at least one), from the streams (seed, ROLE_CLOCK, *key) and
-    (seed, ROLE_BROWNIAN, *key); the path records seed."""
-    cells = max(1, int(np.ceil(round(horizon / spec.grid_step, 9))))
-    path = sample_subordinator(spec, cells * spec.grid_step,
-                               rng_stream(seed, ROLE_CLOCK, *key), seed=seed)
-    return path, subordinated_increments(path, model.dim, rng_stream(seed, ROLE_BROWNIAN, *key))
+    cells (at least one), from the keyed streams of (seed, *key)."""
+    return _keyed_draw(spec, model.dim, max(1, _cells_up(horizon, spec.grid_step)), seed, *key)
+
+
+def sample_noise_batch(spec: SubordinatorSpec, model: NoiseModel, horizon: float,
+                       seed: int, n_paths: int, key_offset: int = 0):
+    """(increments (B, cells), dw (B, cells, d)) of paths in lockstep: row i
+    is `sample_noise`'s draw of (seed, key_offset + i) over the horizon, which
+    must lie on the grid so that every path has its cell count."""
+    cells = grid_cells(horizon, spec.grid_step)
+    draws = [_keyed_draw(spec, model.dim, cells, seed, i)
+             for i in range(key_offset, key_offset + n_paths)]
+    return np.stack([path.increments for path, _ in draws]), np.stack([dw for _, dw in draws])
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +216,27 @@ class NoiseModel:
 # stopping times
 
 
+def _penalty(nu: float, kappa: float, b0: float) -> float:
+    """The clock penalty 8 b0 kappa of the renewal criterion; raises
+    ValueError unless nu > 0 and kappa >= 0."""
+    if nu <= 0:
+        raise ValueError("need nu > 0")
+    if kappa < 0:
+        raise ValueError("need kappa >= 0")
+    return 8.0 * b0 * kappa
+
+
+def _first_crossing(t: np.ndarray, ell: np.ndarray, nu: float, drop: float):
+    """First up-crossing along the last axis of f = nu t - drop ell, which
+    peaks just before each cell's right end t, at the clock ell of its left
+    end (both from the renewal anchor): (whether a peak exceeds 1, the first
+    such cell, the exact crossing time (1 + drop ell) / nu inside it)."""
+    crossed = nu * t - drop * ell > 1.0
+    idx = crossed.argmax(axis=-1)
+    ell_at = np.take_along_axis(ell, idx[..., None], axis=-1)[..., 0]
+    return crossed.any(axis=-1), idx, (1.0 + drop * ell_at) / nu
+
+
 def stopping_times(path: SubordinatorPath, nu: float, kappa: float, b0: float,
                    max_count: int | None = None) -> np.ndarray:
     """Renewal times of the clock-penalized drift criterion.
@@ -201,68 +248,50 @@ def stopping_times(path: SubordinatorPath, nu: float, kappa: float, b0: float,
     cell (f is piecewise linear), so kappa = 0 gives eta_j = j / nu exactly.
     Returns the array [eta_0 = 0, eta_1, ...] up to the path horizon.
     """
-    if nu <= 0:
-        raise ValueError("need nu > 0")
-    if kappa < 0:
-        raise ValueError("need kappa >= 0")
-    times = path.times
-    cum = path.cumulative
-    drop = 8.0 * b0 * kappa
+    drop = _penalty(nu, kappa, b0)
+    times, cum = path.times, path.cumulative
     etas = [0.0]
-    t0, ell0 = 0.0, 0.0       # renewal anchor
-    cell = 0
-    m = len(path.increments)
-    while cell < m:
-        # value just before the jump at the right boundary of this cell;
-        # computed from the anchor, not accumulated, so the jump-free case
+    cell, t0, ell0 = 0, 0.0, 0.0       # renewal anchor
+    while cell < len(path.increments):
+        # measured from the anchor, not accumulated, so the jump-free case
         # crosses at bit-exact multiples of 1/nu
-        f_pre = nu * (times[cell + 1] - t0) - drop * (cum[cell] - ell0)
-        if f_pre > 1.0:
-            t_star = t0 + (1.0 + drop * (cum[cell] - ell0)) / nu
-            etas.append(t_star)
-            if max_count is not None and len(etas) - 1 >= max_count:
-                break
-            t0, ell0 = t_star, cum[cell]
-            continue
-        cell += 1
+        crossed, idx, eta = _first_crossing(times[cell + 1:] - t0, cum[cell:-1] - ell0, nu, drop)
+        if not crossed:
+            break
+        cell += int(idx)
+        t0, ell0 = t0 + eta, cum[cell]
+        etas.append(t0)
+        if max_count is not None and len(etas) - 1 >= max_count:
+            break
     return np.asarray(etas)
 
 
 def first_eta_batch(spec: SubordinatorSpec, nu: float, kappa: float, b0: float,
                     n_paths: int, seed: int, horizon: float | None = None):
-    """Vectorized draw of eta_1 over independent clock paths.
-
-    Inside a renewal the criterion f(t) = nu t - 8 b0 kappa ell_t peaks just
-    before each cell boundary at nu t_{i+1} - 8 b0 kappa ell_{t_i}; the first
-    cell whose peak exceeds 1 contains the exact crossing
-    eta_1 = (1 + 8 b0 kappa ell_{t_i}) / nu.
-    Returns (eta_1 array, censored count); censored paths are dropped.
+    """Vectorized draw of eta_1 over independent clock paths, `stopping_times`'
+    first renewal on each. Returns (eta_1 array, censored count); censored
+    paths are dropped.
     """
+    drop = _penalty(nu, kappa, b0)
     if spec.a == 0.0 or kappa == 0.0:
         return np.full(n_paths, 1.0 / nu), 0
-    drain = 8.0 * b0 * kappa * spec.mean_rate / nu
     if horizon is None:
+        drain = drop * spec.mean_rate / nu
         typical = 1.0 / (nu * max(1.0 - drain, 0.05))
-        horizon = min(12.0 * typical, 120.0 / nu)
-        horizon = spec.grid_step * int(np.ceil(horizon / spec.grid_step))
-    m = int(round(horizon / spec.grid_step))
+        m = _cells_up(min(12.0 * typical, 120.0 / nu), spec.grid_step)
+    else:
+        m = int(round(horizon / spec.grid_step))
     rng = rng_stream(seed, ROLE_CLOCK)
     t_right = spec.grid_step * np.arange(1, m + 1)
     chunk = max(1, int(3e6 / m))
-    etas = []
-    censored = 0
-    done = 0
+    etas, censored, done = [], 0, 0
     while done < n_paths:
         p = min(chunk, n_paths - done)
         inc = rng.gamma(spec.a * spec.grid_step, 1.0 / spec.b, size=(p, m))
         ell_left = np.concatenate([np.zeros((p, 1)), np.cumsum(inc, axis=1)[:, :-1]], axis=1)
-        peaks = nu * t_right[None, :] - 8.0 * b0 * kappa * ell_left
-        crossed = peaks > 1.0
-        has = crossed.any(axis=1)
-        idx = crossed.argmax(axis=1)
-        eta = (1.0 + 8.0 * b0 * kappa * ell_left[np.arange(p), idx]) / nu
-        etas.append(eta[has])
-        censored += int(p - has.sum())
+        crossed, _, eta = _first_crossing(t_right, ell_left, nu, drop)
+        etas.append(eta[crossed])
+        censored += int(p - crossed.sum())
         done += p
     return np.concatenate(etas), censored
 
@@ -282,7 +311,8 @@ def exp_moment_eta(spec: SubordinatorSpec, nu: float, kappa: float, b0: float,
 
 
 def save_path(path: SubordinatorPath, fname) -> None:
-    """Columnar text dump (time, cumulative clock) with a self-describing header."""
+    """Columnar text dump (time, cumulative clock) with a self-describing
+    header, written to the open text file or buffer fname."""
     buf = io.StringIO()
     buf.write("# subordinator path v1\n")
     buf.write(f"# family: {path.spec.family}\n")
@@ -293,12 +323,7 @@ def save_path(path: SubordinatorPath, fname) -> None:
     buf.write("# columns: t ell\n")
     for t, c in zip(path.times, path.cumulative):
         buf.write(f"{float(t)!r} {float(c)!r}\n")
-    data = buf.getvalue()
-    if hasattr(fname, "write"):
-        fname.write(data)
-    else:
-        with open(fname, "w") as fh:
-            fh.write(data)
+    fname.write(buf.getvalue())
 
 
 def load_path(fname) -> SubordinatorPath:

@@ -470,8 +470,6 @@ def _cpu_count() -> int:
 
 
 _CPUS = _cpu_count()
-_pool: ThreadPoolExecutor | None = None     # made on the first multi-block call
-_pool_lock = threading.Lock()
 _pool_thread = threading.local()            # .busy is set in the pool's threads
 
 
@@ -479,13 +477,9 @@ def _mark_pool_thread() -> None:
     _pool_thread.busy = True
 
 
-def _block_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="blockwise",
-                                       initializer=_mark_pool_thread)
-        return _pool
+# an executor starts no thread before its first submit, so import starts none
+_pool = ThreadPoolExecutor(max(1, _CPUS - 1), thread_name_prefix="blockwise",
+                           initializer=_mark_pool_thread)
 
 
 def blockwise(step, w: np.ndarray, t: np.ndarray):
@@ -516,8 +510,7 @@ def blockwise(step, w: np.ndarray, t: np.ndarray):
     if k <= 1 or getattr(_pool_thread, "busy", False):
         run(starts)
     else:
-        pool = _block_pool()
-        futures = [pool.submit(contextvars.copy_context().run, run, starts[g::k])
+        futures = [_pool.submit(contextvars.copy_context().run, run, starts[g::k])
                    for g in range(1, k)]
         try:
             run(starts[::k])
@@ -558,10 +551,15 @@ def drift_F(state: SpectralState, params: PhysicsParams) -> SpectralState:
 # spectral projections
 
 
+def in_ball(kk, level: float):
+    """|k| <= level from |k|^2 = kk, boundary included to roundoff."""
+    return kk <= level**2 + 1e-9
+
+
 def pn_mask(n: int, level: float) -> np.ndarray:
     # Euclidean ball, boundary included, mean mode excluded
     kk = ksq(n)
-    return (kk > 0) & (kk <= level**2 + 1e-9)
+    return (kk > 0) & in_ball(kk, level)
 
 
 def project_PN(state: SpectralState, level: float) -> SpectralState:
@@ -702,7 +700,7 @@ def modes_in_ball(level: float) -> list[tuple[int, int]]:
             k = (k1, k2)
             if k == (0, 0) or not is_canonical(k):
                 continue
-            if k1 * k1 + k2 * k2 <= level**2 + 1e-9:
+            if in_ball(k1 * k1 + k2 * k2, level):
                 out.append(k)
     out.sort(key=lambda k: (k[0] * k[0] + k[1] * k[1], k))
     return out

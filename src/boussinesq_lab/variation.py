@@ -290,11 +290,9 @@ class HNBasis:
         return sp.slot_pairings(xw, xt, self.w_slots, self.t_slots, self.params)
 
     def sublevel_mask(self, level: float) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=bool)
-        for i, (_, k, _) in enumerate(self.labels):
-            if k[0] ** 2 + k[1] ** 2 <= level**2 + 1e-9:
-                out[i] = True
-        return out
+        """Which elements lie in the band |k| <= level."""
+        k = np.array([k for _, k, _ in self.labels]).reshape(-1, 2)
+        return sp.in_ball(k[:, 0] ** 2 + k[:, 1] ** 2, level)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +543,7 @@ def control_experiment(seed: int, n_paths: int, n_windows: int, stepper: Stepper
     prefix-stable, so a longer clock keeps the noise of the shorter one.
     Raises RuntimeError when CLOCK_DOUBLINGS doublings do not suffice.
     """
-    from .noise import ROLE_INIT, ROLE_SCRATCH, rng_stream, sample_noise, stopping_times
+    from .noise import ROLE_INIT, ROLE_SCRATCH, _cells_up, rng_stream, sample_noise, stopping_times
 
     n, params, h = stepper.n, stepper.params, spec.grid_step
     q = KickSchedule.steps_per_cell(h, stepper.dt)
@@ -566,8 +564,7 @@ def control_experiment(seed: int, n_paths: int, n_windows: int, stepper: Stepper
             raise RuntimeError("clock horizon too short for the requested windows")
         edges = [0]
         for eta in etas[1:n_windows + 1]:
-            cell = int(np.ceil(eta / h - 1e-12))
-            edges.append(max(cell, edges[-1] + 1))
+            edges.append(max(_cells_up(eta, h), edges[-1] + 1))
         edge_steps = [e * q for e in edges]
         edge_steps_all.append(edge_steps)
 

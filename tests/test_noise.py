@@ -14,6 +14,8 @@ from boussinesq_lab.noise import (
     first_eta_batch,
     load_path,
     rng_stream,
+    sample_noise,
+    sample_noise_batch,
     sample_subordinator,
     save_path,
     stopping_times,
@@ -185,7 +187,74 @@ def test_first_eta_batch_matches_exact_walk():
     inc = rng.gamma(spec.a * spec.grid_step, 1.0 / spec.b, size=(1, 20000))
     path = noise.SubordinatorPath(spec, 1e-3 * np.arange(20001), inc[0])
     walked = stopping_times(path, nu, kappa, b0, max_count=1)
-    assert abs(etas[0] - walked[1]) < 1e-10
+    assert etas[0] == walked[1]
+
+
+def _walk_cells(path, nu, kappa, b0, max_count=None):
+    # the cell-by-cell walk of the renewal criterion, kept as the oracle of
+    # stopping_times: one Python step per cell, each crossing resolved from
+    # the anchor
+    times, cum = path.times, path.cumulative
+    drop = 8.0 * b0 * kappa
+    etas = [0.0]
+    t0, ell0 = 0.0, 0.0
+    cell = 0
+    while cell < len(path.increments):
+        f_pre = nu * (times[cell + 1] - t0) - drop * (cum[cell] - ell0)
+        if f_pre > 1.0:
+            t_star = t0 + (1.0 + drop * (cum[cell] - ell0)) / nu
+            etas.append(t_star)
+            if max_count is not None and len(etas) - 1 >= max_count:
+                break
+            t0, ell0 = t_star, cum[cell]
+            continue
+        cell += 1
+    return np.asarray(etas)
+
+
+def test_stopping_times_equal_the_cell_walk():
+    rng = np.random.default_rng(2024)
+    for case in range(60):
+        a = 0.0 if case % 10 == 0 else 8.0
+        spec = SubordinatorSpec(a=a, b=4.0, grid_step=(1e-3, 1e-2)[case % 2])
+        horizon = spec.grid_step * int(rng.integers(50, 4000))
+        path = sample_subordinator(spec, horizon, rng_stream(case, noise.ROLE_CLOCK))
+        nu = float(rng.uniform(0.5, 2.0))
+        kappa = 0.0 if case % 7 == 0 else float(rng.uniform(0.0, 0.05))
+        max_count = (None, 1, 3)[case % 3]
+        got = stopping_times(path, nu, kappa, 4.0, max_count)
+        want = _walk_cells(path, nu, kappa, 4.0, max_count)
+        assert got.tobytes() == want.tobytes(), case
+
+
+def test_stopping_times_of_an_empty_path():
+    path = sample_subordinator(SubordinatorSpec(), 0.0, rng_stream(1, noise.ROLE_CLOCK))
+    assert stopping_times(path, 1.0, 1e-3, 4.0).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("nu, kappa", [(1.0, -1e-3), (0.0, 1e-3), (-1.0, 1e-3)])
+def test_every_renewal_entry_refuses_bad_rates(nu, kappa):
+    from boussinesq_lab.ensembles import stopping_moment_experiment
+    spec = SubordinatorSpec()
+    path = sample_subordinator(spec, 1.0, rng_stream(1, noise.ROLE_CLOCK))
+    message = "need nu > 0" if nu <= 0 else "need kappa >= 0"
+    for call in (lambda: stopping_times(path, nu, kappa, 4.0),
+                 lambda: first_eta_batch(spec, nu, kappa, 4.0, 5, 1),
+                 lambda: exp_moment_eta(spec, nu, kappa, 4.0, 5, 1),
+                 lambda: stopping_moment_experiment(spec, nu, kappa, 4.0, 1, 5)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_noise_batch_stacks_the_keyed_draws():
+    spec, model = SubordinatorSpec(grid_step=1e-2), NoiseModel()
+    incs, dw = sample_noise_batch(spec, model, 0.3, 9, 3, key_offset=2)
+    for row, key in enumerate(range(2, 5)):
+        path, dw_one = sample_noise(spec, model, 0.3, 9, key)
+        assert incs[row].tobytes() == path.increments.tobytes()
+        assert dw[row].tobytes() == dw_one.tobytes()
+    with pytest.raises(ValueError, match="multiple of the grid step"):
+        sample_noise_batch(spec, model, 0.305, 9, 3)
 
 
 def test_exp_moment_zero_kappa_is_closed_form():

@@ -110,6 +110,16 @@ def test_only_the_spectral_module_weights_a_pairing():
     assert offenders == []
 
 
+def test_only_the_noise_module_names_a_noise_stream():
+    # the clock and Brownian streams are keyed in one place, so every path's
+    # noise comes from the one keyed draw of the noise module
+    role = re.compile(r"\b(ROLE_CLOCK|ROLE_BROWNIAN)\b")
+    pkg = Path(sp.__file__).parent
+    offenders = [f.name for f in sorted(pkg.glob("*.py"))
+                 if f.name != "noise.py" and role.search(f.read_text())]
+    assert offenders == []
+
+
 def test_only_the_spectral_module_places_a_trig_element():
     # where a trig element's coefficients sit is the slot table's business, so
     # a change of storage (say, the half spectrum) touches that module alone

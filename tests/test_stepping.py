@@ -1,5 +1,6 @@
 """Integrator contracts: per-mode decay, reproducibility, energy audit."""
 
+import subprocess
 import sys
 import threading
 import time
@@ -458,6 +459,16 @@ def test_concurrent_callers_get_the_one_block_result(rng):
     for got, ref in zip(results, want):
         assert got is not None
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, ref))
+
+
+def test_importing_the_package_starts_no_thread():
+    # the block pool is made at import, but an executor starts a thread only
+    # on its first submit, so a run that never splits a batch stays on one
+    code = ("import threading, boussinesq_lab.spectral as sp; "
+            "print(threading.active_count(), sp._pool._max_workers == max(1, sp._CPUS - 1))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True"]
 
 
 @pytest.mark.parametrize("n", [16, 48])
