@@ -488,7 +488,9 @@ def cmd_ergodicity(cfg: RunConfig, out: Path, args) -> bool:
             for i, row in enumerate(inv.estimates):
                 for e in row:
                     fh.write(f"{i},{e.observable},{e.mean!r},{e.stderr!r},{e.lag1!r}\n")
-        print(f"  invariant statistics agree within {inv.max_gap_sigmas:.2f} sigma "
+        short = [e.short_batches for rows in inv.estimates for e in rows]
+        print(f"  invariant statistics agree within {inv.max_gap_sigmas:.2f} sigma, "
+              f"short_batches {sum(short)} of {len(short)} "
               f"({'ok' if inv.agree else 'BAD'})")
 
     if args.radius is not None:

@@ -270,17 +270,19 @@ def first_eta_batch(spec: SubordinatorSpec, nu: float, kappa: float, b0: float,
                     n_paths: int, seed: int, horizon: float | None = None):
     """Vectorized draw of eta_1 over independent clock paths, `stopping_times`'
     first renewal on each. Returns (eta_1 array, censored count); censored
-    paths are dropped.
+    paths, those with no renewal by the horizon, are dropped. An explicit
+    horizon must be positive and on the grid (`grid_cells`). With no clock
+    penalty (a = 0 or kappa = 0) every path crosses at exactly 1/nu.
     """
     drop = _penalty(nu, kappa, b0)
-    if spec.a == 0.0 or kappa == 0.0:
-        return np.full(n_paths, 1.0 / nu), 0
     if horizon is None:
         drain = drop * spec.mean_rate / nu
         typical = 1.0 / (nu * max(1.0 - drain, 0.05))
         m = _cells_up(min(12.0 * typical, 120.0 / nu), spec.grid_step)
     else:
-        m = int(round(horizon / spec.grid_step))
+        m = grid_cells(horizon, spec.grid_step)
+        if m < 1:
+            raise ValueError("need horizon > 0")
     rng = rng_stream(seed, ROLE_CLOCK)
     t_right = spec.grid_step * np.arange(1, m + 1)
     chunk = max(1, int(3e6 / m))

@@ -52,6 +52,15 @@ wherever it runs, so results do not depend on the CPU count. The adjoint
 keeps one transform per field within its block: stacking its six forward
 transforms measured slower.
 
+Memory. The block temporaries are about 1 MiB each, right at glibc's
+dynamic mmap and trim thresholds, so by default the memory a step frees
+goes back to the kernel and the next step faults it in again as fresh
+zeroed pages. On glibc only, the import fixes an allocator policy once
+(`_keep_freed_memory`): temporaries up to 32 MiB come from the heap, and
+the heap goes back to the kernel only past 1 GiB free at its top, so freed
+memory stays in the process for reuse. It changes no arithmetic, and every
+output is bit-identical to a run without it. Elsewhere nothing is set.
+
 Pairings. Every coefficient-space inner product of the package goes through
 `pairings` (stack against stack), `slot_pairings` (stack against a slot
 table), `weighted_energy` (squared norms of a stack) or the scalar helpers
@@ -86,7 +95,9 @@ Conventions:
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import os
+import platform
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
@@ -469,6 +480,23 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _keep_freed_memory() -> None:
+    """On glibc, serve every block temporary from the heap and keep what
+    it frees: mmap threshold 32 MiB (its 64-bit maximum), trim threshold
+    1 GiB. Both are set together: setting either one alone turns glibc's
+    dynamic thresholds off and leaves the other at its 128 KiB default.
+    Elsewhere, or when mallopt cannot be loaded, it does nothing."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 32 * 2**20)         # M_MMAP_THRESHOLD
+    mallopt(-1, 2**30)              # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory()
 _CPUS = _cpu_count()
 _pool_thread = threading.local()            # .busy is set in the pool's threads
 

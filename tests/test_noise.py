@@ -246,6 +246,23 @@ def test_every_renewal_entry_refuses_bad_rates(nu, kappa):
             call()
 
 
+def test_first_eta_batch_honours_its_horizon():
+    # with no clock penalty every path crosses at 1/nu, so a horizon before
+    # it censors them all, as a tiny penalty does; an off-grid horizon, or
+    # one of no whole cell, is refused
+    spec = SubordinatorSpec(grid_step=1e-3)
+    for kappa in (0.0, 1e-9):
+        etas, censored = first_eta_batch(spec, 1.0, kappa, 4.0, 3, 1, horizon=0.5)
+        assert (len(etas), censored) == (0, 3)
+    etas, censored = first_eta_batch(spec, 1.0, 0.0, 4.0, 3, 1, horizon=1.5)
+    assert etas.tolist() == [1.0] * 3 and censored == 0
+    with pytest.raises(ValueError, match="multiple of the grid step"):
+        first_eta_batch(spec, 1.0, 1e-3, 4.0, 3, 1, horizon=1.0004)
+    for horizon in (0.4e-3, 1e-10, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            first_eta_batch(spec, 1.0, 1e-3, 4.0, 3, 1, horizon=horizon)
+
+
 def test_noise_batch_stacks_the_keyed_draws():
     spec, model = SubordinatorSpec(grid_step=1e-2), NoiseModel()
     incs, dw = sample_noise_batch(spec, model, 0.3, 9, 3, key_offset=2)

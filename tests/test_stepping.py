@@ -1,5 +1,6 @@
 """Integrator contracts: per-mode decay, reproducibility, energy audit."""
 
+import platform
 import subprocess
 import sys
 import threading
@@ -469,6 +470,36 @@ def test_importing_the_package_starts_no_thread():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "True"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is glibc's")
+def test_the_kernels_stop_faulting_their_memory_in():
+    # freed block temporaries stay in the process, so once warm a tangent
+    # step reuses its memory instead of faulting in fresh zeroed pages; the
+    # second warm-up call lets the pool thread's heap reach its high-water
+    # mark. Two CPUs give one pool thread, which runs the same block on every
+    # call, so no thread meets a block size for the first time while counted
+    code = """
+import resource
+import numpy as np
+from boussinesq_lab import spectral, variation as var
+from boussinesq_lab.spectral import PhysicsParams, random_state
+from boussinesq_lab.stepping import Stepper, StepScheme
+spectral._CPUS = 2
+n, rng = 16, np.random.default_rng(1)
+lin = var.Linearizer(Stepper(n, PhysicsParams(), StepScheme.ETD_EULER, 1e-2))
+prep = lin.prepare(random_state(n, rng).halves())
+xw, xt = rng.standard_normal((2, 200, n, n // 2 + 1)) + 0j
+for _ in range(2):
+    lin.tangent(prep, xw, xt)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    lin.tangent(prep, xw, xt)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100
 
 
 @pytest.mark.parametrize("n", [16, 48])
