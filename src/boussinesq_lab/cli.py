@@ -22,9 +22,9 @@ import numpy as np
 
 from . import spectral as sp
 from .config import ConfigError, RunConfig, load_config, save_config
-from .ensembles import (eproperty_probe, invariant_statistics, irreducibility_probe,
-                        moment_experiment, plateau_agreement,
-                        stopping_moment_experiment)
+from .ensembles import (check_eproperty_horizon, check_invariant_horizon, eproperty_probe,
+                        invariant_statistics, irreducibility_probe, moment_experiment,
+                        plateau_agreement, stopping_moment_experiment)
 from .hormander import (bracket_z_sigma, bracket_z_sigma_field, combo_state,
                         numerical_lie_bracket, psi_recovery, span_generation,
                         verify_span, z_field)
@@ -233,13 +233,7 @@ def cmd_malliavin(cfg: RunConfig, out: Path, args) -> bool:
     # rows accumulate one perturbation per direction per jump cell, so the
     # window has to stay short; the full horizon would be quadratic work
     window = args.window
-    try:
-        n_steps = horizon_steps(window, cfg.dt)
-    except ValueError:
-        n_steps = 0         # not a multiple: refused like a window under one step
-    if n_steps < 1:
-        print("  window must be a positive multiple of grid.dt", file=sys.stderr)
-        return False
+    n_steps = horizon_steps(window, cfg.dt)
     path, dw = sample_noise(cfg.spec(), model, window, cfg.seed)
     basis = HNBasis(cfg.n, 2 * cfg.level, params)
     u0 = _initial_state(cfg)
@@ -548,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=0.5,
                    help="low-mode mass floor for the constrained eigenvalue")
     p.add_argument("--window", type=float, default=0.05,
-                   help="propagation window, a multiple of grid.dt")
+                   help="propagation window, a positive multiple of grid.dt")
     p.add_argument("--check-adjoint", action="store_true",
                    help="assemble the Gramian a second time by the adjoint sweep")
     p.add_argument("--control-windows", type=_int_from(0), default=0,
@@ -576,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="window for the stationary time averages")
     p.add_argument("--skip-eproperty", action="store_true")
     p.add_argument("--skip-invariant", action="store_true")
-    p.add_argument("--radius", type=float, default=None,
+    p.add_argument("--radius", type=_checked(float, lambda x: x > 0, "positive"), default=None,
                    help="also probe hitting probabilities of this ball")
     p.add_argument("--mesh-scale", type=float, default=1.0)
 
@@ -595,15 +589,32 @@ _HANDLERS = {
 
 
 def _config_argument_error(cfg: RunConfig, args) -> str | None:
-    """Why an argument does not fit the config, or None: the ergodicity
-    horizons must lie on the clock grid."""
+    """Why an argument does not fit the config, or None: the malliavin
+    window must be a positive multiple of grid.dt; the ergodicity horizons
+    must lie on the clock grid and, where their part runs, hold what its
+    check needs (`check_eproperty_horizon`, `check_invariant_horizon`)."""
+    if args.command == "malliavin":
+        try:
+            n_steps = horizon_steps(args.window, cfg.dt)
+        except ValueError:
+            n_steps = 0         # not a multiple: refused like a window under one step
+        if n_steps < 1:
+            return f"argument --window {args.window}: window must be a positive multiple " \
+                   f"of grid.dt {cfg.dt}"
     if args.command == "ergodicity":
-        for flag, horizon in (("--ep-horizon", args.ep_horizon),
-                              ("--invariant-horizon", args.invariant_horizon)):
+        for flag, horizon, skip, check in (
+                ("--ep-horizon", args.ep_horizon, args.skip_eproperty, check_eproperty_horizon),
+                ("--invariant-horizon", args.invariant_horizon, args.skip_invariant,
+                 check_invariant_horizon)):
             try:
                 grid_cells(horizon, cfg.grid_step)
             except ValueError as exc:
                 return f"argument {flag} {horizon}: {exc} {cfg.grid_step}"
+            try:
+                if not skip:
+                    check(horizon, cfg.dt, cfg.grid_step)
+            except ValueError as exc:
+                return f"argument {flag} {horizon}: {exc}"
     return None
 
 

@@ -28,6 +28,7 @@ from .noise import (
     NoiseModel,
     SubordinatorSpec,
     exp_moment_eta,
+    grid_cells,
     rng_stream,
     sample_noise_batch,
 )
@@ -125,9 +126,7 @@ class BatchRunner:
                              f"expected (paths, cells, model.dim) with {n_b} paths")
         kicks = KickSchedule(grid_step, st.dt, dw.shape[1], dw=dw, slots=self.slots)
         n_steps = kicks.n_steps
-        if n_steps % record_every:
-            raise ValueError("record_every must divide the step count")
-        n_rec = n_steps // record_every + 1
+        n_rec = _records(n_steps, record_every)
         params = st.params
 
         energy = np.empty((n_b, n_rec))
@@ -153,6 +152,25 @@ class BatchRunner:
         record(0, w, t)
         w, t = sweep(st, w, t, n_steps, kicks, on_step)
         return BatchTrajectory(times, energy, observed, sp.full(w), sp.full(t))
+
+
+def _records(n_steps: int, record_every: int) -> int:
+    """Records of a batch run of n_steps: one at time 0, then one every
+    record_every steps. Raises ValueError unless record_every divides n_steps."""
+    if n_steps % record_every:
+        raise ValueError(f"horizon of {n_steps} steps is not a multiple of "
+                         f"record_every = {record_every}")
+    return n_steps // record_every + 1
+
+
+def horizon_records(horizon: float, dt: float, grid_step: float, record_every: int) -> int:
+    """`_records` of a batch run at step size dt over a horizon of whole
+    clock cells (`noise.grid_cells`). Raises ValueError as they do, and when
+    the horizon spans no cell."""
+    cells = grid_cells(horizon, grid_step)
+    if cells < 1:
+        raise ValueError("horizon must span at least one grid cell")
+    return _records(cells * KickSchedule.steps_per_cell(grid_step, dt), record_every)
 
 
 def _tile(states, n_paths: int):
@@ -281,6 +299,13 @@ class EPropertyReport:
     coupled: bool             # every run saw the identical noise batch
 
 
+def check_eproperty_horizon(horizon: float, dt: float, grid_step: float,
+                            record_every: int = 10) -> None:
+    """Raise ValueError unless a run over horizon records a time-T state
+    (`horizon_records`)."""
+    horizon_records(horizon, dt, grid_step, record_every)
+
+
 def eproperty_probe(seed: int, stepper: Stepper, model: NoiseModel,
                     spec: SubordinatorSpec, base_state: SpectralState,
                     horizon: float, n_paths: int,
@@ -291,8 +316,10 @@ def eproperty_probe(seed: int, stepper: Stepper, model: NoiseModel,
     run (drawn anew, checked by digest) from the base state shifted by delta
     times a fixed unit direction, all runs in one batch; the feedback
     statistic is the coupled mean difference of each `default_observables`
-    functional at time T.
+    functional at time T. Raises ValueError when `check_eproperty_horizon`
+    refuses the horizon, before any noise is drawn.
     """
+    check_eproperty_horizon(horizon, stepper.dt, spec.grid_step, record_every)
     deltas = (1e-1, 5e-2, 2.5e-2)
     observables = default_observables()
     direction = sp.random_state(stepper.n, rng_stream(seed, ROLE_SCRATCH), amplitude=1.0)
@@ -439,6 +466,23 @@ def _stationary_estimate(name: str, series: np.ndarray, n_batches: int) -> Stati
                               n_batches=n_batches, lag1=rho, short_batches=bool(rho > 0.3))
 
 
+def _burn_in(n_rec: int) -> int:
+    """Leading records of n_rec that `invariant_statistics` discards: the
+    first fifth of the run."""
+    return int(round(0.2 * (n_rec - 1)))
+
+
+def check_invariant_horizon(horizon: float, dt: float, grid_step: float,
+                            n_batches: int = 20, record_every: int = 10) -> None:
+    """Raise ValueError unless a run over horizon leaves at least one
+    record per batch mean after the burn-in (`horizon_records`, `_burn_in`)."""
+    n_rec = horizon_records(horizon, dt, grid_step, record_every)
+    kept = n_rec - _burn_in(n_rec)
+    if kept < n_batches:
+        raise ValueError(f"horizon leaves {kept} records after the burn-in, "
+                         f"fewer than its {n_batches} batch means")
+
+
 def invariant_statistics(seed: int, initials, horizon: float, stepper: Stepper,
                          model: NoiseModel, spec: SubordinatorSpec,
                          observables=None, n_batches: int = 20,
@@ -448,14 +492,16 @@ def invariant_statistics(seed: int, initials, horizon: float, stepper: Stepper,
     One long trajectory per initial state, all in one batch; the first
     fifth of the records is discarded, the rest feeds batch means.
     Initial-state independence of the invariant measure shows up as pairwise
-    agreement within combined batch errors.
+    agreement within combined batch errors. Raises ValueError when
+    `check_invariant_horizon` refuses the horizon, before any noise is drawn.
     """
+    check_invariant_horizon(horizon, stepper.dt, spec.grid_step, n_batches, record_every)
     if observables is None:
         observables = default_observables()
     _, dw = sample_noise_batch(spec, model, horizon, seed, len(initials))
     out = BatchRunner(stepper, model).run(*_tile(initials, 1), dw, spec.grid_step,
                                           record_every, observables)
-    burn = int(round(0.2 * (out.observed.shape[-1] - 1)))
+    burn = _burn_in(out.observed.shape[-1])
     estimates = [[_stationary_estimate(obs.name, out.observed[oi, b, burn:], n_batches)
                   for oi, obs in enumerate(observables)]
                  for b in range(len(initials))]

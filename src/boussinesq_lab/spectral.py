@@ -31,26 +31,35 @@ array onto the conjugate-symmetric ones and is needed only where
 coefficients are drawn at random (`random_state`).
 
 Transforms. This is the one transform layer: no other module calls an FFT,
-and its transforms are the real ones of `scipy.fft`. The step kernel, its
-tangent and adjoint, the second variation and `nonlinear_B` share the
-symbol table, the six dealiased physical fields of a stack
-`physical_fields`, and the masked forward transform `masked_transform`.
-`physical_fields` builds its six fields into one (6, ..., n, n//2+1) array
-by two products with one cached symbol stack that is zero outside the 2/3
-band, and makes one inverse transform of it; `transport` (the advection of
-the step and of `nonlinear_B`) and the tangent's bilinear form stack their
-two products into one `masked_transform`. Each output is bit-equal to its
+and its transforms are the real ones of `scipy.fft`. Every kernel is built
+from two stages, which no other module rebuilds: outside this module only
+`stepping` reads a symbol table, for the per-mode multipliers of the step,
+and none calls a raw transform. `physical_fields` builds the six dealiased
+physical fields of a stack into one (6, ..., n, n//2+1) array by two
+products with one cached symbol stack that is zero outside the 2/3 band
+(`_field_symbols`), and makes one inverse transform of it;
+`masked_transform` makes one forward transform of a stack of physical
+products and cuts it to the dealiased mean-free band. The step
+(`transport`, also behind `nonlinear_B`) and the tangent and second
+variation (their bilinear form) run the two in that order. The adjoint
+runs their transposes in reverse order, each written beside its stage:
+`masked_transform_transpose`, the band cut and one inverse transform of
+the stack, and `physical_fields_transpose`, one forward transform of six
+fields read back through the same symbols, conjugated. They are transposes
+between the pairing of the half storage (`half_dot`) and the grid pairing
+(2 pi / n)^2 sum_x f g, in which the unnormalized forward transform and the
+normalized inverse are each other's transpose. So a block of the step, the
+tangent or the adjoint makes one stacked inverse and one stacked forward
+transform. Each output of the two forward stages is bit-equal to its
 per-field transform. A large stack is not transformed whole, which is
-slower: its arrays outgrow the cache and are fresh memory on every step.
+slower: its arrays outgrow the cache.
 `blockwise` applies the step, the tangent and the adjoint to blocks of
 `block_rows(n)` rows, the rows whose six half fields fill about 1 MiB (75 at
 n = 16, 20 at n = 32, 9 at n = 48). The blocks never share a row, so they run
 concurrently: the calling thread takes one share and a pool, made on the
 first call with more than one block and sized by the CPUs the process may
 run on (its affinity), the others. Each block makes the same arithmetic
-wherever it runs, so results do not depend on the CPU count. The adjoint
-keeps one transform per field within its block: stacking its six forward
-transforms measured slower.
+wherever it runs, so results do not depend on the CPU count.
 
 Memory. The block temporaries are about 1 MiB each, right at glibc's
 dynamic mmap and trim thresholds, so by default the memory a step frees
@@ -321,6 +330,12 @@ def masked_transform(f: np.ndarray) -> np.ndarray:
     return _symmetrize(np.where(bmask, scipy.fft.rfft2(f, axes=(-2, -1)), 0.0))
 
 
+def masked_transform_transpose(h: np.ndarray) -> np.ndarray:
+    """The transpose of `masked_transform`: the physical fields of a half
+    stack cut to the dealiased mean-free band."""
+    return to_physical(np.where(half_symbols(h.shape[-2]).bmask, h, 0.0))
+
+
 def hermitize(f_hat: np.ndarray) -> np.ndarray:
     """Project onto coefficient arrays of real fields (conjugate symmetry)."""
     mirror = np.conj(np.roll(f_hat[..., ::-1, ::-1], (1, 1), axis=(-2, -1)))
@@ -457,6 +472,20 @@ def physical_fields(w_hat: np.ndarray, t_hat: np.ndarray) -> np.ndarray:
     np.multiply(sym_t.reshape((2,) + lead + sym_t.shape[1:]), t_hat, out=out[4:])
     out[:2] *= half_symbols(n).inv_ksq     # the Biot-Savart pair (i k2, -i k1) / |k|^2
     return _inverse(out, n)
+
+
+def physical_fields_transpose(f: np.ndarray):
+    """The transpose of `physical_fields`: the (w, theta) half stack pair of
+    six physical fields f (6, ..., n, n), from one forward transform read
+    back through the same symbols, each conjugated."""
+    n = f.shape[-1]
+    sym_w, sym_t = _field_symbols(n)
+    lead = (1,) * (f.ndim - 3)
+    c = from_physical(f)
+    c[:2] *= half_symbols(n).inv_ksq
+    c[:4] *= np.conj(sym_w).reshape((4,) + lead + sym_w.shape[1:])
+    c[4:] *= np.conj(sym_t).reshape((2,) + lead + sym_t.shape[1:])
+    return c[:4].sum(0), c[4:].sum(0)
 
 
 def transport(vel: np.ndarray, grad: np.ndarray) -> np.ndarray:

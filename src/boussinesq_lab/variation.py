@@ -5,28 +5,26 @@ One integrator step at frozen base state U acts on a perturbation xi as
     M(U) xi = decay . xi + gain . D(U) xi,
     D(U) xi = -B(U, xi) - B(xi, U) + G xi,
 the exact derivative of the deterministic substep (temperature kicks do not
-depend on the state, so they drop out of the tangent). Both read the
-spectral module's transform layer, as the step kernel does: the base and
-the perturbations enter as `physical_fields`, and the tangent and the
-second-variation source apply the one bilinear form B(a, b) + B(b, a), whose
-two slots are one stacked `masked_transform`. Like the step, the tangent
-and the adjoint run on blocks of `sp.block_rows(n)` rows (`sp.blockwise`),
-which the calling thread and a pool sized by the process's CPU affinity
-share; a tangent block makes one inverse and one forward transform. The
-adjoint is built by transposing every pipeline stage literally, with the
-vorticity-slot weight zeta* carried through, so forward/backward duality
-holds to roundoff and the two Gramian assemblies agree to machine precision.
-It keeps one transform per field in each block: stacking its six forward
-transforms made the adjoint Gramian sweep slower.
+depend on the state, so they drop out of the tangent). The tangent, its
+adjoint and the second variation follow the one transform rule of the step
+kernel, and read no symbol table and no raw transform of their own: the
+base and the perturbations enter as `sp.physical_fields`, the tangent and
+the second-variation source apply the one bilinear form B(a, b) + B(b, a),
+whose two slots are one stacked `sp.masked_transform`, and the adjoint runs
+the transposes of those two stages in reverse order,
+`sp.masked_transform_transpose` and then `sp.physical_fields_transpose`,
+with the vorticity-slot weight zeta* carried through. So forward/backward
+duality holds to roundoff, the two Gramian assemblies agree to machine
+precision, and a block of either makes one stacked inverse and one stacked
+forward transform. Like the step, the tangent and the adjoint run on blocks
+of `sp.block_rows(n)` rows (`sp.blockwise`), which the calling thread and a
+pool sized by the process's CPU affinity share.
 
 Stacks of perturbations and costates are raw complex arrays in the half
 storage of the spectral module, shape (batch, n, n//2+1), so the FFT work
 is batched and no loop writes a k2 < 0 column; states enter a loop through
 `stack_states` or `SpectralState.halves` and leave it through
-`unstack_states` or `SpectralState.from_halves`. Every pairing on a stack
-counts each column as often as the full spectrum holds it, and in that
-pairing `sp.to_physical` and `sp.from_physical` are each other's transpose,
-so the adjoint stays the exact transpose of the tangent. Every forward
+`unstack_states` or `SpectralState.from_halves`. Every forward
 sweep here is a hook on the stepping module's one forward loop `sweep`,
 which advances the base with the one step kernel and applies the kicks of a
 `KickSchedule`; each hook linearizes at the pre-step base that `sweep`
@@ -97,32 +95,27 @@ class Linearizer:
         """One adjoint step: M(U)* rho in the weighted state inner product,
         made in blocks of `sp.block_rows(n)` rows.
 
-        `sp.to_physical` and `sp.from_physical` serve as each other's
-        transpose in the pairing of the half storage, which counts each
-        column as often as the full spectrum holds it.
+        Each block runs the tangent's stages transposed in reverse order:
+        the gains, `sp.masked_transform_transpose` (one inverse transform),
+        the transposed products, `sp.physical_fields_transpose` (one forward
+        transform), then decay and buoyancy. The weight zeta* enters as
+        1 / zeta* on the vorticity slot's cotangents and zeta* on buoyancy.
         """
         return sp.blockwise(lambda *block: self._adjoint_block(prep, *block), rw, rt)
 
     def _adjoint_block(self, prep, rw, rt, out_w, out_t) -> None:
         # the adjoint step of one (rows, n, n//2+1) block, written into out_w and out_t
         st = self.stepper
-        s = sp.half_symbols(self.n)
-        u1, u2, dw1, dw2, dt1, dt2 = prep
-        fft = sp.from_physical
+        u1, u2, w1, w2, t1, t2 = prep
         aw = st.gain_w * rw
-        at = st.gain_t * rt
-        pw = sp.to_physical(np.where(s.bmask, aw, 0.0))
-        pt = sp.to_physical(np.where(s.bmask, at, 0.0))
-        # transport transpose, block diagonal
-        t1w = np.where(s.dealias, -s.ik1 * fft(u1 * pw) - s.ik2 * fft(u2 * pw), 0.0)
-        t1t = np.where(s.dealias, -s.ik1 * fft(u1 * pt) - s.ik2 * fft(u2 * pt), 0.0)
-        # velocity-source transpose through the conjugate Biot-Savart pair
-        # (-i k2, i k1) / |k|^2, lands in the vorticity slot
-        s1 = dw1 * pw + dt1 * pt / self.zeta
-        s2 = dw2 * pw + dt2 * pt / self.zeta
-        t2w = np.where(s.dealias, (s.ik1 * fft(s2) - s.ik2 * fft(s1)) * s.inv_ksq, 0.0)
-        np.subtract(st.decay_w * rw - t1w, t2w, out=out_w)
-        np.subtract(st.decay_t * rt - t1t, self.zeta * st.buoyancy * aw, out=out_t)
+        pw, pt = sp.masked_transform_transpose(np.stack((aw, st.gain_t * rt)))
+        # the cotangents of the perturbation's fields (v1, v2, x1, x2, y1, y2)
+        # in `sp.physical_fields`' order; v and x feed the vorticity slot
+        fw, ft = sp.physical_fields_transpose(np.stack((
+            w1 * pw + t1 * pt / self.zeta, w2 * pw + t2 * pt / self.zeta,
+            u1 * pw, u2 * pw, u1 * pt, u2 * pt)))
+        np.subtract(st.decay_w * rw, fw, out=out_w)
+        np.subtract(st.decay_t * rt - ft, self.zeta * st.buoyancy * aw, out=out_t)
 
 
 def stack_states(states) -> tuple[np.ndarray, np.ndarray]:

@@ -206,11 +206,14 @@ def test_malliavin_window_follows_the_horizon_rule(tmp_path, capsys):
     cfg_file.write_text(TINY.replace("dt = 0.005", "dt = 0.25")
                         .replace("grid_step = 0.01", "grid_step = 0.25"))
     out = tmp_path / "runs"
+    for bad in ("0.3", "0.1", "-0.5"):     # not a multiple, under one step, negative
+        # a usage error: exit 2 before any output directory is made
+        assert run_cli(cfg_file, out, "malliavin", "--window", bad) == 2
+        assert not out.exists()
+        assert f"argument --window {bad}: window must be a positive multiple of grid.dt" \
+            in capsys.readouterr().err
     assert run_cli(cfg_file, out, "malliavin", "--window", "2.0000000015") == 0
     assert "window must be" not in capsys.readouterr().err
-    for bad in ("0.3", "0.1", "-0.5"):     # not a multiple, under one step, negative
-        assert run_cli(cfg_file, out, "malliavin", "--window", bad) == 1
-        assert "window must be a positive multiple of grid.dt" in capsys.readouterr().err
 
 
 def test_moments_passes(tiny_cfg, tmp_path):
@@ -269,6 +272,8 @@ def test_bad_config_value(tmp_path):
     ("ergodicity", "--paths", "0"),
     ("moments", "--kappa-frac", "-1"),
     ("moments", "--kappa-frac", "0"),
+    ("ergodicity", "--radius", "-1"),
+    ("ergodicity", "--radius", "0"),
 ])
 def test_out_of_range_argument_is_usage_error(tmp_path, capsys, argv):
     # refused by the parser: exit 2 before any output directory is made
@@ -281,15 +286,22 @@ def test_out_of_range_argument_is_usage_error(tmp_path, capsys, argv):
 
 
 def test_off_grid_ergodicity_horizon_is_usage_error(tiny_cfg, tmp_path, capsys):
-    # both horizons must lie on the clock grid (0.01 here), checked against
-    # the config before any output directory is made; the defaults do
+    # both horizons must lie on the clock grid (0.01 here) and hold what
+    # their checks need, checked against the config before any output
+    # directory is made: the e-property one grid cell at least, the invariant
+    # statistics 20 batch means after the burn-in (0.5 leaves 9 records), and
+    # both a whole number of records (one every 10 steps); the defaults do
     cfg_file, cfg = tiny_cfg
     out = tmp_path / "runs"
-    for flag, value in (("--ep-horizon", "0.205"), ("--invariant-horizon", "3.005")):
+    for flag, value, why in (
+            ("--ep-horizon", "0.205", "horizon must be a multiple of the grid step"),
+            ("--invariant-horizon", "3.005", "horizon must be a multiple of the grid step"),
+            ("--ep-horizon", "0", "horizon must span at least one grid cell"),
+            ("--invariant-horizon", "0.5", "horizon leaves 9 records after the burn-in"),
+            ("--ep-horizon", "0.01", "horizon of 2 steps is not a multiple of record_every = 10")):
         assert run_cli(cfg_file, out, "ergodicity", "--paths", "2", flag, value) == 2
         assert not out.exists()
-        assert f"argument {flag} {value}: horizon must be a multiple of the grid step" \
-            in capsys.readouterr().err
+        assert f"argument {flag} {float(value)}: {why}" in capsys.readouterr().err
     assert run_cli(cfg_file, out, "ergodicity", "--paths", "2") == 0
     assert (out / cfg.digest[:12] / "ergodicity" / "ergodicity.json").is_file()
 

@@ -1,8 +1,10 @@
 """Operator identities on the retained spectral band."""
 
+import ast
 import math
 import re
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ from boussinesq_lab.spectral import (
     weighted_norm,
 )
 from boussinesq_lab.stepping import Stepper, StepScheme
-from boussinesq_lab.variation import HNBasis
+from boussinesq_lab.variation import HNBasis, Linearizer
 
 TWO_PI_SQ = 2.0 * np.pi**2
 
@@ -87,17 +89,81 @@ def fft_calls(monkeypatch):
 
 def test_a_step_makes_one_inverse_and_one_forward_transform_per_block(fft_calls, rng):
     # the six fields are one stacked inverse transform and the two products
-    # one stacked forward transform, per block of `block_rows(n)` paths
+    # one stacked forward transform, per block of `block_rows(n)` paths; the
+    # tangent makes the same two, and the adjoint their two transposes
     for n, batch in ((16, ()), (48, (2,)), (32, (sp.block_rows(32),)), (32, (200,))):
         stepper = Stepper(n, PhysicsParams(), StepScheme.ETD_EULER, 5e-3)
+        lin = Linearizer(stepper)
         u = random_state(n, rng)
         w = np.broadcast_to(sp.half(u.w_hat), batch + (n, n // 2 + 1))
         t = np.broadcast_to(sp.half(u.theta_hat), batch + (n, n // 2 + 1))
-        fft_calls.clear()
-        stepper.advance(w, t)
+        prep = lin.prepare(u.halves())
         blocks = math.ceil(math.prod(batch) / sp.block_rows(n))
-        assert fft_calls == {"irfft2": blocks, "rfft2": blocks}
+        for kernel in (stepper.advance, partial(lin.tangent, prep), partial(lin.adjoint, prep)):
+            fft_calls.clear()
+            kernel(w, t)
+            assert fft_calls == {"irfft2": blocks, "rfft2": blocks}, kernel
     assert blocks == math.ceil(200 / sp.block_rows(32)) > 1
+
+
+def _grid_dot(f, g):
+    # the grid pairing (2 pi / n)^2 sum_x f g over the last two axes
+    return (2.0 * np.pi / f.shape[-1]) ** 2 * (f * g).sum((-2, -1))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_physical_fields_transpose_is_its_transpose(batch, rng):
+    # <physical_fields(w, t), f> on the grid equals <(w, t), transpose(f)>
+    # in the half storage's pairing, per state of the batch
+    n = 16
+    w, t = sp.half(_symmetric_stack(n, rng, batch)), sp.half(_symmetric_stack(n, rng, batch))
+    f = rng.standard_normal((6,) + batch + (n, n))
+    tw, tt = sp.physical_fields_transpose(f)
+    assert tw.shape == tt.shape == w.shape
+    lhs = _grid_dot(sp.physical_fields(w, t), f).sum(0)
+    rhs = sp.half_dot(w, tw) + sp.half_dot(t, tt)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_masked_transform_transpose_is_its_transpose(batch, rng):
+    n = 16
+    h = sp.half(_symmetric_stack(n, rng, (2,) + batch))
+    f = rng.standard_normal((2,) + batch + (n, n))
+    lhs = sp.half_dot(sp.masked_transform(f), h).sum(0)
+    rhs = _grid_dot(f, sp.masked_transform_transpose(h)).sum(0)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
+
+
+def _names_read(source: str) -> set:
+    # every name, attribute and imported name a module's code reads
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_only_spectral_and_stepping_read_a_symbol_table():
+    # the kernels' two transform stages and their transposes live in the
+    # spectral module, so no other module rebuilds one from the symbols or
+    # the raw transforms; the stepping module reads the symbols only for the
+    # per-mode multipliers of the step
+    tables, raw = {"symbols", "half_symbols", "_field_symbols"}, {"to_physical", "from_physical"}
+    pkg = Path(sp.__file__).parent
+    offenders = []
+    for f in sorted(pkg.glob("*.py")):
+        if f.name == "spectral.py":
+            continue
+        read = _names_read(f.read_text())
+        offenders += sorted(f"{f.name}:{x}" for x in read & raw)
+        if f.name != "stepping.py":
+            offenders += sorted(f"{f.name}:{x}" for x in read & tables)
+    assert offenders == []
 
 
 def test_only_the_spectral_module_weights_a_pairing():
