@@ -23,8 +23,8 @@ import numpy as np
 from . import spectral as sp
 from .config import ConfigError, RunConfig, load_config, save_config
 from .ensembles import (check_eproperty_horizon, check_invariant_horizon, eproperty_probe,
-                        invariant_statistics, irreducibility_probe, moment_experiment,
-                        plateau_agreement, stopping_moment_experiment)
+                        horizon_records, invariant_statistics, irreducibility_probe,
+                        moment_experiment, plateau_agreement, stopping_moment_experiment)
 from .hormander import (bracket_z_sigma, bracket_z_sigma_field, combo_state,
                         numerical_lie_bracket, psi_recovery, span_generation,
                         verify_span, z_field)
@@ -592,7 +592,9 @@ def _config_argument_error(cfg: RunConfig, args) -> str | None:
     """Why an argument does not fit the config, or None: the malliavin
     window must be a positive multiple of grid.dt; the ergodicity horizons
     must lie on the clock grid and, where their part runs, hold what its
-    check needs (`check_eproperty_horizon`, `check_invariant_horizon`)."""
+    check needs (`check_eproperty_horizon`, `check_invariant_horizon`), and
+    with --radius run.horizon must span whole clock cells, one at least
+    (`horizon_records`)."""
     if args.command == "malliavin":
         try:
             n_steps = horizon_steps(args.window, cfg.dt)
@@ -615,6 +617,11 @@ def _config_argument_error(cfg: RunConfig, args) -> str | None:
                     check(horizon, cfg.dt, cfg.grid_step)
             except ValueError as exc:
                 return f"argument {flag} {horizon}: {exc}"
+        if args.radius is not None:
+            try:
+                horizon_records(cfg.horizon, cfg.dt, cfg.grid_step, 1)
+            except ValueError as exc:
+                return f"argument --radius {args.radius}: run.horizon {cfg.horizon}: {exc}"
     return None
 
 

@@ -383,8 +383,11 @@ def irreducibility_probe(seed: int, stepper: Stepper, model: NoiseModel,
     two-dimensional section: one normalized vorticity element against one
     normalized temperature element. Each start runs n_paths independent
     trajectories and reports a one-sided 95% binomial lower confidence bound
-    for the terminal event ||U_T|| <= radius.
+    for the terminal event ||U_T|| <= radius. Raises ValueError unless the
+    horizon spans whole clock cells, one at least (`horizon_records`),
+    before any noise is drawn.
     """
+    n_steps = horizon_records(horizon, stepper.dt, spec.grid_step, 1) - 1   # less the t = 0 record
     confidence = 0.95
     n = stepper.n
     e_w = sp.psi_state(n, (1, 1), 0)
@@ -397,9 +400,8 @@ def irreducibility_probe(seed: int, stepper: Stepper, model: NoiseModel,
     u0s = [e_w * a + e_t * b for a, b in starts]
     # start si holds paths si * n_paths .. (si + 1) * n_paths - 1 and their streams
     _, dw = sample_noise_batch(spec, model, horizon, seed, len(starts) * n_paths)
-    qi = KickSchedule.steps_per_cell(spec.grid_step, stepper.dt)
     out = BatchRunner(stepper, model).run(*_tile(u0s, n_paths), dw, spec.grid_step,
-                                          record_every=dw.shape[1] * qi)
+                                          record_every=n_steps)
     estimates = []
     for si, (a, b) in enumerate(starts):
         final = out.energy_sq[si * n_paths:(si + 1) * n_paths, -1]

@@ -35,7 +35,8 @@ both, and its on_step hook records a base path where one is needed. Only
 the second variation, whose source couples two tangent rows, runs its own
 hook. `adjoint_backward` is the one backward loop, on half stacks over a
 stored base path; the adjoint Gramian seeds it straight from the basis
-slot tables.
+slot tables. Every jump column is sqrt(dl) alpha sigma_j, so nothing divides
+by a clock mass, and both Gramian assemblies return one time-ordered factor.
 """
 
 from __future__ import annotations
@@ -135,18 +136,17 @@ def unstack_states(w: np.ndarray, t: np.ndarray) -> list[SpectralState]:
 
 def flow_with_tangent(u0: SpectralState, n_steps: int, lin: Linearizer,
                       kicks: KickSchedule | None = None, lead=None,
-                      increments: np.ndarray | None = None, sqrt_mass: bool = False,
-                      on_step=None):
+                      increments: np.ndarray | None = None, on_step=None):
     """Advance the base state and a tangent stack in lockstep, the one
     forward tangent driver.
 
     kicks carries the base path's forcing (None: unforced). The stack holds
     the optional lead pair (w, t) of half stacks, which starts at step 0,
-    then, when the clock increments are given, the columns
-    J_{r, T} alpha sigma_j of every jump of kicks: the d columns of a cell
-    with mass dl > 0 enter right after its kick as alpha sigma_j (times
-    sqrt(dl) when sqrt_mass) and then ride the tangent flow. on_step(i, post,
-    xw, xt) is called after step i completes, post the (w, t) base pair
+    then, when the clock increments are given, the jump columns
+    J_{r, T} sqrt(dl) alpha sigma_j of every jump of kicks: the d columns of
+    a cell with mass dl > 0 enter right after its kick and then ride the
+    tangent flow. on_step(i, post, xw, xt) is called after step i
+    completes, post the (w, t) base pair
     after its kick and xw, xt the stacks, whose columns not yet entered are
     zero. Returns (final base, xw, xt, masses): lead rows first, then d
     columns per jump in time order, and masses the dl of each jump.
@@ -169,7 +169,7 @@ def flow_with_tangent(u0: SpectralState, n_steps: int, lin: Linearizer,
             prep = lin.prepare(pre)
             xw[:active], xt[:active] = lin.tangent(prep, xw[:active], xt[:active])
         if i in jumps:
-            xt[active:active + d] = np.sqrt(increments[cell]) * sig if sqrt_mass else sig
+            xt[active:active + d] = np.sqrt(increments[cell]) * sig
             active += d
         if on_step is not None:
             on_step(i, post, xw, xt)
@@ -294,32 +294,36 @@ class HNBasis:
 
 @dataclass
 class GramianResult:
-    matrix: np.ndarray
+    """The jump Gramian M = F^T F on a basis band, and its factor F."""
+    factor: np.ndarray        # F: the jump columns' band coordinates, d rows per jump, time order
+    matrix: np.ndarray        # F^T F
     basis: HNBasis
     n_jumps: int
     degenerate: bool          # no jump mass in the window
     clock_mass: float
 
 
+def _gramian(factor: np.ndarray, masses, basis: HNBasis) -> GramianResult:
+    """The result of a time-ordered factor F and its jumps' clock masses."""
+    return GramianResult(factor=factor, matrix=factor.T @ factor, basis=basis,
+                         n_jumps=len(masses), degenerate=not masses,
+                         clock_mass=float(sum(masses, 0.0)))
+
+
 def malliavin_forward(u0: SpectralState, n_steps: int, stepper: Stepper,
                       model, path, dw: np.ndarray, basis: HNBasis) -> GramianResult:
-    """Assemble the jump Gramian on the basis band by forward propagation.
-
-    Every clock cell contributes d seeded perturbations sqrt(alpha_j^2 dl)
-    sigma_j at its jump time; rows accumulate through the tangent flow and
-    the Gramian is the outer-product sum of their band coordinates.
-    """
+    """Assemble the jump Gramian on the basis band by forward propagation:
+    F holds the band coordinates of `flow_with_tangent`'s jump columns."""
     kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
     _, xw, xt, masses = flow_with_tangent(u0, n_steps, Linearizer(stepper), kicks,
-                                          increments=path.increments, sqrt_mass=True)
-    coords = basis.coords(xw, xt)
-    return GramianResult(matrix=coords.T @ coords, basis=basis, n_jumps=len(masses),
-                         degenerate=not masses, clock_mass=sum(masses, 0.0))
+                                          increments=path.increments)
+    return _gramian(basis.coords(xw, xt), masses, basis)
 
 
 def malliavin_backward(bases, stepper: Stepper, model, path,
                        basis: HNBasis) -> GramianResult:
-    """Assemble the same Gramian by one adjoint sweep of the basis stack."""
+    """Assemble the same Gramian by one adjoint sweep of the basis stack,
+    which records F's rows last jump first."""
     kicks = KickSchedule(path.spec.grid_step, stepper.dt, len(path.increments), len(bases) - 1)
     slots = model.slots(stepper.n)
     jump_steps = {i + 1: c for i, c in kicks.jumps(path.increments).items()}
@@ -328,7 +332,7 @@ def malliavin_backward(bases, stepper: Stepper, model, path,
     def record(idx, rw, rt):
         if idx in jump_steps:
             dl = path.increments[jump_steps[idx]]
-            # <K e_a, (0, alpha sigma_j)>, one row per direction j
+            # <K e_a, (0, sqrt(dl) alpha sigma_j)>, one row per direction j
             pair = sp.slot_pairings(rw, rt, None, slots, stepper.params).T
             rows.append(np.sqrt(dl) * pair)
 
@@ -337,10 +341,8 @@ def malliavin_backward(bases, stepper: Stepper, model, path,
     eye = np.eye(basis.dim)
     adjoint_backward(bases, Linearizer(stepper), basis.w_slots.scatter(eye) + 0.0,
                      basis.t_slots.scatter(eye) + 0.0, record_at=record)
-    g = np.concatenate(rows) if rows else np.zeros((0, basis.dim))     # (jumps * d, dim)
-    masses = [path.increments[c] for c in jump_steps.values()]
-    return GramianResult(matrix=g.T @ g, basis=basis, n_jumps=len(masses),
-                         degenerate=not masses, clock_mass=float(sum(masses, 0.0)))
+    return _gramian(np.concatenate([np.zeros((0, basis.dim))] + rows[::-1]),
+                    [path.increments[c] for c in jump_steps.values()], basis)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +453,7 @@ class ControlWindow:
     rho_out: SpectralState
     base_out: SpectralState
     recursion_residual: float      # relative gap between integrated and closed forms
-    v_norm_sq: float               # sum_i dl_i |v_i|^2
+    v_norm_sq: float               # |v|^2, v the control on the jump columns
     n_jumps: int
     degenerate: bool
     beta: float
@@ -462,18 +464,18 @@ def control_window(rho_in: SpectralState, u0: SpectralState, n_steps: int,
                    beta: float | None = None, controlled: bool = True) -> ControlWindow:
     """Advance the costate over one window, optionally with Tikhonov control.
 
-    Controlled windows damp rho by the regularized Gramian inversion; the
-    result must coincide with beta (M + beta)^{-1} J rho, which is also
-    computed (through the same column factorization) as a residual check.
-    Free windows transport rho by the plain tangent flow. beta = None picks
-    1e-4 of the mean weighted column mass.
+    Controlled windows damp rho by the regularized Gramian inversion on the
+    q jump columns C of `flow_with_tangent`: J rho - C v, with the control
+    v = C* phi, must coincide with beta phi = beta (C C* + beta)^{-1} J rho,
+    a residual check. Free windows transport rho by the plain tangent flow.
+    beta = None picks 1e-4 of the mean column mass trace(C* C) / q.
     """
     kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
     n_jumps = len(kicks.jumps(path.increments))
     q = n_jumps * model.dim
     controlled = controlled and q > 0
     # propagate rho, and in a controlled window all jump columns with it
-    base, xw, xt, masses = flow_with_tangent(
+    base, xw, xt, _ = flow_with_tangent(
         u0, n_steps, Linearizer(stepper), kicks, lead=stack_states([rho_in]),
         increments=path.increments if controlled else None)
     if not controlled:
@@ -481,34 +483,31 @@ def control_window(rho_in: SpectralState, u0: SpectralState, n_steps: int,
                              recursion_residual=0.0, v_norm_sq=0.0,
                              n_jumps=n_jumps, degenerate=(q == 0), beta=0.0)
 
-    weights = np.repeat(masses, model.dim)
     y_w, y_t = xw[0], xt[0]                  # J rho
-    cw, ct = xw[1:], xt[1:]                  # columns J_{r_i, t} alpha sigma_j
+    cw, ct = xw[1:], xt[1:]                  # the jump columns C
 
     params = stepper.params
     gram = sp.pairings(cw, ct, cw, ct, params)
     if beta is None:
-        beta = max(1e-300, 1e-4 * float(np.sum(weights * np.diag(gram))) / q)
+        beta = max(1e-300, 1e-4 * float(np.trace(gram)) / q)
     rhs = sp.pairings(y_w, y_t, cw, ct, params)
-    # phi = (beta + C W C*)^{-1} y via the factored identity
-    core = np.diag(beta / weights) + gram
-    lam = np.linalg.solve(core, rhs)
+    # phi = (beta + C C*)^{-1} y via the factored identity
+    lam = np.linalg.solve(beta * np.eye(q) + gram, rhs)
     phi_w = (y_w - np.tensordot(lam, cw, axes=([0], [0]))) / beta
     phi_t = (y_t - np.tensordot(lam, ct, axes=([0], [0]))) / beta
-    v = sp.pairings(phi_w, phi_t, cw, ct, params)   # v_{i,j} = <phi, column_{i,j}>
+    v = sp.pairings(phi_w, phi_t, cw, ct, params)   # v_k = <phi, column_k>
 
-    # integrated costate: J rho - sum_i dl_i sum_j v_{i,j} column_{i,j}
-    rho_w = y_w - np.tensordot(weights * v, cw, axes=([0], [0]))
-    rho_t = y_t - np.tensordot(weights * v, ct, axes=([0], [0]))
+    # integrated costate: J rho - sum_k v_k column_k
+    rho_w = y_w - np.tensordot(v, cw, axes=([0], [0]))
+    rho_t = y_t - np.tensordot(v, ct, axes=([0], [0]))
     # closed form: beta (M + beta)^{-1} J rho = beta phi
     close_w = beta * phi_w
     close_t = beta * phi_t
     num = np.sqrt(sp.weighted_energy(rho_w - close_w, rho_t - close_t, params))
     den = np.sqrt(sp.weighted_energy(rho_w, rho_t, params))
     resid = float(num / max(den, 1e-300))
-    v_norm_sq = float(np.sum(weights * v * v))
     return ControlWindow(rho_out=SpectralState.from_halves(rho_w, rho_t), base_out=base,
-                         recursion_residual=resid, v_norm_sq=v_norm_sq,
+                         recursion_residual=resid, v_norm_sq=float(np.sum(v * v)),
                          n_jumps=n_jumps, degenerate=False, beta=float(beta))
 
 

@@ -302,6 +302,15 @@ def test_off_grid_ergodicity_horizon_is_usage_error(tiny_cfg, tmp_path, capsys):
         assert run_cli(cfg_file, out, "ergodicity", "--paths", "2", flag, value) == 2
         assert not out.exists()
         assert f"argument {flag} {float(value)}: {why}" in capsys.readouterr().err
+    # with --radius, run.horizon is the hitting probe's and must span whole cells
+    for horizon, why in (("0", "horizon must span at least one grid cell"),
+                         ("0.015", "horizon must be a multiple of the grid step")):
+        short = tmp_path / f"horizon{horizon}.ini"
+        short.write_text(TINY.replace("horizon = 0.5", f"horizon = {horizon}"))
+        assert run_cli(short, out, "ergodicity", "--paths", "2", "--radius", "1") == 2
+        assert not out.exists()
+        assert f"argument --radius 1.0: run.horizon {float(horizon)}: {why}" \
+            in capsys.readouterr().err
     assert run_cli(cfg_file, out, "ergodicity", "--paths", "2") == 0
     assert (out / cfg.digest[:12] / "ergodicity" / "ergodicity.json").is_file()
 

@@ -274,6 +274,10 @@ def test_irreducibility_certain_and_impossible_hits():
     assert not far.all_positive
     corner = [e for e in far.estimates if e.start == (5.0, 5.0)][0]
     assert corner.hits == 0 and corner.lower_bound == 0.0
+    for horizon, why in ((0.0, "at least one grid cell"), (0.0075, "multiple of the grid step")):
+        with pytest.raises(ValueError, match=why):
+            en.irreducibility_probe(7, st, MODEL, quietest, horizon=horizon,
+                                    n_paths=4, radius=0.5, mesh_scale=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tangent flow, adjoint transport, jump Gramian, eigen probe, control."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from boussinesq_lab.noise import (
     SubordinatorPath,
     SubordinatorSpec,
     rng_stream,
+    sample_noise,
     sample_subordinator,
     subordinated_increments,
 )
@@ -234,6 +237,23 @@ def test_gramian_forward_backward_agree(params):
     scale = max(1.0, np.abs(fwd.matrix).max())
     assert fwd.n_jumps == bwd.n_jumps
     assert np.abs(fwd.matrix - bwd.matrix).max() <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("seed", [77, 78])
+def test_gramian_factors_agree_row_for_row(params, seed):
+    # both assemblies return the factor F with rows in time order, d per
+    # jump, and the matrix F^T F formed from it
+    stepper, model, path, dw, u0, basis, n_steps = gramian_setup(params, seed=seed, n=16)
+    fwd = var.malliavin_forward(u0, n_steps, stepper, model, path, dw, basis)
+    traj = simulate(u0, n_steps * stepper.dt, stepper, model=model, path=path,
+                    dw=dw, store_full=True)
+    bwd = var.malliavin_backward(traj.states, stepper, model, path, basis)
+    assert fwd.n_jumps > 1
+    assert fwd.factor.shape == bwd.factor.shape == (fwd.n_jumps * model.dim, basis.dim)
+    gap = np.abs(fwd.factor - bwd.factor).max()
+    assert gap <= 1e-12 * np.abs(fwd.factor).max()
+    for res in (fwd, bwd):
+        assert np.array_equal(res.matrix, res.factor.T @ res.factor)
 
 
 def test_gramian_symmetric_psd(params):
@@ -461,6 +481,28 @@ def test_control_zero_costate(params):
     out = var.control_window(zero, u0, n_steps, stepper, model, path, dw)
     assert sp.weighted_norm(out.rho_out, params) == 0.0
     assert out.v_norm_sq == 0.0
+
+
+def test_control_window_takes_subnormal_clock_masses():
+    # the default clock draws subnormal cell masses (cell 368 here holds
+    # 2.4e-322); the jump columns carry sqrt(dl), so no step divides by one
+    spec, model = SubordinatorSpec(grid_step=1e-3), NoiseModel()
+    path, dw = sample_noise(spec, model, 5.4, 20260818, 0)
+    c0, c1 = 338, 379
+    assert 0.0 < path.increments[368] < 1e-320
+    sub = SubordinatorPath(spec, path.times[c0:c1 + 1] - path.times[c0],
+                           path.increments[c0:c1], seed=path.seed)
+    stepper = Stepper(16, PhysicsParams(), DEFAULT_SCHEME, 1e-3)
+    rng = np.random.default_rng(5)
+    u0 = sp.random_state(16, rng)
+    rho = sp.random_state(16, rng)
+    rho = rho * (1.0 / sp.weighted_norm(rho, stepper.params))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = var.control_window(rho, u0, c1 - c0, stepper, model, sub, dw[c0:c1])
+    assert out.n_jumps == c1 - c0
+    assert out.recursion_residual <= 1e-6
+    assert np.isfinite(sp.weighted_norm(out.rho_out, stepper.params))
 
 
 def test_control_experiment_median_decay():
