@@ -590,11 +590,12 @@ _HANDLERS = {
 
 def _config_argument_error(cfg: RunConfig, args) -> str | None:
     """Why an argument does not fit the config, or None: the malliavin
-    window must be a positive multiple of grid.dt; the ergodicity horizons
-    must lie on the clock grid and, where their part runs, hold what its
-    check needs (`check_eproperty_horizon`, `check_invariant_horizon`), and
-    with --radius run.horizon must span whole clock cells, one at least
-    (`horizon_records`)."""
+    window must be a positive multiple of grid.dt; the moments run.horizon
+    must span whole clock cells, one at least, and whole records of 10 steps
+    (`horizon_records`); the ergodicity horizons must lie on the clock grid
+    and, where their part runs, hold what its check needs
+    (`check_eproperty_horizon`, `check_invariant_horizon`), and with --radius
+    run.horizon must span whole clock cells, one at least."""
     if args.command == "malliavin":
         try:
             n_steps = horizon_steps(args.window, cfg.dt)
@@ -603,6 +604,11 @@ def _config_argument_error(cfg: RunConfig, args) -> str | None:
         if n_steps < 1:
             return f"argument --window {args.window}: window must be a positive multiple " \
                    f"of grid.dt {cfg.dt}"
+    if args.command == "moments":
+        try:
+            horizon_records(cfg.horizon, cfg.dt, cfg.grid_step, 10)
+        except ValueError as exc:
+            return f"run.horizon {cfg.horizon}: {exc}"
     if args.command == "ergodicity":
         for flag, horizon, skip, check in (
                 ("--ep-horizon", args.ep_horizon, args.skip_eproperty, check_eproperty_horizon),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .noise import NoiseModel, SubordinatorSpec
 from .spectral import PhysicsParams
-from .stepping import KickSchedule, Stepper, StepScheme
+from .stepping import KickSchedule, Stepper, StepScheme, horizon_steps
 
 
 class ConfigError(ValueError):
@@ -74,6 +74,10 @@ class RunConfig:
             self.model().slots(self.n)
         except ValueError as exc:
             raise ConfigError(f"noise.modes and noise.alphas at grid.n={self.n}: {exc}") from exc
+        try:
+            horizon_steps(self.horizon, self.dt)
+        except ValueError as exc:
+            raise ConfigError(f"run.horizon {self.horizon}: {exc} {self.dt}") from exc
 
     # builders ---------------------------------------------------------
 

@@ -208,7 +208,10 @@ def moment_experiment(seed: int, n_paths: int, horizon: float, stepper: Stepper,
                       model: NoiseModel, spec: SubordinatorSpec,
                       initial: SpectralState, record_every: int = 10,
                       key_offset: int = 0) -> MomentCurve:
-    """Ensemble of trajectories from one initial state; records energy."""
+    """Ensemble of trajectories from one initial state; records energy.
+    Raises ValueError unless the horizon spans whole clock cells, one at
+    least, and whole records (`horizon_records`), before any noise is drawn."""
+    horizon_records(horizon, stepper.dt, spec.grid_step, record_every)
     incs, dw = sample_noise_batch(spec, model, horizon, seed, n_paths, key_offset)
     runner = BatchRunner(stepper, model)
     w, t = _tile([initial], n_paths)

@@ -14,6 +14,10 @@ Every map from the clock onto the step grid lives here: one keyed draw per
 path (`sample_noise`, and `sample_noise_batch` for paths in lockstep), one
 rounding of a time up onto the clock grid, and one first-crossing rule of
 the renewal criterion behind both `stopping_times` and `first_eta_batch`.
+The cut of a path into renewal windows lives here too: `renewal_cells`
+rounds each renewal time up onto the clock grid, `SubordinatorPath.window`
+slices out one window's sub-path, and `sample_renewal_noise` redraws a
+path's clock longer until its windows fit.
 """
 
 from __future__ import annotations
@@ -99,6 +103,15 @@ class SubordinatorPath:
     @property
     def total(self) -> float:
         return float(self.cumulative[-1])
+
+    def window(self, c0: int, c1: int) -> SubordinatorPath:
+        """The sub-path over cells c0..c1 - 1, its times re-based to 0; keeps
+        the seed. Raises ValueError unless 0 <= c0 < c1 <= cells."""
+        if not 0 <= c0 < c1 <= len(self.increments):
+            raise ValueError(f"window cells {c0}..{c1} outside the path's "
+                             f"{len(self.increments)} cells")
+        return SubordinatorPath(self.spec, self.times[c0:c1 + 1] - self.times[c0],
+                                self.increments[c0:c1], seed=self.seed)
 
 
 def grid_cells(horizon: float, grid_step: float) -> int:
@@ -264,6 +277,44 @@ def stopping_times(path: SubordinatorPath, nu: float, kappa: float, b0: float,
         if max_count is not None and len(etas) - 1 >= max_count:
             break
     return np.asarray(etas)
+
+
+def renewal_cells(path: SubordinatorPath, nu: float, kappa: float, b0: float,
+                  count: int) -> list[int]:
+    """Cell edges [0, c_1, ..., c_k] of the first count renewal windows of a
+    path: c_j is `stopping_times`' eta_j rounded up onto the clock grid, and
+    one cell past c_{j-1} at least, so every window holds a cell. k < count
+    when the path renews fewer times."""
+    cells = [0]
+    for eta in stopping_times(path, nu, kappa, b0, max_count=count)[1:count + 1]:
+        cells.append(max(_cells_up(eta, path.spec.grid_step), cells[-1] + 1))
+    return cells
+
+
+CLOCK_DOUBLINGS = 10        # sample_renewal_noise's clock grows at most 2**10-fold
+
+
+def sample_renewal_noise(spec: SubordinatorSpec, model: NoiseModel, nu: float, kappa: float,
+                         count: int, seed: int, *key: int):
+    """`sample_noise` of (seed, *key) over a clock that holds count renewal
+    windows, and their `renewal_cells`: (clock path, dw, cells).
+
+    The clock is drawn over 1.8 (count + 1) / nu first and redrawn over twice
+    the horizon until count renewals, and the cells of their windows, fit;
+    the draws are prefix-stable, so a longer clock keeps the noise of the
+    shorter one. Raises RuntimeError when
+    CLOCK_DOUBLINGS doublings do not suffice, and ValueError on the rates
+    `stopping_times` refuses, before any draw.
+    """
+    _penalty(nu, kappa, model.b0)
+    horizon = 1.8 * (count + 1) / nu
+    for _ in range(CLOCK_DOUBLINGS + 1):
+        path, dw = sample_noise(spec, model, horizon, seed, *key)
+        cells = renewal_cells(path, nu, kappa, model.b0, count)
+        if len(cells) > count and cells[-1] <= len(path.increments):
+            return path, dw, cells
+        horizon *= 2.0
+    raise RuntimeError("clock horizon too short for the requested windows")
 
 
 def first_eta_batch(spec: SubordinatorSpec, nu: float, kappa: float, b0: float,

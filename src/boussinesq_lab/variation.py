@@ -37,6 +37,8 @@ hook. `adjoint_backward` is the one backward loop, on half stacks over a
 stored base path; the adjoint Gramian seeds it straight from the basis
 slot tables. Every jump column is sqrt(dl) alpha sigma_j, so nothing divides
 by a clock mass, and both Gramian assemblies return one time-ordered factor.
+The control experiment does no clock arithmetic: `noise` draws each path's
+clock, cuts it into renewal windows and slices out each window's sub-path.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral as sp
+from .noise import ROLE_INIT, ROLE_SCRATCH, rng_stream, sample_renewal_noise
 from .spectral import PhysicsParams, SpectralState
-from .stepping import KickSchedule, Stepper, horizon_steps, sweep
+from .stepping import KickSchedule, Stepper, horizon_steps, simulate, sweep
 
 
 # ---------------------------------------------------------------------------
@@ -519,46 +522,28 @@ class ControlDecayResult:
     n_degenerate: int           # controlled windows without jump mass
 
 
-CLOCK_DOUBLINGS = 10        # control_experiment's clock grows at most 2**10-fold
-
-
 def control_experiment(seed: int, n_paths: int, n_windows: int, stepper: Stepper,
                        spec, model, kappa: float, amplitude: float = 1.0) -> ControlDecayResult:
     """Alternate controlled and free windows of stepper along renewal times of
     the clock.
 
-    Window edges are the clock-penalized renewal times rounded up to the
-    clock grid; even windows apply the Tikhonov control at `control_window`'s
-    default beta, odd windows run free. Records the costate norm at every edge across independent paths.
-    Each path's clock is drawn over 1.8 (n_windows + 1) / nu first and redrawn
-    over twice the horizon until its renewal times fit; the draws are
-    prefix-stable, so a longer clock keeps the noise of the shorter one.
-    Raises RuntimeError when CLOCK_DOUBLINGS doublings do not suffice.
+    Path i runs on the noise and the window edges of `sample_renewal_noise`
+    (seed, i): the clock-penalized renewal times rounded up onto the clock
+    grid. Even windows apply the Tikhonov control at `control_window`'s
+    default beta, odd windows run free. Records the costate norm at every
+    edge across independent paths. Raises RuntimeError when the clock cannot
+    be drawn long enough for the windows.
     """
-    from .noise import ROLE_INIT, ROLE_SCRATCH, _cells_up, rng_stream, sample_noise, stopping_times
-
-    n, params, h = stepper.n, stepper.params, spec.grid_step
-    q = KickSchedule.steps_per_cell(h, stepper.dt)
+    n, params = stepper.n, stepper.params
+    q = KickSchedule.steps_per_cell(spec.grid_step, stepper.dt)
 
     edge_steps_all = []
     norms = np.full((n_paths, n_windows + 1), np.nan)
     residual_max = 0.0
     n_degen = 0
     for i in range(n_paths):
-        horizon = 1.8 * (n_windows + 1) / params.nu
-        for _ in range(CLOCK_DOUBLINGS + 1):
-            path, dw = sample_noise(spec, model, horizon, seed, i)
-            etas = stopping_times(path, params.nu, kappa, model.b0, max_count=n_windows + 1)
-            if len(etas) > n_windows:
-                break
-            horizon *= 2.0
-        else:
-            raise RuntimeError("clock horizon too short for the requested windows")
-        edges = [0]
-        for eta in etas[1:n_windows + 1]:
-            edges.append(max(_cells_up(eta, h), edges[-1] + 1))
-        edge_steps = [e * q for e in edges]
-        edge_steps_all.append(edge_steps)
+        path, dw, edges = sample_renewal_noise(spec, model, params.nu, kappa, n_windows, seed, i)
+        edge_steps_all.append([e * q for e in edges])
 
         init_rng = rng_stream(seed, ROLE_INIT, i)
         base = sp.random_state(n, init_rng, amplitude=amplitude)
@@ -569,9 +554,7 @@ def control_experiment(seed: int, n_paths: int, n_windows: int, stepper: Stepper
         norms[i, 0] = 1.0
         for w in range(n_windows):
             c0, c1 = edges[w], edges[w + 1]
-            sub = type(path)(spec, path.times[c0:c1 + 1] - path.times[c0],
-                             path.increments[c0:c1], seed=path.seed)
-            res = control_window(rho, base, (c1 - c0) * q, stepper, model, sub,
+            res = control_window(rho, base, (c1 - c0) * q, stepper, model, path.window(c0, c1),
                                  dw[c0:c1], controlled=(w % 2 == 0))
             if w % 2 == 0 and res.degenerate:
                 n_degen += 1
@@ -587,7 +570,6 @@ def control_experiment(seed: int, n_paths: int, n_windows: int, stepper: Stepper
 
 
 def _flow(u0, horizon, stepper, model=None, path=None, dw=None):
-    from .stepping import simulate
     traj = simulate(u0, horizon, stepper, model=model, path=path, dw=dw)
     if traj.blew_up:
         raise RuntimeError("base flow left the norm ceiling during a check")

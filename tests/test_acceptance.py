@@ -24,8 +24,8 @@ from boussinesq_lab.hormander import (bracket_z_sigma, bracket_z_sigma_field,
                                       span_generation, verify_span, z_field)
 from boussinesq_lab.noise import (ROLE_BROWNIAN, ROLE_CLOCK, ROLE_INIT,
                                   ROLE_SCRATCH, NoiseModel, SubordinatorSpec,
-                                  rng_stream, sample_subordinator,
-                                  stopping_times, subordinated_increments)
+                                  renewal_cells, rng_stream, sample_subordinator,
+                                  subordinated_increments)
 from boussinesq_lab.stepping import Stepper, StepScheme, simulate
 from boussinesq_lab.variation import (HNBasis, duality_gap, fit_tail_envelope,
                                       jacobian_fd_check, malliavin_backward,
@@ -261,8 +261,8 @@ def test_c08_min_eigenvalue_probe():
     uppers, degenerate = [], 0
     for s in range(100):
         path = sample_subordinator(spec, 4.0, rng_stream(s, ROLE_CLOCK), seed=s)
-        eta = float(stopping_times(path, nu, kappa, b0, max_count=1)[1])
-        n_steps = int(np.ceil(round(eta / stepper.dt, 9)))
+        # the window [0, eta_1] in cells, one step each since dt is the grid step
+        n_steps = renewal_cells(path, nu, kappa, b0, 1)[1]
         dw = subordinated_increments(path, MODEL.dim, rng_stream(s, ROLE_BROWNIAN))
         u0 = sp.random_state(16, rng_stream(s, ROLE_INIT), amplitude=1.0)
         res = malliavin_forward(u0, n_steps, stepper, MODEL, path, dw, basis)

@@ -263,6 +263,26 @@ def test_bad_config_value(tmp_path):
         assert not out.exists(), text
 
 
+def test_bad_run_horizon_is_usage_error(tmp_path, capsys):
+    # run.horizon must be a multiple of grid.dt (0.005 here) for every
+    # command, and for moments span whole clock cells (0.01) and whole
+    # records of 10 steps; exit 2 before any output directory is made
+    out = tmp_path / "runs"
+    for horizon, commands, why in (
+            ("0.0175", ("simulate", "audit", "moments"),
+             "run.horizon 0.0175: horizon must be a multiple of the step size 0.005"),
+            ("0.015", ("moments",), "run.horizon 0.015: horizon must be a multiple of the grid step"),
+            ("0", ("moments",), "run.horizon 0.0: horizon must span at least one grid cell"),
+            ("0.02", ("moments",),
+             "run.horizon 0.02: horizon of 4 steps is not a multiple of record_every = 10")):
+        cfg_file = tmp_path / f"horizon{horizon}.ini"
+        cfg_file.write_text(TINY.replace("horizon = 0.5", f"horizon = {horizon}"))
+        for command in commands:
+            assert run_cli(cfg_file, out, command) == 2, (horizon, command)
+            assert not out.exists(), (horizon, command)
+            assert why in capsys.readouterr().err, (horizon, command)
+
+
 @pytest.mark.parametrize("argv", [
     ("malliavin", "--alpha", "2"),
     ("malliavin", "--control-windows", "-1"),

@@ -166,6 +166,16 @@ def test_moment_run_is_reproducible(stepper24):
     assert np.array_equal(a.energy_sq, b.energy_sq)
 
 
+def test_moment_run_refuses_a_bad_horizon_before_drawing(stepper24, monkeypatch):
+    # a horizon of no whole cell, off the clock grid, or of no whole record
+    # (4 steps against record_every = 10) is refused before any noise is drawn
+    monkeypatch.setattr(en, "sample_noise_batch", lambda *a, **k: pytest.fail("noise drawn"))
+    for horizon, why in ((0.0, "at least one grid cell"), (0.0075, "multiple of the grid step"),
+                         (0.01, "4 steps is not a multiple of record_every = 10")):
+        with pytest.raises(ValueError, match=why):
+            en.moment_experiment(7, 2, horizon, stepper24, MODEL, SPEC, sp.state_zeros(24))
+
+
 def test_quiet_ensemble_decays_like_dissipation(stepper24, big_state):
     # without jumps every mode contracts at least as fast as e^{-nu t}
     quiet = SubordinatorSpec(a=0.0, grid_step=5e-3)
@@ -502,6 +512,47 @@ def test_no_module_reads_the_environment():
                      else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
                      else [])
             offenders += [f"{f.name}:{node.lineno}" for x in names if x in ("environ", "getenv")]
+    assert offenders == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _package_module(node, package: str):
+    """The package module an import names, or None: `from .x import ...`
+    and `from package.x import ...` name x."""
+    if node.level == 1:
+        return node.module
+    if node.level == 0 and node.module and node.module.startswith(package + "."):
+        return node.module[len(package) + 1:]
+    return None
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    # a `_`-prefixed name belongs to its module: no other package module
+    # imports it (`from .noise import _x`, at module level or inside a
+    # function) or reads it off an imported module (`sp._x`)
+    pkg = Path(sp.__file__).parent
+    offenders = []
+    for f in sorted(pkg.glob("*.py")):
+        tree = ast.parse(f.read_text())
+        aliases = set()         # local names bound to a package module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = _package_module(node, pkg.name)
+                if node.level == 1 and module is None:      # from . import spectral as sp
+                    aliases |= {a.asname or a.name for a in node.names}
+                elif module is not None and module != f.stem:
+                    offenders += [f"{f.name}:{node.lineno} imports {module}.{a.name}"
+                                  for a in node.names if _is_private(a.name)]
+            elif isinstance(node, ast.Import):
+                aliases |= {a.asname for a in node.names
+                            if a.asname and a.name.startswith(pkg.name + ".")}
+        offenders += [f"{f.name}:{node.lineno} reads {node.value.id}.{node.attr}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in aliases and _is_private(node.attr)]
     assert offenders == []
 
 

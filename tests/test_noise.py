@@ -13,9 +13,11 @@ from boussinesq_lab.noise import (
     exp_moment_eta,
     first_eta_batch,
     load_path,
+    renewal_cells,
     rng_stream,
     sample_noise,
     sample_noise_batch,
+    sample_renewal_noise,
     sample_subordinator,
     save_path,
     stopping_times,
@@ -241,9 +243,98 @@ def test_every_renewal_entry_refuses_bad_rates(nu, kappa):
     for call in (lambda: stopping_times(path, nu, kappa, 4.0),
                  lambda: first_eta_batch(spec, nu, kappa, 4.0, 5, 1),
                  lambda: exp_moment_eta(spec, nu, kappa, 4.0, 5, 1),
-                 lambda: stopping_moment_experiment(spec, nu, kappa, 4.0, 1, 5)):
+                 lambda: stopping_moment_experiment(spec, nu, kappa, 4.0, 1, 5),
+                 lambda: renewal_cells(path, nu, kappa, 4.0, 2),
+                 lambda: sample_renewal_noise(spec, NoiseModel(), nu, kappa, 2, 1)):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+# ---------------------------------------------------------------------------
+# renewal windows
+
+
+def test_renewal_cells_round_each_renewal_up_onto_the_grid():
+    # c_j is eta_j rounded up onto the clock grid: the first edge at or past
+    # eta_j, one cell past c_{j-1} at least
+    spec, model = SubordinatorSpec(grid_step=1e-2), NoiseModel()
+    nu, kappa = 1.0, 5e-3
+    for key in range(4):
+        path, _ = sample_noise(spec, model, 12.0, 31, key)
+        etas = stopping_times(path, nu, kappa, model.b0, max_count=3)[1:]
+        cells = renewal_cells(path, nu, kappa, model.b0, 3)
+        want = [0]
+        for eta in etas:
+            want.append(max(noise._cells_up(eta, spec.grid_step), want[-1] + 1))
+        assert cells == want, key
+        for eta, c in zip(etas, cells[1:]):
+            assert path.times[c - 1] < eta <= path.times[c]
+    # a path with fewer renewals than asked gives what it has
+    short, _ = sample_noise(spec, model, 2.5, 31, 0)
+    assert len(renewal_cells(short, nu, kappa, model.b0, 5)) == \
+        len(stopping_times(short, nu, kappa, model.b0))
+
+
+def test_a_renewal_on_a_cell_end_gains_no_cell():
+    # a still clock at nu = 2.5 renews every 0.4, the third time at
+    # 1.2000000000000002, the end of cell 12 up to roundoff: a bare ceiling
+    # of eta / 0.1 would add a thirteenth cell, the rounding adds none
+    path = sample_subordinator(SubordinatorSpec(a=0.0, grid_step=0.1), 2.0,
+                               rng_stream(1, noise.ROLE_CLOCK))
+    eta_3 = stopping_times(path, 2.5, 0.0, 4.0, max_count=3)[3]
+    assert np.ceil(eta_3 / 0.1) == 13
+    assert renewal_cells(path, 2.5, 0.0, 4.0, 3) == [0, 4, 8, 12]
+
+
+def test_every_renewal_window_holds_a_cell():
+    # four renewals inside the first cell of width 1 still give four windows
+    path = sample_subordinator(SubordinatorSpec(a=0.0, grid_step=1.0), 10.0,
+                               rng_stream(1, noise.ROLE_CLOCK))
+    assert stopping_times(path, 4.0, 0.0, 4.0, max_count=4)[1:].tolist() == [0.25, 0.5, 0.75, 1.0]
+    assert renewal_cells(path, 4.0, 0.0, 4.0, 4) == [0, 1, 2, 3, 4]
+
+
+def test_path_window_rebases_a_slice():
+    spec = SubordinatorSpec(grid_step=1e-2)
+    path, _ = sample_noise(spec, NoiseModel(), 1.0, 8, 2)
+    sub = path.window(30, 47)
+    assert sub.spec == spec and sub.seed == path.seed == 8
+    assert sub.times.tobytes() == (path.times[30:48] - path.times[30]).tobytes()
+    assert sub.times[0] == 0.0
+    assert sub.increments.tobytes() == path.increments[30:47].tobytes()
+    assert sub.cumulative.tobytes() == np.concatenate([[0.0], np.cumsum(sub.increments)]).tobytes()
+    np.testing.assert_allclose(sub.cumulative, path.cumulative[30:48] - path.cumulative[30],
+                               rtol=1e-12, atol=1e-12)
+    assert path.window(0, 100).times.tobytes() == path.times.tobytes()
+    for c0, c1 in ((5, 5), (6, 5), (-1, 3), (90, 101)):
+        with pytest.raises(ValueError, match="window cells"):
+            path.window(c0, c1)
+
+
+def test_renewal_noise_redraws_a_longer_clock():
+    # the first clock spans 1.8 (count + 1) / nu = 3.6; key 3 renews first
+    # at cell 787, so it is redrawn over 7.2 and then 14.4, and each longer
+    # draw keeps the shorter one as its prefix
+    spec, model = SubordinatorSpec(grid_step=1e-2), NoiseModel()
+    nu, kappa = 1.0, 0.014
+    path, dw, cells = sample_renewal_noise(spec, model, nu, kappa, 1, 4, 3)
+    assert path.horizon == pytest.approx(14.4) and cells == [0, 787]
+    want, want_dw = sample_noise(spec, model, 14.4, 4, 3)
+    assert path.increments.tobytes() == want.increments.tobytes()
+    assert dw.tobytes() == want_dw.tobytes() and path.seed == 4
+    assert cells == renewal_cells(want, nu, kappa, model.b0, 1)
+    for horizon in (3.6, 7.2):
+        short, _ = sample_noise(spec, model, horizon, 4, 3)
+        assert renewal_cells(short, nu, kappa, model.b0, 1) == [0]
+        assert path.increments[:len(short.increments)].tobytes() == short.increments.tobytes()
+    # at nu = 200 twenty renewals fall in the first 10 of 19 cells, but their
+    # windows of one cell each need 20: the clock is redrawn until they fit
+    path, _, cells = sample_renewal_noise(spec, model, 200.0, 0.0, 20, 4, 3)
+    assert cells == list(range(21)) and len(path.increments) == 38
+    path.window(19, 20)
+    # a clock penalty the drift never beats renews nowhere
+    with pytest.raises(RuntimeError, match="clock horizon too short"):
+        sample_renewal_noise(SubordinatorSpec(grid_step=1.0), model, nu, 10.0, 1, 4, 3)
 
 
 def test_first_eta_batch_honours_its_horizon():

@@ -490,8 +490,7 @@ def test_control_window_takes_subnormal_clock_masses():
     path, dw = sample_noise(spec, model, 5.4, 20260818, 0)
     c0, c1 = 338, 379
     assert 0.0 < path.increments[368] < 1e-320
-    sub = SubordinatorPath(spec, path.times[c0:c1 + 1] - path.times[c0],
-                           path.increments[c0:c1], seed=path.seed)
+    sub = path.window(c0, c1)
     stepper = Stepper(16, PhysicsParams(), DEFAULT_SCHEME, 1e-3)
     rng = np.random.default_rng(5)
     u0 = sp.random_state(16, rng)
