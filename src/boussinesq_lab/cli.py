@@ -28,7 +28,8 @@ from .ensembles import (check_eproperty_horizon, check_invariant_horizon, eprope
 from .hormander import (bracket_z_sigma, bracket_z_sigma_field, combo_state,
                         numerical_lie_bracket, psi_recovery, span_generation,
                         verify_span, z_field)
-from .noise import ROLE_INIT, ROLE_SCRATCH, grid_cells, rng_stream, sample_noise, save_path
+from .noise import (ROLE_INIT, ROLE_SCRATCH, check_renewal_grid, grid_cells, rng_stream,
+                    sample_noise, save_path)
 from .spectral import PhysicsParams, SpectralState, weighted_norm
 from .stepping import energy_audit, horizon_steps, run_with_noise, simulate
 from .variation import (HNBasis, control_experiment, malliavin_backward,
@@ -442,7 +443,13 @@ def cmd_ergodicity(cfg: RunConfig, out: Path, args) -> bool:
     stepper = cfg.stepper()
     model = cfg.model()
     spec = cfg.spec()
-    payload = {}
+    payload = {"args": {
+        "paths": args.paths,
+        "ep_horizon": None if args.skip_eproperty else args.ep_horizon,
+        "invariant_horizon": None if args.skip_invariant else args.invariant_horizon,
+        "radius": args.radius,
+        "mesh_scale": None if args.radius is None else args.mesh_scale,
+    }}
     ok = True
 
     if not args.skip_eproperty:
@@ -590,10 +597,11 @@ _HANDLERS = {
 
 def _config_argument_error(cfg: RunConfig, args) -> str | None:
     """Why an argument does not fit the config, or None: the malliavin
-    window must be a positive multiple of grid.dt; the moments run.horizon
-    must span whole clock cells, one at least, and whole records of 10 steps
-    (`horizon_records`); the ergodicity horizons must lie on the clock grid
-    and, where their part runs, hold what its check needs
+    window must be a positive multiple of grid.dt, and with --control-windows
+    the clock grid no coarser than 1/nu (`check_renewal_grid`); the moments
+    run.horizon must span whole clock cells, one at least, and whole records
+    of 10 steps (`horizon_records`); the ergodicity horizons must lie on the
+    clock grid and, where their part runs, hold what its check needs
     (`check_eproperty_horizon`, `check_invariant_horizon`), and with --radius
     run.horizon must span whole clock cells, one at least."""
     if args.command == "malliavin":
@@ -604,6 +612,11 @@ def _config_argument_error(cfg: RunConfig, args) -> str | None:
         if n_steps < 1:
             return f"argument --window {args.window}: window must be a positive multiple " \
                    f"of grid.dt {cfg.dt}"
+        if args.control_windows > 0:
+            try:
+                check_renewal_grid(cfg.params().nu, cfg.grid_step)
+            except ValueError as exc:
+                return f"argument --control-windows {args.control_windows}: {exc}"
     if args.command == "moments":
         try:
             horizon_records(cfg.horizon, cfg.dt, cfg.grid_step, 10)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from . import spectral as sp
 from .noise import (
@@ -366,7 +366,8 @@ class HittingEstimate:
     start: tuple              # mesh coordinates (vorticity weight, temperature weight)
     hits: int
     n_paths: int
-    lower_bound: float        # one-sided 95% Clopper-Pearson bound
+    lower_bound: float        # one-sided 95% Clopper-Pearson bound: the 0.05 quantile
+                              # of Beta(hits, n_paths - hits + 1), 0 without a hit
 
 
 @dataclass
@@ -385,10 +386,10 @@ def irreducibility_probe(seed: int, stepper: Stepper, model: NoiseModel,
     Starts live on the 3 x 3 grid {-s, 0, s}^2 (corners included) of a fixed
     two-dimensional section: one normalized vorticity element against one
     normalized temperature element. Each start runs n_paths independent
-    trajectories and reports a one-sided 95% binomial lower confidence bound
-    for the terminal event ||U_T|| <= radius. Raises ValueError unless the
-    horizon spans whole clock cells, one at least (`horizon_records`),
-    before any noise is drawn.
+    trajectories and reports the one-sided 95% Clopper-Pearson lower bound
+    (`HittingEstimate.lower_bound`) on the probability of the terminal event
+    ||U_T|| <= radius. Raises ValueError unless the horizon spans whole
+    clock cells, one at least (`horizon_records`), before any noise is drawn.
     """
     n_steps = horizon_records(horizon, stepper.dt, spec.grid_step, 1) - 1   # less the t = 0 record
     confidence = 0.95
@@ -410,7 +411,7 @@ def irreducibility_probe(seed: int, stepper: Stepper, model: NoiseModel,
         final = out.energy_sq[si * n_paths:(si + 1) * n_paths, -1]
         hits = int((final <= radius * radius).sum())
         if hits > 0:
-            lower = float(beta_dist.ppf(1.0 - confidence, hits, n_paths - hits + 1))
+            lower = float(betaincinv(hits, n_paths - hits + 1, 1.0 - confidence))
         else:
             lower = 0.0
         estimates.append(HittingEstimate(start=(a, b), hits=hits, n_paths=n_paths,

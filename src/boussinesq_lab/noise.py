@@ -279,12 +279,23 @@ def stopping_times(path: SubordinatorPath, nu: float, kappa: float, b0: float,
     return np.asarray(etas)
 
 
+def check_renewal_grid(nu: float, grid_step: float) -> None:
+    """Raise ValueError when nu * grid_step > 1. Renewals lie 1/nu apart at
+    least, so only on a clock grid no coarser than 1/nu does each renewal
+    window hold a cell of its own."""
+    if nu * grid_step > 1.0:
+        raise ValueError(f"nu {nu} times clock grid step {grid_step} exceeds 1: "
+                         f"renewals 1/nu apart would share a grid cell")
+
+
 def renewal_cells(path: SubordinatorPath, nu: float, kappa: float, b0: float,
                   count: int) -> list[int]:
     """Cell edges [0, c_1, ..., c_k] of the first count renewal windows of a
     path: c_j is `stopping_times`' eta_j rounded up onto the clock grid, and
-    one cell past c_{j-1} at least, so every window holds a cell. k < count
-    when the path renews fewer times."""
+    one cell past c_{j-1} at least, a floor that binds only under roundoff
+    since the grid must be no coarser than 1/nu (`check_renewal_grid`). k <
+    count when the path renews fewer times."""
+    check_renewal_grid(nu, path.spec.grid_step)
     cells = [0]
     for eta in stopping_times(path, nu, kappa, b0, max_count=count)[1:count + 1]:
         cells.append(max(_cells_up(eta, path.spec.grid_step), cells[-1] + 1))
@@ -304,9 +315,11 @@ def sample_renewal_noise(spec: SubordinatorSpec, model: NoiseModel, nu: float, k
     the draws are prefix-stable, so a longer clock keeps the noise of the
     shorter one. Raises RuntimeError when
     CLOCK_DOUBLINGS doublings do not suffice, and ValueError on the rates
-    `stopping_times` refuses, before any draw.
+    `stopping_times` refuses or a grid `check_renewal_grid` refuses, before
+    any draw.
     """
     _penalty(nu, kappa, model.b0)
+    check_renewal_grid(nu, spec.grid_step)
     horizon = 1.8 * (count + 1) / nu
     for _ in range(CLOCK_DOUBLINGS + 1):
         path, dw = sample_noise(spec, model, horizon, seed, *key)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import beta
 
 import boussinesq_lab
 from boussinesq_lab import ensembles as en
@@ -266,6 +267,11 @@ def test_irreducibility_positive_at_low_amplitude():
     assert rep.all_positive
     for e in rep.estimates:
         assert 0 < e.lower_bound < e.hits / e.n_paths
+        # partial hit counts pin the Clopper-Pearson quantile itself, beyond
+        # the closed form 0.05 ** (1 / n) of hits = n
+        assert e.lower_bound == pytest.approx(
+            beta.ppf(0.05, e.hits, e.n_paths - e.hits + 1), rel=1e-12)
+    assert any(e.hits < e.n_paths for e in rep.estimates)
 
 
 def test_irreducibility_certain_and_impossible_hits():

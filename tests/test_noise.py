@@ -287,11 +287,30 @@ def test_a_renewal_on_a_cell_end_gains_no_cell():
 
 
 def test_every_renewal_window_holds_a_cell():
-    # four renewals inside the first cell of width 1 still give four windows
-    path = sample_subordinator(SubordinatorSpec(a=0.0, grid_step=1.0), 10.0,
-                               rng_stream(1, noise.ROLE_CLOCK))
-    assert stopping_times(path, 4.0, 0.0, 4.0, max_count=4)[1:].tolist() == [0.25, 0.5, 0.75, 1.0]
-    assert renewal_cells(path, 4.0, 0.0, 4.0, 4) == [0, 1, 2, 3, 4]
+    # at nu * grid_step = 1 exactly, with no clock penalty, the renewals
+    # fall on the cell ends one by one and every window holds one cell
+    spec, model = SubordinatorSpec(grid_step=1e-2), NoiseModel()
+    assert 100.0 * spec.grid_step == 1.0
+    path, _ = sample_noise(spec, model, 0.1, 1, 0)
+    assert renewal_cells(path, 100.0, 0.0, model.b0, 6) == list(range(7))
+    _, _, cells = sample_renewal_noise(spec, model, 100.0, 0.0, 20, 4, 3)
+    assert cells == list(range(21))
+
+
+def test_renewal_windows_refuse_a_grid_coarser_than_one_over_nu(monkeypatch):
+    # renewals lie 1/nu apart at least: at nu = 200 two fit in a cell of
+    # 1e-2, and the windows are refused, by sample_renewal_noise before any draw
+    spec, model = SubordinatorSpec(grid_step=1e-2), NoiseModel()
+    path, _ = sample_noise(spec, model, 1.0, 4, 3)
+    why = "nu 200.0 times clock grid step 0.01 exceeds 1"
+    with pytest.raises(ValueError, match=why):
+        renewal_cells(path, 200.0, 0.0, model.b0, 20)
+
+    def no_draw(*args):
+        raise AssertionError("drew noise")
+    monkeypatch.setattr(noise, "_keyed_draw", no_draw)
+    with pytest.raises(ValueError, match=why):
+        sample_renewal_noise(spec, model, 200.0, 0.0, 20, 4, 3)
 
 
 def test_path_window_rebases_a_slice():
@@ -327,11 +346,6 @@ def test_renewal_noise_redraws_a_longer_clock():
         short, _ = sample_noise(spec, model, horizon, 4, 3)
         assert renewal_cells(short, nu, kappa, model.b0, 1) == [0]
         assert path.increments[:len(short.increments)].tobytes() == short.increments.tobytes()
-    # at nu = 200 twenty renewals fall in the first 10 of 19 cells, but their
-    # windows of one cell each need 20: the clock is redrawn until they fit
-    path, _, cells = sample_renewal_noise(spec, model, 200.0, 0.0, 20, 4, 3)
-    assert cells == list(range(21)) and len(path.increments) == 38
-    path.window(19, 20)
     # a clock penalty the drift never beats renews nowhere
     with pytest.raises(RuntimeError, match="clock horizon too short"):
         sample_renewal_noise(SubordinatorSpec(grid_step=1.0), model, nu, 10.0, 1, 4, 3)
