@@ -360,14 +360,16 @@ def eproperty_probe(seed: int, stepper: Stepper, model: NoiseModel,
 # ---------------------------------------------------------------------------
 # small-ball hitting
 
+HITTING_ALPHA = 0.05        # one-sided level of the hitting bound (95% confidence)
+
 
 @dataclass
 class HittingEstimate:
     start: tuple              # mesh coordinates (vorticity weight, temperature weight)
     hits: int
     n_paths: int
-    lower_bound: float        # one-sided 95% Clopper-Pearson bound: the 0.05 quantile
-                              # of Beta(hits, n_paths - hits + 1), 0 without a hit
+    lower_bound: float        # one-sided 95% Clopper-Pearson bound: the HITTING_ALPHA
+                              # quantile of Beta(hits, n_paths - hits + 1), 0 without a hit
 
 
 @dataclass
@@ -392,7 +394,6 @@ def irreducibility_probe(seed: int, stepper: Stepper, model: NoiseModel,
     clock cells, one at least (`horizon_records`), before any noise is drawn.
     """
     n_steps = horizon_records(horizon, stepper.dt, spec.grid_step, 1) - 1   # less the t = 0 record
-    confidence = 0.95
     n = stepper.n
     e_w = sp.psi_state(n, (1, 1), 0)
     e_w = e_w * (1.0 / sp.weighted_norm(e_w, stepper.params))
@@ -411,7 +412,7 @@ def irreducibility_probe(seed: int, stepper: Stepper, model: NoiseModel,
         final = out.energy_sq[si * n_paths:(si + 1) * n_paths, -1]
         hits = int((final <= radius * radius).sum())
         if hits > 0:
-            lower = float(betaincinv(hits, n_paths - hits + 1, 1.0 - confidence))
+            lower = float(betaincinv(hits, n_paths - hits + 1, HITTING_ALPHA))
         else:
             lower = 0.0
         estimates.append(HittingEstimate(start=(a, b), hits=hits, n_paths=n_paths,

@@ -12,8 +12,12 @@ symbolic step can be replayed against the spectral operators on a grid.
 
 The operator layer derives every field from the drift `sp.drift_F` and its
 derivative `grad_drift` by the chain rule: Y = -DF sigma, Z = [F, Y] and
-its derivative grad_z. Only the bracket [Z, sigma] keeps a closed form,
-`bracket_z_sigma_field`, which the tests tie to -grad_z sigma.
+its derivative grad_z. Only the bracket [Z, sigma] keeps a closed form, two
+products c B(psi, sigma) of trig elements (`z_sigma_terms`), which the tests
+tie to -grad_z sigma. `bracket_fields` evaluates them for a stack of
+brackets with one stacked transform each way: one bracket for
+`bracket_z_sigma_field`, a block of checks for the grid replay of a span
+log (`verify_span`).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from . import spectral as sp
 from .spectral import PhysicsParams, SpectralState
 
 Mode = tuple[int, int]
+REPLAY_BLOCK = 8        # checks per stacked block of the grid replay (`verify_span`)
 
 
 def perp_dot(j: Mode, k: Mode) -> int:
@@ -155,22 +160,53 @@ def grad_z(j: Mode, m: int, state: SpectralState, xi: SpectralState,
             - grad_drift(state, sp.nonlinear_B(xi, s), params))
 
 
+def z_sigma_terms(j: Mode, m: int, k: Mode, mp: int, g: float):
+    """The closed form of [Z_j^m(U), sigma_k^{m'}] = -DZ(U) sigma_k: the sum of
+    c B(psi, sigma) over its two (psi, sigma, c) terms, each element a
+    (mode, parity) pair; constant in U."""
+    sgn_k = 1.0 if mp % 2 == 0 else -1.0
+    sgn_j = -1.0 if m % 2 == 0 else 1.0
+    return (((k, (mp + 1) % 2), (j, m), sgn_k * g * k[0]),
+            ((j, (m + 1) % 2), (k, mp), sgn_j * g * j[0]))
+
+
 def bracket_z_sigma_field(j: Mode, m: int, k: Mode, mp: int, n: int,
                           params: PhysicsParams) -> SpectralState:
     """[Z_j^m(U), sigma_k^{m'}] = -DZ(U) sigma_k in closed form; constant in U.
 
     The operator reference of the symbolic layer, kept apart from grad_z
-    because the span replay calls it often and it needs two products only.
+    because it needs two products only: the one-bracket stack of
+    `bracket_fields`.
     """
-    g = params.g
-    s_j = sp.sigma_state(n, j, m)
-    s_k = sp.sigma_state(n, k, mp)
-    psi_k = sp.psi_state(n, k, (mp + 1) % 2)
-    psi_j = sp.psi_state(n, j, (m + 1) % 2)
-    sgn_k = 1.0 if mp % 2 == 0 else -1.0
-    sgn_j = -1.0 if m % 2 == 0 else 1.0
-    return (sp.nonlinear_B(psi_k, s_j) * (sgn_k * g * k[0])
-            + sp.nonlinear_B(psi_j, s_k) * (sgn_j * g * j[0]))
+    fw, ft = bracket_fields([(j, m, k, mp)], n, params)
+    return SpectralState.from_halves(fw[0], ft[0])
+
+
+def bracket_fields(brackets, n: int, params: PhysicsParams):
+    """The (w, theta) half stacks (len(brackets), n, n//2+1) of the brackets
+    [Z_j^m, sigma_k^{m'}] of a sequence of (j, m, k, mp).
+
+    Every distinct trig element of their terms (`z_sigma_terms`) enters one
+    stacked `sp.physical_fields`, and every product one stacked
+    `sp.transport`; each bracket then adds its two products times their
+    coefficients.
+    """
+    elements: dict = {}         # (slot, mode, parity) -> row; slot 0 psi, 1 sigma
+    terms = [z_sigma_terms(j, m, k, mp, params.g) for j, m, k, mp in brackets]
+    rows = [(elements.setdefault((0,) + psi, len(elements)),
+             elements.setdefault((1,) + sig, len(elements)))
+            for pair in terms for psi, sig, _ in pair]
+    c = n // 2 + 1
+    pair = np.empty((2, len(elements), n, c), np.complex128)     # (w, theta) per element
+    for (slot, mode, parity), row in elements.items():
+        pair[:, row] = (sp.psi_state if slot == 0 else sp.sigma_state)(n, mode, parity).halves()
+    f = sp.physical_fields(pair[0], pair[1])
+    psi, sig = zip(*rows)
+    prod = sp.transport(f[:2, list(psi)], f[2:, list(sig)])
+    out = np.empty((2, len(terms), n, c), np.complex128)
+    for i, ((_, _, c1), (_, _, c2)) in enumerate(terms):
+        out[:, i] = prod[:, 2 * i] * c1 + prod[:, 2 * i + 1] * c2
+    return out[0], out[1]
 
 
 def bracket_zy_field(j: Mode, m: int, k: Mode, mp: int, state: SpectralState,
@@ -401,6 +437,14 @@ def verify_span(result: SpanResult, n: int, params: PhysicsParams) -> dict:
     relative to its largest coefficient (floored at 1). Every
     mode touched by a replayed product has to survive the 2/3 dealiasing,
     so the grid must satisfy 3 k < n for the largest wavenumber k involved.
+
+    The checks, two per derivation (one per parity), run in blocks of
+    REPLAY_BLOCK: one `bracket_fields` call evaluates the brackets of a
+    block, and each check combines its own on the half storage, whose
+    largest coefficient is the full array's. A block is streamed, so memory
+    does not grow with the log. The first failing check raises, as a replay
+    check by check would: a symbolic failure waits for the grid checks of
+    the block before it.
     """
     need = 0
     for der in result.reached.values():
@@ -412,30 +456,54 @@ def verify_span(result: SpanResult, n: int, params: PhysicsParams) -> dict:
     if 3 * need >= n:
         raise ValueError(f"grid n={n} dealiases above wavenumber {(n - 1) // 3}, "
                          f"but the log touches {need}; need n >= {3 * need + 1}")
+    checks = [(mode, der, parity) for mode, der in sorted(result.reached.items())
+              if der.kind != "forced" for parity in (0, 1)]
     checked = 0
     max_err = 0.0
-    for mode, der in sorted(result.reached.items()):
-        if der.kind == "forced":
-            continue
-        j, k = der.parents
-        for parity in (0, 1):
-            combo = pair_combo(j, k, der.kind, parity)
-            raw = (j[0] + k[0], j[1] + k[1]) if der.kind == "pair-sum" else (j[0] - k[0], j[1] - k[1])
-            canon, mc, s = sp.canonicalize(raw, parity)
-            want = {(canon, mc): s * der.prefactor}
-            if combo != want:
-                raise AssertionError(f"symbolic replay failed at {mode} parity {parity}: "
-                                     f"{combo} != {want}")
-            field = sp.state_zeros(n)
-            for (m, mp), fac in combo_pieces(der.kind, parity):
-                field = field + bracket_z_sigma_field(j, m, k, mp, n, params) * float(fac)
-            want_state = sp.sigma_state(n, canon, mc) * (params.g * float(s * der.prefactor))
-            err = np.abs(field.theta_hat - want_state.theta_hat).max()
-            err = max(err, np.abs(field.w_hat).max())
-            scale = max(np.abs(want_state.theta_hat).max(), 1.0)
+    for start in range(0, len(checks), REPLAY_BLOCK):
+        block, pieces, failure = [], [], None
+        for mode, der, parity in checks[start:start + REPLAY_BLOCK]:
+            try:
+                want = _symbolic_replay(mode, der, parity)
+            except Exception as exc:        # raised after the grid checks before it
+                failure = exc
+                break
+            j, k = der.parents
+            block.append((mode, parity, want, combo_pieces(der.kind, parity)))
+            pieces += [(j, m, k, mp) for (m, mp), _ in block[-1][3]]
+        fw, ft = bracket_fields(pieces, n, params) if pieces else (None, None)
+        row = 0
+        for mode, parity, ((canon, mc), coef), combo in block:
+            field_w = field_t = 0.0
+            for _, fac in combo:
+                field_w = field_w + fw[row] * float(fac)
+                field_t = field_t + ft[row] * float(fac)
+                row += 1
+            want_t = sp.sigma_state(n, canon, mc).halves()[1] * (params.g * float(coef))
+            err = np.abs(field_t - want_t).max()
+            err = max(err, np.abs(field_w).max())
+            scale = max(np.abs(want_t).max(), 1.0)
             max_err = max(max_err, err / scale)
             if err > 1e-10 * scale:
                 raise AssertionError(f"grid replay failed at {mode} parity {parity}: "
                                      f"err {err:.3e}")
             checked += 1
+        if failure is not None:
+            raise failure
     return {"checked": checked, "max_rel_err": max_err}
+
+
+def _symbolic_replay(mode: Mode, der: Derivation, parity: int):
+    """The symbolic check of one derivation at one parity: the isolating
+    combination must reduce to the single element with the recorded
+    prefactor. Returns that element ((mode, parity), coefficient); raises
+    AssertionError otherwise."""
+    j, k = der.parents
+    combo = pair_combo(j, k, der.kind, parity)
+    raw = (j[0] + k[0], j[1] + k[1]) if der.kind == "pair-sum" else (j[0] - k[0], j[1] - k[1])
+    canon, mc, s = sp.canonicalize(raw, parity)
+    want = {(canon, mc): s * der.prefactor}
+    if combo != want:
+        raise AssertionError(f"symbolic replay failed at {mode} parity {parity}: "
+                             f"{combo} != {want}")
+    return (canon, mc), s * der.prefactor

@@ -36,7 +36,9 @@ Every forward time loop in the package is built from three pieces here:
     Gramian and control sweeps of the variation module are hooks on it; each
     takes its start state to the half storage once (`SpectralState.halves`)
     and writes full arrays (`SpectralState.from_halves`) only for what it
-    returns or records as states.
+    returns or records as states. `simulate`'s hooks only copy each step
+    into a buffer of SNAPSHOT_STRIDE steps and screen it for blow-up; its
+    norms, pairings and full states are made once per stride, on the stack.
 `blown_up` is the one blow-up predicate of `simulate` and the batches, and
 `horizon_steps` the one rule turning a horizon into a step count.
 """
@@ -222,10 +224,12 @@ def sweep(stepper: Stepper, w: np.ndarray, t: np.ndarray, n_steps: int,
 class Trajectory:
     """Recorded output of simulate.
 
-    Scalar series are per accepted step (length n_steps + 1); snapshots keep
-    every SNAPSHOT_STRIDE-th state plus the final one, which after a blow-up
-    is the state where the run stopped. Pre/post jump
-    temperature norms support the energy audit.
+    Scalar series are per accepted step (length n_steps + 1), computed once
+    per SNAPSHOT_STRIDE steps on the stack of those steps and bit-equal to a
+    computation per step; snapshots keep every SNAPSHOT_STRIDE-th state plus
+    the final one, which after a blow-up is the state of the step that blew
+    up, the last one taken. Pre/post jump temperature norms support the
+    energy audit.
     """
 
     times: np.ndarray
@@ -257,8 +261,17 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
 
     With a clock path (and its model and dw) given, the dw rows are applied as
     temperature kicks at their cells' right endpoints. horizon = 0 returns just
-    the initial state. On blow-up (`blown_up`) integration stops and
-    the flag is set; no exception is raised.
+    the initial state. On blow-up (`blown_up`) integration stops after the
+    step that blew up and the flag is set; no exception is raised.
+
+    The hooks copy each post-step pair, and on a kicked step its pre-kick
+    temperature and kick, into buffers of SNAPSHOT_STRIDE rows. At every
+    snapshot (each SNAPSHOT_STRIDE-th step, the last, and the blow-up step)
+    one stacked pass over the buffered steps fills the series, bit-equal to
+    a pass per step, and writes the snapshot and, with store_full, the
+    states. The blow-up test needs every step: a step whose largest
+    coefficient component stays under `_screen_bound` cannot be blown up,
+    and any other step is tested exactly, as the series will read it.
     """
     dt = stepper.dt
     n_steps = horizon_steps(horizon, dt)
@@ -270,48 +283,74 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
     (norm0, norm1, w_part, theta_part, grad_th, clock_steps, pre_jump,
      grad_pre_jump, jump_ident) = np.zeros((9, n_steps + 1))
 
-    def record(i: int, w: np.ndarray, t: np.ndarray) -> None:
+    def record(rows: slice, w: np.ndarray, t: np.ndarray) -> None:
+        # the series at the steps of rows, from half stacks of their states
         w0, w1 = sp.sobolev_sq(w, (0, 1))
         tq, gt = sp.sobolev_sq(t, (0, 1))
         wq = p.zeta_star * w0
-        norm0[i] = np.sqrt(wq + tq)
-        norm1[i] = np.sqrt(p.zeta_star * w1 + gt)
-        w_part[i] = wq
-        theta_part[i] = tq
-        grad_th[i] = gt
+        norm0[rows] = np.sqrt(wq + tq)
+        norm1[rows] = np.sqrt(p.zeta_star * w1 + gt)
+        w_part[rows] = wq
+        theta_part[rows] = tq
+        grad_th[rows] = gt
 
     start = u0.halves()
-    record(0, *start)
+    record(slice(0, 1), start[0][None], start[1][None])
     snapshots = [u0.copy()]
     snapshot_times = [0.0]
     states = [u0.copy()] if store_full else None
+    # row r holds step first + r: the post-step pair, and on a kicked step
+    # the pre-kick temperature and the kick
+    buf = np.empty((SNAPSHOT_STRIDE, 2) + start[0].shape, np.complex128)
+    jumps = np.empty_like(buf)
+    kicked = []
+    first = 1
+    bound = _screen_bound(stepper.n, p)
     ell = 0.0
     last = 0            # steps taken
     blew_up = False
 
+    def flush() -> None:
+        nonlocal first
+        rows = slice(first, last + 1)
+        m = last + 1 - first
+        record(rows, buf[:m, 0], buf[:m, 1])
+        pre_jump[rows] = theta_part[rows]
+        grad_pre_jump[rows] = grad_th[rows]
+        if kicked:
+            at = np.add(first, kicked)
+            t, kick = jumps[kicked, 0], jumps[kicked, 1]
+            pre_jump[at], grad_pre_jump[at] = sp.sobolev_sq(t, (0, 1))
+            jump_ident[at] = 2.0 * sp.half_dot(t, kick) + sp.half_dot(kick, kick)
+            kicked.clear()
+        keep = slice(0, m) if store_full else slice(m - 1, m)
+        block = [SpectralState(w, t)
+                 for w, t in zip(sp.full(buf[keep, 0]), sp.full(buf[keep, 1]))]
+        if store_full:
+            states.extend(block)
+        snapshots.append(block[-1])
+        snapshot_times.append(times[last])
+        first = last + 1
+
     def on_kick(i, cell, t, kick):
         nonlocal ell
-        pre_jump[i + 1], grad_pre_jump[i + 1] = sp.sobolev_sq(t, (0, 1))
-        jump_ident[i + 1] = 2.0 * sp.half_dot(t, kick) + sp.half_dot(kick, kick)
+        np.copyto(jumps[i + 1 - first, 0], t)
+        np.copyto(jumps[i + 1 - first, 1], kick)
+        kicked.append(i + 1 - first)
         ell += path.increments[cell]
 
     def on_step(i, pre, post, cell):
         nonlocal last, blew_up
         last = i + 1
-        record(last, *post)
-        if cell is None:
-            pre_jump[last] = theta_part[last]
-            grad_pre_jump[last] = grad_th[last]
+        row = buf[last - first]
+        np.copyto(row[0], post[0])
+        np.copyto(row[1], post[1])
         clock_steps[last] = ell
-        blew_up = bool(blown_up(w_part[last] + theta_part[last]))
-        snap = last % SNAPSHOT_STRIDE == 0 or last == n_steps or blew_up
-        if store_full or snap:
-            state = SpectralState.from_halves(*post)
-            if store_full:
-                states.append(state)
-            if snap:
-                snapshots.append(state)
-                snapshot_times.append(times[last])
+        if not np.abs(row.view(np.float64)).max() <= bound:
+            w, t = post
+            blew_up = bool(blown_up(p.zeta_star * sp.sobolev_sq(w, 0) + sp.sobolev_sq(t, 0)))
+        if last % SNAPSHOT_STRIDE == 0 or last == n_steps or blew_up:
+            flush()
         return blew_up
 
     sweep(stepper, *start, n_steps, kicks, on_step, on_kick)
@@ -324,6 +363,20 @@ def simulate(u0: SpectralState, horizon: float, stepper: Stepper,
         snapshots=snapshots, snapshot_times=np.asarray(snapshot_times),
         states=states, blew_up=blew_up,
     )
+
+
+def _screen_bound(n: int, params: PhysicsParams) -> float:
+    """A bound on the largest real or imaginary part of a half pair's
+    coefficients under which its weighted energy is at most NORM_CEILING**2 / 2,
+    so it is not `blown_up`.
+
+    Every |f_k|^2 is at most twice the squared largest part, and the half
+    storage holds n^2 coefficients of the full spectrum, so the energy is at
+    most 2 q n^2 (zeta* + 1) a^2 with q = (2 pi)^2 / n^4; the factor 2 below
+    NORM_CEILING**2 covers the roundoff of the sums. It is formed without
+    squaring NORM_CEILING or a coefficient, so nothing overflows.
+    """
+    return NORM_CEILING * n / (4.0 * np.pi * np.sqrt(params.zeta_star + 1.0))
 
 
 def run_with_noise(u0: SpectralState, horizon: float, stepper: Stepper,

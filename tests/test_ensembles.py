@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import betaincinv
 from scipy.stats import beta
 
 import boussinesq_lab
@@ -271,6 +272,8 @@ def test_irreducibility_positive_at_low_amplitude():
         # the closed form 0.05 ** (1 / n) of hits = n
         assert e.lower_bound == pytest.approx(
             beta.ppf(0.05, e.hits, e.n_paths - e.hits + 1), rel=1e-12)
+        # and it is the quantile at exactly 0.05, bit for bit
+        assert e.lower_bound == betaincinv(e.hits, e.n_paths - e.hits + 1, 0.05)
     assert any(e.hits < e.n_paths for e in rep.estimates)
 
 

@@ -1,6 +1,10 @@
 """Bracket algebra, recovery identities, and the reachability closure."""
 
+import dataclasses
 import hashlib
+import math
+import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -242,6 +246,88 @@ def test_span_replay_exact_and_on_grid():
     report = hb.verify_span(res, 48, PARAMS)
     assert report["checked"] >= 2 * (len(res.reached) - 2)
     assert report["max_rel_err"] <= 1e-12
+
+
+def _replay_pieces(res):
+    # the (j, m, k, mp) brackets of every check of a log, in replay order
+    return [(der.parents[0], m, der.parents[1], mp)
+            for _, der in sorted(res.reached.items()) if der.kind != "forced"
+            for parity in (0, 1) for (m, mp), _ in hb.combo_pieces(der.kind, parity)]
+
+
+def test_stacked_bracket_fields_are_minus_grad_z(base_state):
+    # every bracket of a stacked replay block is -DZ(U) sigma_k, and equals
+    # the same bracket evaluated alone bit for bit
+    res = hb.span_generation([(1, 0), (0, 1)], 2)
+    n = base_state.n
+    pieces = _replay_pieces(res)
+    fw, ft = hb.bracket_fields(pieces, n, PARAMS)
+    assert fw.shape == ft.shape == (len(pieces), n, n // 2 + 1)
+    for (j, m, k, mp), w, t in zip(pieces, fw, ft):
+        got = sp.SpectralState.from_halves(w, t)
+        want = -hb.grad_z(j, m, base_state, sp.sigma_state(n, k, mp), PARAMS)
+        assert sp.weighted_norm(got - want, PARAMS) <= 1e-12 * sp.weighted_norm(want, PARAMS)
+        alone = hb.bracket_z_sigma_field(j, m, k, mp, n, PARAMS)
+        assert got.w_hat.tobytes() == alone.w_hat.tobytes()
+        assert got.theta_hat.tobytes() == alone.theta_hat.tobytes()
+
+
+def _corrupt(res, mode, prefactor):
+    reached = dict(res.reached)
+    reached[mode] = dataclasses.replace(reached[mode], prefactor=prefactor)
+    return dataclasses.replace(res, reached=reached)
+
+
+def test_span_replay_reports_the_first_corrupted_check():
+    res = hb.span_generation([(1, 0), (0, 1)], 4)
+    modes = [mode for mode, der in sorted(res.reached.items()) if der.kind != "forced"]
+    bad = modes[5]                  # checks 10 and 11, in the second block
+    der = res.reached[bad]
+    wrong = der.prefactor + 1
+    bad_res = _corrupt(res, bad, wrong)
+    j, k = der.parents
+    combo = hb.pair_combo(j, k, der.kind, 0)
+    canon, mc, s = sp.canonicalize(next(iter(combo))[0], 0)
+    want = {(canon, mc): s * wrong}
+    msg = f"symbolic replay failed at {bad} parity 0: {combo} != {want}"
+    with pytest.raises(AssertionError, match=re.escape(msg)):
+        hb.verify_span(bad_res, 48, PARAMS)
+
+
+def test_span_replay_keeps_a_grid_failure_before_a_later_symbolic_one(monkeypatch):
+    # a grid failure at one check of a block is raised before a symbolic
+    # failure later in the same block, as a replay check by check raises it
+    res = hb.span_generation([(1, 0), (0, 1)], 4)
+    modes = [mode for mode, der in sorted(res.reached.items()) if der.kind != "forced"]
+    bad_res = _corrupt(res, modes[3], res.reached[modes[3]].prefactor + 1)
+    real = hb.bracket_fields
+
+    def shifted(pieces, n, params):
+        fw, ft = real(pieces, n, params)
+        ft[2] += 1.0                # the first piece of check 1: modes[0] parity 1
+        return fw, ft
+
+    monkeypatch.setattr(hb, "bracket_fields", shifted)
+    msg = f"grid replay failed at {modes[0]} parity 1"
+    with pytest.raises(AssertionError, match=re.escape(msg)):
+        hb.verify_span(bad_res, 48, PARAMS)
+
+
+def test_span_replay_transforms_once_per_block(monkeypatch):
+    # the level-8 replay of `bqlab span` stacks its trig elements into one
+    # physical_fields and its products into one transport per block of
+    # REPLAY_BLOCK checks, where one nonlinear_B per product made 1,040 of each
+    calls = Counter()
+    for name in ("physical_fields", "transport"):
+        def counted(*args, _orig=getattr(sp, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(sp, name, counted)
+    res = hb.span_generation([(1, 0), (0, 1)], 8)
+    report = hb.verify_span(res, 34, PhysicsParams())
+    blocks = math.ceil(report["checked"] / hb.REPLAY_BLOCK)
+    assert report["checked"] == 260
+    assert calls == {"physical_fields": blocks, "transport": blocks}
 
 
 def test_span_replay_rejects_narrow_grid():

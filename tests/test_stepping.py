@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from boussinesq_lab import cli
 from boussinesq_lab import spectral as sp
 from boussinesq_lab import variation as var
 from boussinesq_lab.config import RunConfig
@@ -19,14 +20,17 @@ from boussinesq_lab.noise import (
     NoiseModel,
     SubordinatorSpec,
     rng_stream,
+    sample_noise,
     sample_subordinator,
     subordinated_increments,
 )
 from boussinesq_lab.spectral import PhysicsParams, psi_state, random_state, sigma_state
 from boussinesq_lab.stepping import (
+    SNAPSHOT_STRIDE,
     KickSchedule,
     StepScheme,
     Stepper,
+    blown_up,
     energy_audit,
     run_with_noise,
     simulate,
@@ -646,6 +650,109 @@ def test_energy_audit_jump_identity(rng):
     audit = energy_audit(traj, stepper)
     assert audit.n_jumps > 10
     assert audit.max_jump_residual <= 1e-12
+
+
+def _simulate_per_step(u0, horizon, stepper, model=None, path=None, dw=None,
+                       store_full=False):
+    # simulate as it recorded before its diagnostics were stacked: every
+    # series entry, snapshot and state written by a pass per step
+    dt, p = stepper.dt, stepper.params
+    n_steps = int(round(horizon / dt))
+    kicks = KickSchedule.along(path, stepper, n_steps, model, dw)
+    times = dt * np.arange(n_steps + 1)
+    (norm0, norm1, w_part, theta_part, grad_th, clock_steps, pre_jump,
+     grad_pre_jump, jump_ident) = np.zeros((9, n_steps + 1))
+
+    def record(i, w, t):
+        w0, w1 = sp.sobolev_sq(w, (0, 1))
+        tq, gt = sp.sobolev_sq(t, (0, 1))
+        wq = p.zeta_star * w0
+        norm0[i] = np.sqrt(wq + tq)
+        norm1[i] = np.sqrt(p.zeta_star * w1 + gt)
+        w_part[i], theta_part[i], grad_th[i] = wq, tq, gt
+
+    start = u0.halves()
+    record(0, *start)
+    snapshots, snapshot_times = [u0.copy()], [0.0]
+    states = [u0.copy()] if store_full else None
+    ell, last, blew = 0.0, 0, False
+
+    def on_kick(i, cell, t, kick):
+        nonlocal ell
+        pre_jump[i + 1], grad_pre_jump[i + 1] = sp.sobolev_sq(t, (0, 1))
+        jump_ident[i + 1] = 2.0 * sp.half_dot(t, kick) + sp.half_dot(kick, kick)
+        ell += path.increments[cell]
+
+    def on_step(i, pre, post, cell):
+        nonlocal last, blew
+        last = i + 1
+        record(last, *post)
+        if cell is None:
+            pre_jump[last], grad_pre_jump[last] = theta_part[last], grad_th[last]
+        clock_steps[last] = ell
+        blew = bool(blown_up(w_part[last] + theta_part[last]))
+        snap = last % SNAPSHOT_STRIDE == 0 or last == n_steps or blew
+        state = sp.SpectralState.from_halves(*post)
+        if store_full:
+            states.append(state)
+        if snap:
+            snapshots.append(state)
+            snapshot_times.append(times[last])
+        return blew
+
+    sweep(stepper, *start, n_steps, kicks, on_step, on_kick)
+    cut = last + 1
+    series = (times, norm0, norm1, w_part, theta_part, grad_th, clock_steps, pre_jump,
+              grad_pre_jump, jump_ident)
+    return [x[:cut] for x in series], snapshots, np.asarray(snapshot_times), states, blew
+
+
+def _state_bytes(states):
+    return None if states is None else [(u.w_hat.tobytes(), u.theta_hat.tobytes())
+                                        for u in states]
+
+
+def _simulate_cases():
+    cfg = RunConfig()
+    default = (cli._initial_state(cfg), cfg.horizon, cfg.stepper(), cfg.model(),
+               *sample_noise(cfg.spec(), cfg.model(), cfg.horizon, cfg.seed))
+    u0 = random_state(16, np.random.default_rng(3))
+    stepper = Stepper(16, PhysicsParams(), StepScheme.ETD_EULER, 5e-3)
+    model, spec = NoiseModel(), SubordinatorSpec(grid_step=1e-2)
+    odd = (u0, 0.235, stepper, model, *sample_noise(spec, model, 0.24, 5))
+    burst = (random_state(16, np.random.default_rng(4), amplitude=2e4, decay=0.5),
+             Stepper(16, PhysicsParams(nu1=1e-6, nu2=1e-6, g=1.0), StepScheme.ETD_EULER, 0.05))
+    # amplitude 70 at dt = 1e-2 blows up at step 14, past a stride of quiet steps
+    late = (random_state(16, np.random.default_rng(4), amplitude=70.0, decay=0.5),
+            Stepper(16, PhysicsParams(nu1=1e-6, nu2=1e-6, g=1.0), StepScheme.ETD_EULER, 1e-2))
+    return {"default": default, "off_stride": odd, "no_clock": (u0, 0.235, stepper),
+            "blow_up_guard": (burst[0], 5.0, burst[1]),
+            "inviscid_burst": (burst[0], 20 * 0.05, burst[1]),
+            "late_blow_up": (late[0], 5.0, late[1])}
+
+
+@pytest.mark.parametrize("store_full", [False, True])
+@pytest.mark.parametrize("case", ["default", "off_stride", "no_clock", "blow_up_guard",
+                                  "inviscid_burst", "late_blow_up"])
+def test_stacked_recording_equals_a_pass_per_step(case, store_full):
+    # the series, snapshots and states recorded once per snapshot stride are
+    # byte-equal to those of a pass per step, and a blown-up run stops at the
+    # same step with the same final snapshot
+    args = _simulate_cases()[case]
+    traj = simulate(*args, store_full=store_full)
+    series, snapshots, snapshot_times, states, blew = _simulate_per_step(
+        *args, store_full=store_full)
+    got = (traj.times, traj.norm0, traj.norm1, traj.w_part, traj.theta_part,
+           traj.grad_theta_sq, traj.clock, traj.theta_sq_prejump,
+           traj.grad_theta_sq_prejump, traj.jump_identity)
+    for a, b in zip(got, series):
+        assert a.tobytes() == b.tobytes()
+    assert traj.snapshot_times.tobytes() == snapshot_times.tobytes()
+    assert _state_bytes(traj.snapshots) == _state_bytes(snapshots)
+    assert _state_bytes(traj.states) == _state_bytes(states)
+    assert traj.blew_up == blew == (case in ("blow_up_guard", "inviscid_burst", "late_blow_up"))
+    if case == "off_stride":
+        assert (len(traj.times) - 1) % SNAPSHOT_STRIDE != 0
 
 
 def test_snapshot_stride(rng):
