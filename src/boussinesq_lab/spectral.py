@@ -34,25 +34,30 @@ Transforms. This is the one transform layer: no other module calls an FFT,
 and its transforms are the real ones of `scipy.fft`. Every kernel is built
 from two stages, which no other module rebuilds: outside this module only
 `stepping` reads a symbol table, for the per-mode multipliers of the step,
-and none calls a raw transform. `physical_fields` builds the six dealiased
-physical fields of a stack into one (6, ..., n, n//2+1) array by two
-products with one cached symbol stack that is zero outside the 2/3 band
-(`_field_symbols`), and makes one inverse transform of it;
-`masked_transform` makes one forward transform of a stack of physical
-products and cuts it to the dealiased mean-free band. The step
-(`transport`, also behind `nonlinear_B`) and the tangent and second
-variation (their bilinear form) run the two in that order. The adjoint
-runs their transposes in reverse order, each written beside its stage:
-`masked_transform_transpose`, the band cut and one inverse transform of
-the stack, and `physical_fields_transpose`, one forward transform of six
-fields read back through the same symbols, conjugated. They are transposes
-between the pairing of the half storage (`half_dot`) and the grid pairing
-(2 pi / n)^2 sum_x f g, in which the unnormalized forward transform and the
-normalized inverse are each other's transpose. So a block of the step, the
-tangent or the adjoint makes one stacked inverse and one stacked forward
-transform. Each output of the two forward stages is bit-equal to its
-per-field transform. A large stack is not transformed whole, which is
-slower: its arrays outgrow the cache.
+and none calls a raw transform. Every per-mode constant of a stage is
+folded into a cached table once, and every stage writes into one buffer.
+`physical_fields` builds the six dealiased physical fields of a stack into
+one (6, ..., n, n//2+1) array by two products with one cached symbol stack
+that is zero outside the 2/3 band and whose velocity rows carry the
+Biot-Savart factor 1/|k|^2 (`_field_symbols`), and makes one inverse
+transform of it; `masked_transform` makes one forward transform of a stack
+of physical products and cuts it to the dealiased mean-free band in place.
+The step (`transport`, also behind `nonlinear_B`) and the tangent and
+second variation (their bilinear form) run the two in that order. The
+adjoint runs their transposes in reverse order, each written beside its
+stage: `masked_transform_transpose`, the band cut of a copy and one
+inverse transform of the stack, and `physical_fields_transpose`, one forward
+transform of six fields read back through the same symbols, conjugated.
+They are transposes between the pairing of the half storage (`half_dot`)
+and the grid pairing (2 pi / n)^2 sum_x f g, in which the unnormalized
+forward transform and the normalized inverse are each other's transpose.
+So a block of the step, the tangent or the adjoint makes one stacked
+inverse and one stacked forward transform. A stage that ends at the band
+symmetrizes the column k2 = 0 alone: the band 3 |k_i| < n never reaches
+the Nyquist column k2 = n/2, since 3 n/2 >= n, so the cut leaves that
+column exactly zero. Each output of the two forward stages is bit-equal
+to its per-field transform. A large stack is not transformed whole, which
+is slower: its arrays outgrow the cache.
 `blockwise` applies the step, the tangent and the adjoint to blocks of
 `block_rows(n)` rows, the rows whose six half fields fill about 1 MiB (75 at
 n = 16, 20 at n = 32, 9 at n = 48). The blocks never share a row, so they run
@@ -216,7 +221,8 @@ def ksq(n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Symbols:
     """Per-mode multipliers of the dealiased pseudo-spectral pipeline. The
-    Biot-Savart pair (i k2, -i k1) / |k|^2 is applied as i k2 * w * inv_ksq."""
+    Biot-Savart pair (i k2, -i k1) / |k|^2 is applied as i k2 * w * inv_ksq
+    by `biot_savart`; the kernels read it folded (`_field_symbols`)."""
 
     ik1: np.ndarray          # i k1, the symbol of d/dx1
     ik2: np.ndarray          # i k2, the symbol of d/dx2
@@ -227,13 +233,18 @@ class Symbols:
     bmask: np.ndarray        # the 2/3 mask without the mean mode
 
 
+def _band_edge(n: int) -> int:
+    """The largest wavenumber of the 2/3 band, the largest k with 3 k < n."""
+    return (n - 1) // 3
+
+
 @lru_cache(maxsize=None)
 def symbols(n: int) -> Symbols:
     k1, k2 = wavenumbers(n)
     kk = ksq(n)
     inv = np.zeros((n, n))
     np.divide(1.0, kk, out=inv, where=kk > 0)
-    dealias = (3 * np.abs(k1) < n) & (3 * np.abs(k2) < n)
+    dealias = (np.abs(k1) <= _band_edge(n)) & (np.abs(k2) <= _band_edge(n))
     return Symbols(ik1=1j * k1, ik2=1j * k2, neg_ik1=-1j * k1, ksq=kk, inv_ksq=inv,
                    dealias=dealias, bmask=dealias & (kk > 0))
 
@@ -249,10 +260,25 @@ def half_symbols(n: int) -> Symbols:
 @lru_cache(maxsize=None)
 def _field_symbols(n: int):
     """The symbols of `physical_fields` on the half storage, zero outside the
-    2/3 band: (i k2, -i k1, i k1, i k2) for w and (i k1, i k2) for theta."""
+    2/3 band: (i k2 / |k|^2, -i k1 / |k|^2, i k1, i k2) for w, the
+    Biot-Savart pair first, and (i k1, i k2) for theta; then the conjugates
+    of both, which `physical_fields_transpose` reads."""
     h = half_symbols(n)
-    band = [np.where(h.dealias, ik, 0.0) for ik in (h.ik2, h.neg_ik1, h.ik1, h.ik2)]
-    return np.stack(band), np.stack(band[2:])
+    band = np.stack([np.where(h.dealias, ik, 0.0)
+                     for ik in (h.ik2 * h.inv_ksq, h.neg_ik1 * h.inv_ksq, h.ik1, h.ik2)])
+    conj = np.conj(band)
+    return band, band[2:], conj, conj[2:]
+
+
+def _cut_to_band(h: np.ndarray) -> np.ndarray:
+    """Zero a half stack outside the dealiased mean-free band in place, the
+    `bmask` cut as three slice writes: the rows 3 |k1| >= n, the columns
+    3 k2 >= n and the mean mode; returns h."""
+    kmax = _band_edge(h.shape[-2])
+    h[..., kmax + 1:h.shape[-2] - kmax, :] = 0.0
+    h[..., kmax + 1:] = 0.0
+    h[..., 0, 0] = 0.0
+    return h
 
 
 @lru_cache(maxsize=None)
@@ -272,6 +298,10 @@ def grid_points(n: int):
 
 def _inverse(h: np.ndarray, n: int) -> np.ndarray:
     return scipy.fft.irfft2(h, s=(n, n), axes=(-2, -1))
+
+
+def _forward(f: np.ndarray) -> np.ndarray:
+    return scipy.fft.rfft2(f, axes=(-2, -1))
 
 
 def half(f: np.ndarray) -> np.ndarray:
@@ -302,14 +332,19 @@ def full(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symmetrize(h: np.ndarray) -> np.ndarray:
-    """Make the self-mirrored columns of a half stack exactly
-    conjugate-symmetric in place, as `full` writes them; returns h."""
-    col = h[..., _self_mirrored(h.shape[-2])]
-    # each right side is evaluated before its assignment, and the second
-    # reads rows 1 .. n-1 only
-    col[..., :1, :] = 0.5 * (col[..., :1, :] + np.conj(col[..., :1, :]))
-    col[..., 1:, :] = 0.5 * (col[..., 1:, :] + np.conj(col[..., :0:-1, :]))
+def _symmetrize(h: np.ndarray, columns: slice | None = None) -> np.ndarray:
+    """Make the self-mirrored columns of a half stack (or those of them that
+    columns selects) exactly conjugate-symmetric in place, as `full` writes
+    them; returns h."""
+    col = h[..., _self_mirrored(h.shape[-2]) if columns is None else columns]
+    # row k1 becomes 0.5 (f(k1) + conj f(-k1)): -k1 mod n keeps row 0 and
+    # reverses rows 1 .. n-1
+    mean = np.empty(col.shape, np.complex128)
+    np.conjugate(col[..., :1, :], out=mean[..., :1, :])
+    np.conjugate(col[..., :0:-1, :], out=mean[..., 1:, :])
+    mean += col
+    mean *= 0.5
+    col[...] = mean
     return h
 
 
@@ -318,22 +353,19 @@ def to_physical(f_hat: np.ndarray) -> np.ndarray:
     return _inverse(f_hat, f_hat.shape[-2])
 
 
-def from_physical(f: np.ndarray) -> np.ndarray:
-    """Half-storage coefficients of a real field stack."""
-    return _symmetrize(scipy.fft.rfft2(f, axes=(-2, -1)))
+_ZERO_COLUMN = slice(0, 1)     # the one self-mirrored column inside the band
 
 
 def masked_transform(f: np.ndarray) -> np.ndarray:
     """Half-storage coefficients of a physical product, cut to the dealiased
-    mean-free band."""
-    bmask = half_symbols(f.shape[-1]).bmask
-    return _symmetrize(np.where(bmask, scipy.fft.rfft2(f, axes=(-2, -1)), 0.0))
+    mean-free band in place."""
+    return _symmetrize(_cut_to_band(_forward(f)), _ZERO_COLUMN)
 
 
 def masked_transform_transpose(h: np.ndarray) -> np.ndarray:
     """The transpose of `masked_transform`: the physical fields of a half
-    stack cut to the dealiased mean-free band."""
-    return to_physical(np.where(half_symbols(h.shape[-2]).bmask, h, 0.0))
+    stack cut to the dealiased mean-free band; h is left as it was."""
+    return to_physical(_cut_to_band(h.copy()))
 
 
 def hermitize(f_hat: np.ndarray) -> np.ndarray:
@@ -465,35 +497,41 @@ def physical_fields(w_hat: np.ndarray, t_hat: np.ndarray) -> np.ndarray:
     dtheta/dx2) of a half stack pair, u the velocity of w (mean unchecked), as
     one (6, ..., n, n) array from one inverse transform."""
     n = w_hat.shape[-2]
-    sym_w, sym_t = _field_symbols(n)
+    sym_w, sym_t = _field_symbols(n)[:2]
     lead = (1,) * (w_hat.ndim - 2)          # the symbols broadcast over the batch
     out = np.empty((6,) + w_hat.shape, np.complex128)
     np.multiply(sym_w.reshape((4,) + lead + sym_w.shape[1:]), w_hat, out=out[:4])
     np.multiply(sym_t.reshape((2,) + lead + sym_t.shape[1:]), t_hat, out=out[4:])
-    out[:2] *= half_symbols(n).inv_ksq     # the Biot-Savart pair (i k2, -i k1) / |k|^2
     return _inverse(out, n)
 
 
 def physical_fields_transpose(f: np.ndarray):
     """The transpose of `physical_fields`: the (w, theta) half stack pair of
     six physical fields f (6, ..., n, n), from one forward transform read
-    back through the same symbols, each conjugated."""
+    back through the same symbols, each conjugated. The symbols vanish
+    outside the band, so only the column k2 = 0 needs symmetrizing."""
     n = f.shape[-1]
-    sym_w, sym_t = _field_symbols(n)
+    conj_w, conj_t = _field_symbols(n)[2:]
     lead = (1,) * (f.ndim - 3)
-    c = from_physical(f)
-    c[:2] *= half_symbols(n).inv_ksq
-    c[:4] *= np.conj(sym_w).reshape((4,) + lead + sym_w.shape[1:])
-    c[4:] *= np.conj(sym_t).reshape((2,) + lead + sym_t.shape[1:])
-    return c[:4].sum(0), c[4:].sum(0)
+    c = _forward(f)
+    c[:4] *= conj_w.reshape((4,) + lead + conj_w.shape[1:])
+    c[4:] *= conj_t.reshape((2,) + lead + conj_t.shape[1:])
+    out = np.empty((2,) + c.shape[1:], np.complex128)
+    np.sum(c[:4], axis=0, out=out[0])
+    np.sum(c[4:], axis=0, out=out[1])
+    _symmetrize(out, _ZERO_COLUMN)
+    return out[0], out[1]
 
 
 def transport(vel: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """(u . grad w, u . grad theta) cut to the dealiased mean-free band, as one
     (2, ..., n, n) stack from one forward transform, of the velocity
     vel = (u1, u2) and the gradients grad = (dw/dx1, dw/dx2, dtheta/dx1,
-    dtheta/dx2), rows 0-1 and 2-5 of `physical_fields`."""
-    return masked_transform(vel[0] * grad[0::2] + vel[1] * grad[1::2])
+    dtheta/dx2), rows 0-1 and 2-5 of `physical_fields`. The products
+    accumulate in one buffer."""
+    prod = np.multiply(vel[0], grad[0::2])
+    prod += vel[1] * grad[1::2]
+    return masked_transform(prod)
 
 
 def block_rows(n: int) -> int:
@@ -768,7 +806,7 @@ def random_state(n: int, rng: np.random.Generator, amplitude: float = 1.0,
     """Random smooth mean-free state with spectrum damped like |k|^-decay;
     kmax defaults to the edge of the 2/3 band, the largest k with 3 k < n."""
     if kmax is None:
-        kmax = (n - 1) // 3
+        kmax = _band_edge(n)
     k1, k2 = wavenumbers(n)
     band = (ksq(n) > 0) & (np.abs(k1) <= kmax) & (np.abs(k2) <= kmax)
     kk = np.where(band, ksq(n), 1.0)

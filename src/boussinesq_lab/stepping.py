@@ -24,9 +24,12 @@ Every forward time loop in the package is built from three pieces here:
     calling thread and a pool sized by the process's CPU affinity share, and
     per block its quadratic term is one `sp.physical_fields` call (one stacked
     real inverse transform of the six fields) and one `sp.transport` of the
-    two stacked products (one real forward transform), whose self-mirrored
-    columns are exactly symmetric, so the step keeps the state so with no
-    projection;
+    two stacked products (one real forward transform), cut to the band in
+    place and with the column k2 = 0 exactly symmetric (the band never
+    reaches the Nyquist column), so the step keeps the state so with no
+    projection. The combine, `Stepper.combine`, which the tangent and the
+    second variation share, reads the gains stacked and gain_w g i k1 from
+    tables cached per Stepper, and writes in place into the output pair;
   * `KickSchedule`, which owns the rule that dt divides the clock grid step,
     the map from a step to the clock cell whose jump ends it, which cells
     carry mass (`jumps`), the checks on the noise triple and on the clock
@@ -78,6 +81,8 @@ class Stepper:
     gain_w: np.ndarray = field(init=False)
     gain_t: np.ndarray = field(init=False)
     buoyancy: np.ndarray = field(init=False)    # g i k1, the symbol of G
+    gain_buoyancy: np.ndarray = field(init=False)   # gain_w g i k1
+    _gains: np.ndarray = field(init=False)      # (gain_w, gain_t) stacked
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
@@ -96,6 +101,8 @@ class Stepper:
             setattr(self, f"decay_{comp}", decay)
             setattr(self, f"gain_{comp}", gain)
         self.buoyancy = self.params.g * sp.half_symbols(self.n).ik1
+        self.gain_buoyancy = self.gain_w * self.buoyancy
+        self._gains = np.stack((self.gain_w, self.gain_t))
 
     def advance(self, w: np.ndarray, t: np.ndarray):
         """One deterministic substep of a half stack pair (..., n, n//2+1),
@@ -105,9 +112,20 @@ class Stepper:
     def _advance_block(self, w, t, out_w, out_t) -> None:
         # the substep of one (rows, n, n//2+1) block, written into out_w and out_t
         f = sp.physical_fields(w, t)
-        adv_w, adv_t = sp.transport(f[:2], f[2:])
-        np.add(self.decay_w * w, self.gain_w * (self.buoyancy * t - adv_w), out=out_w)
-        np.add(self.decay_t * t, self.gain_t * -adv_t, out=out_t)
+        self.combine(w, t, sp.transport(f[:2], f[2:]), out_w, out_t)
+
+    def combine(self, w, t, adv, out_w, out_t) -> None:
+        """out = decay U + gain (G U - adv) of a (w, t) pair and the band-cut
+        products adv (2, ..., n, n//2+1), written in place into out_w and
+        out_t: the combine of the step, the tangent and the second
+        variation."""
+        gained = self._gains.reshape((2,) + (1,) * (adv.ndim - 3) + self._gains.shape[1:]) * adv
+        np.multiply(self.decay_w, w, out=out_w)
+        out_w -= gained[0]
+        np.multiply(self.gain_buoyancy, t, out=gained[0])
+        out_w += gained[0]
+        np.multiply(self.decay_t, t, out=out_t)
+        out_t -= gained[1]
 
 
 def horizon_steps(horizon: float, dt: float) -> int:
@@ -417,23 +435,18 @@ def energy_audit(traj: Trajectory, stepper: Stepper) -> EnergyAudit:
     balance."""
     nu2 = stepper.params.nu2
     dt = stepper.dt
-    n_steps = len(traj.times) - 1
-    total = 0.0
-    max_jump = 0.0
-    n_jumps = 0
+    pre = traj.theta_sq_prejump[1:]
+    kicked = traj.jump_identity[1:] != 0.0
     # left endpoint of the trapezoid is the (post-kick) state the substep
     # started from; right endpoint is the substep output before any kick.
-    for i in range(n_steps):
-        pre = traj.theta_sq_prejump[i + 1]
-        jump_part = traj.jump_identity[i + 1]
-        post = traj.theta_part[i + 1]
-        if jump_part != 0.0:
-            n_jumps += 1
-            max_jump = max(max_jump, abs(post - pre - jump_part))
-        resid = (pre - traj.theta_part[i]
-                 + dt * nu2 * (traj.grad_theta_sq[i] + traj.grad_theta_sq_prejump[i + 1]))
-        total += abs(resid)
+    resid = (pre - traj.theta_part[:-1]
+             + dt * nu2 * (traj.grad_theta_sq[:-1] + traj.grad_theta_sq_prejump[1:]))
+    # cumsum adds left to right, as a running total does; fmax skips a NaN
+    # as max(running, x) does
+    total = np.cumsum(np.abs(resid))[-1] if len(resid) else 0.0
+    jump_gap = np.abs(traj.theta_part[1:] - pre - traj.jump_identity[1:])[kicked]
     horizon = traj.times[-1] - traj.times[0]
     rate = total / horizon if horizon > 0 else 0.0
-    return EnergyAudit(dissipation_residual_rate=rate, max_jump_residual=max_jump,
-                       n_jumps=n_jumps)
+    return EnergyAudit(dissipation_residual_rate=rate,
+                       max_jump_residual=np.fmax.reduce(jump_gap, initial=0.0),
+                       n_jumps=int(np.count_nonzero(kicked)))

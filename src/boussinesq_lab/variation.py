@@ -10,15 +10,19 @@ adjoint and the second variation follow the one transform rule of the step
 kernel, and read no symbol table and no raw transform of their own: the
 base and the perturbations enter as `sp.physical_fields`, the tangent and
 the second-variation source apply the one bilinear form B(a, b) + B(b, a),
-whose two slots are one stacked `sp.masked_transform`, and the adjoint runs
-the transposes of those two stages in reverse order,
-`sp.masked_transform_transpose` and then `sp.physical_fields_transpose`,
-with the vorticity-slot weight zeta* carried through. So forward/backward
-duality holds to roundoff, the two Gramian assemblies agree to machine
-precision, and a block of either makes one stacked inverse and one stacked
-forward transform. Like the step, the tangent and the adjoint run on blocks
-of `sp.block_rows(n)` rows (`sp.blockwise`), which the calling thread and a
-pool sized by the process's CPU affinity share.
+whose two slots are one stacked `sp.masked_transform` of products summed
+in one buffer, and the combine of both is the step's (`Stepper.combine`).
+The adjoint runs the transposes of those two stages in reverse order: the
+gains, `sp.masked_transform_transpose`, the six cotangent products written
+into one (6, ...) buffer, then `sp.physical_fields_transpose`, with the
+vorticity-slot weight zeta* carried through: the temperature slot's field
+is divided by zeta* once, and the buoyancy term reads zeta* gain_w g i k1
+from a table. So forward/backward duality holds to roundoff, the two
+Gramian assemblies agree to machine precision, and a block of either makes
+one stacked inverse and one stacked forward transform. Like the step, the
+tangent and the adjoint run on blocks of `sp.block_rows(n)` rows
+(`sp.blockwise`), which the calling thread and a pool sized by the
+process's CPU affinity share.
 
 Stacks of perturbations and costates are raw complex arrays in the half
 storage of the spectral module, shape (batch, n, n//2+1), so the FFT work
@@ -57,13 +61,26 @@ from .stepping import KickSchedule, Stepper, horizon_steps, simulate, sweep
 # step linearization
 
 
+def _rows(f, ndim: int):
+    """The rows of a stack of fields, each with 1s prepended to its batch
+    shape so that it broadcasts against fields of ndim axes."""
+    return f.reshape(f.shape[:1] + (1,) * (ndim - f.ndim + 1) + f.shape[1:])
+
+
 def _symmetric_B(f, g):
     """Both slots of B(a, b) + B(b, a), one stacked masked transform, from the
-    `sp.physical_fields` f of a and g of b (their batch shapes broadcast)."""
-    u1, u2, w1, w2, t1, t2 = f
-    v1, v2, x1, x2, y1, y2 = g
-    return sp.masked_transform(np.stack((u1 * x1 + u2 * x2 + v1 * w1 + v2 * w2,
-                                         u1 * y1 + u2 * y2 + v1 * t1 + v2 * t2)))
+    `sp.physical_fields` f of a and g of b (their batch shapes broadcast).
+
+    The slots are u . grad (x, y) + v . grad (w, theta), u the velocity
+    (rows 0-1) and grad the gradient rows (2-5) of f, v and (x, y) those of
+    g; their products add up in one (2, ...) buffer."""
+    ndim = max(f.ndim, g.ndim) - 1
+    f, g = _rows(f, ndim), _rows(g, ndim)
+    prod = np.multiply(f[0], g[2::2])
+    prod += f[1] * g[3::2]
+    prod += g[0] * f[2::2]
+    prod += g[1] * f[3::2]
+    return sp.masked_transform(prod)
 
 
 class Linearizer:
@@ -73,16 +90,12 @@ class Linearizer:
         self.stepper = stepper
         self.n = stepper.n
         self.zeta = stepper.params.zeta_star
+        self.zeta_gain_buoyancy = self.zeta * stepper.gain_buoyancy    # the adjoint's G term
 
     def prepare(self, base):
         """The six physical fields of a base (w, t) in half storage, which
         each step at that base reuses."""
         return sp.physical_fields(*base)
-
-    def drift_direction(self, prep, xw: np.ndarray, xt: np.ndarray):
-        """D(U) xi for a stack of perturbations (leading batch axes allowed)."""
-        adv_w, adv_t = _symmetric_B(prep, sp.physical_fields(xw, xt))
-        return -adv_w + self.stepper.buoyancy * xt, -adv_t
 
     def tangent(self, prep, xw: np.ndarray, xt: np.ndarray):
         """One tangent step: M(U) xi, made in blocks of `sp.block_rows(n)` rows."""
@@ -90,10 +103,8 @@ class Linearizer:
 
     def _tangent_block(self, prep, xw, xt, out_w, out_t) -> None:
         # the tangent step of one (rows, n, n//2+1) block, written into out_w and out_t
-        st = self.stepper
-        dw_, dt_ = self.drift_direction(prep, xw, xt)
-        np.add(st.decay_w * xw, st.gain_w * dw_, out=out_w)
-        np.add(st.decay_t * xt, st.gain_t * dt_, out=out_t)
+        self.stepper.combine(xw, xt, _symmetric_B(prep, sp.physical_fields(xw, xt)),
+                             out_w, out_t)
 
     def adjoint(self, prep, rw: np.ndarray, rt: np.ndarray):
         """One adjoint step: M(U)* rho in the weighted state inner product,
@@ -103,23 +114,36 @@ class Linearizer:
         the gains, `sp.masked_transform_transpose` (one inverse transform),
         the transposed products, `sp.physical_fields_transpose` (one forward
         transform), then decay and buoyancy. The weight zeta* enters as
-        1 / zeta* on the vorticity slot's cotangents and zeta* on buoyancy.
+        1 / zeta* where the temperature slot feeds the vorticity slot's
+        cotangents, one division of that slot's field per block, and as
+        zeta* in the buoyancy table zeta* gain_w g i k1.
         """
         return sp.blockwise(lambda *block: self._adjoint_block(prep, *block), rw, rt)
 
     def _adjoint_block(self, prep, rw, rt, out_w, out_t) -> None:
         # the adjoint step of one (rows, n, n//2+1) block, written into out_w and out_t
         st = self.stepper
-        u1, u2, w1, w2, t1, t2 = prep
-        aw = st.gain_w * rw
-        pw, pt = sp.masked_transform_transpose(np.stack((aw, st.gain_t * rt)))
+        gained = np.empty((2,) + rw.shape, np.complex128)
+        np.multiply(st.gain_w, rw, out=gained[0])
+        np.multiply(st.gain_t, rt, out=gained[1])
+        p = sp.masked_transform_transpose(gained)
+        prep = _rows(prep, p.ndim - 1)
         # the cotangents of the perturbation's fields (v1, v2, x1, x2, y1, y2)
-        # in `sp.physical_fields`' order; v and x feed the vorticity slot
-        fw, ft = sp.physical_fields_transpose(np.stack((
-            w1 * pw + t1 * pt / self.zeta, w2 * pw + t2 * pt / self.zeta,
-            u1 * pw, u2 * pw, u1 * pt, u2 * pt)))
-        np.subtract(st.decay_w * rw, fw, out=out_w)
-        np.subtract(st.decay_t * rt - ft, self.zeta * st.buoyancy * aw, out=out_t)
+        # in `sp.physical_fields`' order, in one buffer: the base velocity
+        # times each slot, then the base gradients times both slots, which
+        # feed the vorticity slot
+        cot = np.empty((6,) + p.shape[1:])
+        np.multiply(prep[:2], p[0], out=cot[2:4])
+        np.multiply(prep[:2], p[1], out=cot[4:])
+        p[1] /= self.zeta
+        np.multiply(prep[2:4], p[0], out=cot[:2])
+        cot[:2] += prep[4:] * p[1]
+        fw, ft = sp.physical_fields_transpose(cot)
+        np.multiply(st.decay_w, rw, out=out_w)
+        out_w -= fw
+        np.multiply(st.decay_t, rt, out=out_t)
+        out_t -= ft
+        out_t -= self.zeta_gain_buoyancy * rw
 
 
 def stack_states(states) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +247,8 @@ def second_variation(u0: SpectralState, horizon: float, stepper: Stepper,
 
     Evolves the exact chain rule of the composed steps: the quadratic term
     contributes the constant bilinear form -B(a, b) - B(b, a) sourced by the
-    two first variations, the same form the tangent applies to (U, xi).
+    two first variations, the same form the tangent applies to (U, xi), and
+    the tangent's combine (`Stepper.combine`) with the two added.
     """
     lin = Linearizer(stepper)
     st = stepper
@@ -237,10 +262,11 @@ def second_variation(u0: SpectralState, horizon: float, stepper: Stepper,
         prep = lin.prepare(pre)
         # source from the current first variations, rows 0 and 1 of one stack
         fields = sp.physical_fields(xw, xt)
-        src_w, src_t = _symmetric_B(fields[:, 0], fields[:, 1])
-        djw, djt = lin.drift_direction(prep, jw, jt)
-        jw = st.decay_w * jw + st.gain_w * (djw - src_w)
-        jt = st.decay_t * jt + st.gain_t * (djt - src_t)
+        src = _symmetric_B(fields[:, 0], fields[:, 1])
+        src += _symmetric_B(prep, sp.physical_fields(jw, jt))
+        out = np.empty((2,) + jw.shape, np.complex128)
+        st.combine(jw, jt, src, out[0], out[1])
+        jw, jt = out
         xw, xt = lin.tangent(prep, xw, xt)
 
     sweep(st, *u0.halves(), n_steps, KickSchedule.along(path, st, n_steps, model, dw), hook)
@@ -374,7 +400,9 @@ def min_eigen_probe(matrix: np.ndarray, p_mask: np.ndarray, alpha: float) -> Eig
     candidates rebalanced onto the boundary supply the matching upper bound,
     which stays informative even when an eigenvalue crossing makes the
     P-mass jump past alpha; every unit vector inside the P block is feasible
-    too, so the block's least eigenvalue is a candidate as well.
+    too, so the block's least eigenvalue is a candidate as well. Each
+    multiplier is decomposed once: the closing evaluation repeats the last
+    bisection point or an endpoint, and reads it back.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("boundary fraction must sit in (0, 1]")
@@ -383,12 +411,14 @@ def min_eigen_probe(matrix: np.ndarray, p_mask: np.ndarray, alpha: float) -> Eig
     sym = 0.5 * (matrix + matrix.T)
     p = p_mask.astype(float)
     beta_q = np.sqrt(max(0.0, 1.0 - alpha**2))
+    evaluated = {}
 
     def eig_min(mu):
-        shifted = sym - mu * np.diag(p)
-        vals, vecs = np.linalg.eigh(shifted)
-        v = vecs[:, 0]
-        return float(vals[0]), v, float(np.linalg.norm(v * p))
+        if mu not in evaluated:
+            vals, vecs = np.linalg.eigh(sym - mu * np.diag(p))
+            v = vecs[:, 0].copy()       # a view would keep all of vecs alive
+            evaluated[mu] = float(vals[0]), v, float(np.linalg.norm(v * p))
+        return evaluated[mu]
 
     def rebalance(vp, vq):
         npv, nqv = np.linalg.norm(vp), np.linalg.norm(vq)

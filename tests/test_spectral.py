@@ -135,6 +135,14 @@ def test_masked_transform_transpose_is_its_transpose(batch, rng):
     assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
 
 
+def test_masked_transform_transpose_leaves_its_argument(rng):
+    # the band cut is made on a copy: a caller's stack keeps its modes
+    h = sp.half(_symmetric_stack(16, rng, (2,)))
+    before = h.copy()
+    sp.masked_transform_transpose(h)
+    assert np.array_equal(h, before)
+
+
 def _names_read(source: str) -> set:
     # every name, attribute and imported name a module's code reads
     names = set()
@@ -203,6 +211,11 @@ def test_only_the_spectral_module_places_a_trig_element():
 TRANSFORM_SIZES = [8, 9, 16, 48]     # 9: no Nyquist column, the mirror differs
 
 
+def _from_physical(f):
+    # the full forward transform: every self-mirrored column symmetrized
+    return sp._symmetrize(sp._forward(f))
+
+
 def _symmetric_stack(n, rng, shape=(2, 3)):
     z = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
     return sp.hermitize(z)
@@ -217,7 +230,7 @@ def test_transforms_match_the_complex_fft(n, rng):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     f = rng.standard_normal((2, 3, n, n))
     ref = np.fft.fft2(f)
-    got = sp.full(sp.from_physical(f))
+    got = sp.full(_from_physical(f))
     assert got.shape == f.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -227,20 +240,33 @@ def test_forward_transforms_are_exactly_conjugate_symmetric(n, rng):
     # hermitize is a no-op on what the step stores, bit for bit once the
     # sign of zero is normalized (+ 0.0): its complex scale maps -0j to +0j
     f = rng.standard_normal((2, 3, n, n))
-    for x in (sp.full(sp.masked_transform(f)), sp.full(sp.from_physical(f))):
+    for x in (sp.full(sp.masked_transform(f)), sp.full(_from_physical(f))):
         assert (sp.hermitize(x) + 0.0).tobytes() == (x + 0.0).tobytes()
     masked = sp.full(sp.masked_transform(f))
     ref = np.where(sp.symbols(n).bmask, np.fft.fft2(f), 0.0)
     assert np.max(np.abs(masked - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_the_nyquist_column_lies_outside_the_band():
+    # the one fact behind symmetrizing the column k2 = 0 alone after a cut
+    for n in range(8, 65, 2):
+        assert not sp.half_symbols(n).dealias[:, n // 2].any(), n
+
+
+def test_the_band_cut_zeroes_exactly_the_complement_of_bmask():
+    for n in range(3, 65):
+        h = np.ones((2, n, n // 2 + 1), np.complex128)
+        sp._cut_to_band(h)
+        assert np.array_equal(h != 0, np.broadcast_to(sp.half_symbols(n).bmask, h.shape)), n
+
+
 def _per_field_fields(w_hat, t_hat):
     # the six fields of `physical_fields` of a half stack pair, one inverse
-    # transform each
+    # transform each; the Biot-Savart symbols carry 1/|k|^2, as in its table
     n = w_hat.shape[-2]
     h = sp.half_symbols(n)
     wm, tm = np.where(h.dealias, w_hat, 0.0), np.where(h.dealias, t_hat, 0.0)
-    halves = (h.ik2 * wm * h.inv_ksq, h.neg_ik1 * wm * h.inv_ksq,
+    halves = ((h.ik2 * h.inv_ksq) * wm, (h.neg_ik1 * h.inv_ksq) * wm,
               h.ik1 * wm, h.ik2 * wm, h.ik1 * tm, h.ik2 * tm)
     return [sp._inverse(x, n) for x in halves]
 
@@ -427,7 +453,7 @@ def test_trig_hat_matches_grid_evaluation(k1, k2, m):
     x1, x2 = sp.grid_points(n)
     phase = k1 * x1 + k2 * x2
     field = np.cos(phase) if m == 0 else np.sin(phase)
-    oracle = sp.full(sp.from_physical(field + 0.0 * x1 * x2))
+    oracle = sp.full(_from_physical(field + 0.0 * x1 * x2))
     built = sp.trig_hat(n, k1, k2, m)
     assert np.max(np.abs(built - oracle)) < 1e-10 * n * n
 
@@ -530,7 +556,7 @@ def test_mode_coeff_rejects_the_mean_mode():
     # cos(0) is no trig element: its two slots coincide, so a slot read would
     # return twice the L2 projection of the constant field
     with pytest.raises(ValueError, match="zero mode has no basis element"):
-        sp.mode_coeff(sp.from_physical(np.ones((16, 16))), (0, 0), 0)
+        sp.mode_coeff(_from_physical(np.ones((16, 16))), (0, 0), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,105 @@ def test_blocked_adjoint_equals_one_block(cpus, rng):
         assert x.tobytes() == y.tobytes()
 
 
+# The block arithmetic before the constants were folded into tables: the
+# band symbols then 1/|k|^2, the band cut as a copy, every product and gain
+# applied per call. The folded kernels round differently, so they are held
+# to it at 1e-14 relative, at the shapes the suite and the CLI run.
+
+
+def _unfolded_fields(w, t):
+    n = w.shape[-2]
+    h = sp.half_symbols(n)
+    band = [np.where(h.dealias, ik, 0.0) for ik in (h.ik2, h.neg_ik1, h.ik1, h.ik2)]
+    return sp.to_physical(np.stack([band[0] * w * h.inv_ksq, band[1] * w * h.inv_ksq,
+                                    band[2] * w, band[3] * w, band[2] * t, band[3] * t]))
+
+
+def _unfolded_forward(f):
+    return sp._symmetrize(sp._forward(f))
+
+
+def _unfolded_cut(f):
+    return np.where(sp.half_symbols(f.shape[-1]).bmask, _unfolded_forward(f), 0.0)
+
+
+def _unfolded_step(st, w, t):
+    u1, u2, w1, w2, t1, t2 = _unfolded_fields(w, t)
+    adv_w, adv_t = _unfolded_cut(np.stack((u1 * w1 + u2 * w2, u1 * t1 + u2 * t2)))
+    return (st.decay_w * w + st.gain_w * (st.buoyancy * t - adv_w),
+            st.decay_t * t + st.gain_t * -adv_t)
+
+
+def _unfolded_tangent(st, prep, xw, xt):
+    u1, u2, w1, w2, t1, t2 = prep
+    v1, v2, x1, x2, y1, y2 = _unfolded_fields(xw, xt)
+    adv_w, adv_t = _unfolded_cut(np.stack((u1 * x1 + u2 * x2 + v1 * w1 + v2 * w2,
+                                           u1 * y1 + u2 * y2 + v1 * t1 + v2 * t2)))
+    return (st.decay_w * xw + st.gain_w * (-adv_w + st.buoyancy * xt),
+            st.decay_t * xt + st.gain_t * -adv_t)
+
+
+def _unfolded_adjoint(st, prep, rw, rt):
+    n, zeta = st.n, st.params.zeta_star
+    h = sp.half_symbols(n)
+    u1, u2, w1, w2, t1, t2 = prep
+    aw = st.gain_w * rw
+    pw, pt = sp.to_physical(np.where(h.bmask, np.stack((aw, st.gain_t * rt)), 0.0))
+    c = _unfolded_forward(np.stack((w1 * pw + t1 * pt / zeta, w2 * pw + t2 * pt / zeta,
+                                   u1 * pw, u2 * pw, u1 * pt, u2 * pt)))
+    c[:2] *= h.inv_ksq
+    band = [np.where(h.dealias, ik, 0.0) for ik in (h.ik2, h.neg_ik1, h.ik1, h.ik2)]
+    lead = (1,) * (rw.ndim - 2)
+    c *= np.conj(np.stack(band + band[2:])).reshape((6,) + lead + (n, n // 2 + 1))
+    fw, ft = c[:4].sum(0), c[4:].sum(0)
+    return st.decay_w * rw - fw, st.decay_t * rt - ft - zeta * st.buoyancy * aw
+
+
+def _relative_gap(got, want):
+    return max(float(np.max(np.abs(g - x)) / np.max(np.abs(x))) for g, x in zip(got, want))
+
+
+@pytest.mark.parametrize("n, rows", [(32, 200), (16, 96), (16, 440), (48, 2), (32, None)],
+                         ids=["c05", "c08_96", "c08_440", "c09", "cli"])
+def test_folded_kernels_match_the_unfolded_arithmetic(n, rows, rng):
+    # rows None: one path with no batch axis, as the CLI steps it
+    params = PhysicsParams(nu1=2.0, nu2=0.5, g=1.5)     # zeta* = 4/9, not 1
+    for st in (Stepper(n, PhysicsParams(), StepScheme.ETD_EULER, 5e-3),
+               Stepper(n, params, StepScheme.IMEX_EULER, 1e-2)):
+        lin = var.Linearizer(st)
+        base = random_state(n, rng).halves()
+        prep = lin.prepare(base)
+        w, t = _states(n, rows or 1, rng)
+        if rows is None:
+            w, t = w[0], t[0]
+        assert _relative_gap(st.advance(w, t), _unfolded_step(st, w, t)) <= 1e-14
+        assert _relative_gap(lin.tangent(prep, w, t), _unfolded_tangent(st, prep, w, t)) <= 1e-14
+        assert _relative_gap(lin.adjoint(prep, w, t), _unfolded_adjoint(st, prep, w, t)) <= 1e-14
+
+
+def test_kicked_steps_stay_in_the_band_and_symmetric():
+    # 200 kicked steps of the default config from a band-limited start: no
+    # coefficient outside the 2/3 band leaves 0, and the column k2 = 0 stays
+    # exactly conjugate-symmetric, with no projection
+    cfg = RunConfig()
+    stepper, model = cfg.stepper(), cfg.model()
+    horizon = 200 * stepper.dt
+    path, dw = sample_noise(cfg.spec(), model, horizon, cfg.seed)
+    kicks = KickSchedule.along(path, stepper, 200, model, dw)
+    outside = ~sp.half_symbols(stepper.n).dealias
+    seen = []
+
+    def check(i, pre, post, cell):
+        seen.append(cell is not None)
+        for h in post:
+            assert not h[outside].any()
+            col = h[:, 0]
+            assert np.array_equal(col, np.conj(np.roll(col[::-1], 1)))
+
+    sweep(stepper, *cli._initial_state(cfg).halves(), 200, kicks, check)
+    assert len(seen) == 200 and sum(seen) > 100
+
+
 def _copy_block(w, t, out_w, out_t):
     out_w[...], out_t[...] = w, t
 
@@ -650,6 +749,48 @@ def test_energy_audit_jump_identity(rng):
     audit = energy_audit(traj, stepper)
     assert audit.n_jumps > 10
     assert audit.max_jump_residual <= 1e-12
+
+
+def _energy_audit_loop(traj, stepper):
+    # energy_audit as a Python loop over the steps, the oracle of the array form
+    nu2, dt = stepper.params.nu2, stepper.dt
+    total, max_jump, n_jumps = 0.0, 0.0, 0
+    for i in range(len(traj.times) - 1):
+        pre = traj.theta_sq_prejump[i + 1]
+        jump_part = traj.jump_identity[i + 1]
+        post = traj.theta_part[i + 1]
+        if jump_part != 0.0:
+            n_jumps += 1
+            max_jump = max(max_jump, abs(post - pre - jump_part))
+        resid = (pre - traj.theta_part[i]
+                 + dt * nu2 * (traj.grad_theta_sq[i] + traj.grad_theta_sq_prejump[i + 1]))
+        total += abs(resid)
+    horizon = traj.times[-1] - traj.times[0]
+    return total / horizon if horizon > 0 else 0.0, max_jump, n_jumps
+
+
+@pytest.mark.parametrize("case", ["default", "half_dt", "blown_up", "zero_horizon"])
+def test_energy_audit_equals_the_loop(case):
+    # the array form adds the residuals left to right, as the loop does, so
+    # every field is bit-equal to it
+    cfg = RunConfig()
+    if case == "half_dt":
+        cfg = RunConfig(dt=cfg.dt / 2.0)
+    if case == "blown_up":
+        traj = simulate(*_simulate_cases()["late_blow_up"])
+        stepper = _simulate_cases()["late_blow_up"][2]
+        assert traj.blew_up and len(traj.times) > 2
+    else:
+        stepper = cfg.stepper()
+        horizon = 0.0 if case == "zero_horizon" else cfg.horizon
+        traj, _, _ = run_with_noise(cli._initial_state(cfg), horizon, stepper, cfg.model(),
+                                    cfg.spec(), cfg.seed)
+    audit = energy_audit(traj, stepper)
+    got = (audit.dissipation_residual_rate, audit.max_jump_residual, audit.n_jumps)
+    want = _energy_audit_loop(traj, stepper)
+    assert [np.float64(x).tobytes() for x in got] == [np.float64(x).tobytes() for x in want]
+    if case in ("default", "half_dt"):
+        assert audit.n_jumps > 100
 
 
 def _simulate_per_step(u0, horizon, stepper, model=None, path=None, dw=None,

@@ -41,14 +41,20 @@ def stepper32(params):
 
 
 def test_drift_direction_matches_operator_formula(params, rng, stepper32):
+    # the tangent step is decay xi + gain D(U) xi, with the drift direction
+    # D(U) xi = G xi - B(U, xi) - B(xi, U) of the operators on states
+    st = stepper32
     base = sp.random_state(32, rng)
     xi = sp.random_state(32, rng)
-    lin = var.Linearizer(stepper32)
-    dw_, dt_ = lin.drift_direction(lin.prepare(base.halves()), *xi.halves())
-    want = sp.apply_G(xi, params) - sp.nonlinear_B(base, xi) - sp.nonlinear_B(xi, base)
-    scale = np.abs(want.w_hat).max() + np.abs(want.theta_hat).max()
-    assert np.allclose(dw_, sp.half(want.w_hat), atol=1e-10 * scale)
-    assert np.allclose(dt_, sp.half(want.theta_hat), atol=1e-10 * scale)
+    lin = var.Linearizer(st)
+    tw, tt = lin.tangent(lin.prepare(base.halves()), *xi.halves())
+    drift = sp.apply_G(xi, params) - sp.nonlinear_B(base, xi) - sp.nonlinear_B(xi, base)
+    xw, xt = xi.halves()
+    want_w = st.decay_w * xw + st.gain_w * sp.half(drift.w_hat)
+    want_t = st.decay_t * xt + st.gain_t * sp.half(drift.theta_hat)
+    scale = np.abs(want_w).max() + np.abs(want_t).max()
+    assert np.allclose(tw, want_w, atol=1e-10 * scale)
+    assert np.allclose(tt, want_t, atol=1e-10 * scale)
 
 
 def test_tangent_zero_base_modal_oracle(params, stepper32):
@@ -420,6 +426,99 @@ def test_eigen_probe_bisection_stops_at_roundoff_width(monkeypatch):
     assert (probe.lower, probe.upper, probe.unconstrained, probe.mu, probe.boundary_gap) == (
         1.025, 1.0250000000000004, 0.7, 1.2999999999999998, 0.5)
     assert probe.active
+
+
+def _probe_unmemoized(matrix, p_mask, alpha):
+    # min_eigen_probe with one eigh per evaluation, closing call included:
+    # the oracle of the memoized probe
+    sym = 0.5 * (matrix + matrix.T)
+    p = p_mask.astype(float)
+    beta_q = np.sqrt(max(0.0, 1.0 - alpha**2))
+
+    def eig_min(mu):
+        vals, vecs = np.linalg.eigh(sym - mu * np.diag(p))
+        v = vecs[:, 0]
+        return float(vals[0]), v, float(np.linalg.norm(v * p))
+
+    def rebalance(vp, vq):
+        npv, nqv = np.linalg.norm(vp), np.linalg.norm(vq)
+        if npv <= 1e-14:
+            return None
+        cand = (alpha / npv) * vp
+        if nqv > 1e-14:
+            cand = cand + (beta_q / nqv) * vq
+        cand = cand / np.linalg.norm(cand)
+        return float(cand @ sym @ cand)
+
+    lam0, v0, pm0 = eig_min(0.0)
+    if pm0 >= alpha:
+        return var.EigenProbe(lam0, lam0, lam0, 0.0, 0.0, False)
+    best_lower = lam0
+    mu_hi = max(1e-12, abs(float(np.trace(sym))) / sym.shape[0])
+    v_hi = None
+    for _ in range(200):
+        lam, v, pm = eig_min(mu_hi)
+        best_lower = max(best_lower, lam + mu_hi * alpha**2)
+        if pm >= alpha:
+            v_hi = v
+            break
+        mu_hi *= 2.0
+    mu_lo, v_lo = 0.0, v0
+    mu, pm = mu_hi, pm0
+    for _ in range(200):
+        mu = 0.5 * (mu_lo + mu_hi)
+        if mu == mu_lo or mu == mu_hi:
+            break
+        lam, v, pm = eig_min(mu)
+        best_lower = max(best_lower, lam + mu * alpha**2)
+        if abs(pm - alpha) <= 1e-3:
+            break
+        if pm < alpha:
+            mu_lo, v_lo = mu, v
+        else:
+            mu_hi, v_hi = mu, v
+    lam, v, pm = eig_min(mu)
+    best_lower = max(best_lower, lam + mu * alpha**2)
+    uppers = [float(np.linalg.eigvalsh(sym[np.ix_(p_mask, p_mask)])[0])]
+    for vp, vq in ((v * p, v - v * p),) + (((v_hi * p, v_lo - v_lo * p),)
+                                          if v_hi is not None else ()):
+        cand = rebalance(vp, vq)
+        if cand is not None:
+            uppers.append(cand)
+    upper = min(uppers)
+    return var.EigenProbe(float(min(best_lower, upper)), float(upper), lam0, float(mu),
+                          float(abs(pm - alpha)), True)
+
+
+@pytest.mark.parametrize("case", ["bisection", "roundoff_width"])
+def test_eigen_probe_decomposes_each_multiplier_once(case, monkeypatch):
+    # the closing evaluation repeats a multiplier the search has decomposed
+    # (the last bisection point, or an endpoint at roundoff width), so the
+    # probe makes one eigh fewer than its unmemoized oracle, with every
+    # field bit-equal
+    if case == "bisection":
+        rng = np.random.default_rng(40)
+        a = rng.standard_normal((24, 24))
+        mask = np.arange(24) < 6
+        scale = np.where(mask, 10.0, 1.0)           # the P block costs more
+        matrix = scale[:, None] * (a.T @ a) * scale
+    else:
+        matrix, mask = np.diag([2.0, 0.7, 3.0]), np.array([True, False, False])
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(x):
+        calls.append(1)
+        return eigh(x)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    want = _probe_unmemoized(matrix, mask, 0.5)
+    oracle_calls = len(calls)
+    calls.clear()
+    got = var.min_eigen_probe(matrix, mask, 0.5)
+    assert got.active and len(calls) == oracle_calls - 1
+    for name in ("lower", "upper", "unconstrained", "mu", "boundary_gap"):
+        assert np.float64(getattr(got, name)).tobytes() == np.float64(getattr(want, name)).tobytes()
 
 
 def test_eigen_probe_rejects_bad_input():
