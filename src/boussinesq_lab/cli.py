@@ -13,18 +13,21 @@ import argparse
 import hashlib
 import io
 import json
+import math
+import operator
 import struct
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import spectral as sp
 from .config import ConfigError, RunConfig, load_config, save_config
-from .ensembles import (check_eproperty_horizon, check_invariant_horizon, eproperty_probe,
-                        horizon_records, invariant_statistics, irreducibility_probe,
-                        moment_experiment, plateau_agreement, stopping_moment_experiment)
+from .ensembles import (AGREE_SIGMAS, check_eproperty_horizon, check_invariant_horizon,
+                        eproperty_probe, horizon_records, invariant_statistics,
+                        irreducibility_probe, moment_experiment, plateau_agreement,
+                        stopping_moment_experiment)
 from .hormander import (bracket_z_sigma, bracket_z_sigma_field, combo_state,
                         numerical_lie_bracket, psi_recovery, span_generation,
                         verify_span, z_field)
@@ -34,11 +37,6 @@ from .spectral import PhysicsParams, SpectralState, weighted_norm
 from .stepping import energy_audit, horizon_steps, run_with_noise, simulate
 from .variation import (HNBasis, control_experiment, malliavin_backward,
                         malliavin_forward, min_eigen_probe)
-
-# pass thresholds of the brackets and ergodicity commands
-TOL_EXACT = 1e-10           # brackets: symbolic against operator
-TOL_NUMERIC = 1e-6          # brackets: operator against central differences
-SLOPE_MIN = 0.8             # ergodicity: e-property log-log slope (acceptance 10)
 
 SNAPSHOT_MAGIC = b"BQLB"
 SNAPSHOT_VERSION = 1
@@ -96,6 +94,44 @@ def read_snapshots(fname):
 # ---------------------------------------------------------------------------
 # shared plumbing
 
+_RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt,
+              "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verdict, `value relation bound`, e.g. an adjoint gap <= 1e-8.
+
+    `margin` is the signed distance from value to bound, positive on the
+    passing side, and None for `==`, whose operands need not be numbers."""
+    name: str
+    value: object
+    bound: object
+    relation: str
+
+    @property
+    def passed(self) -> bool:
+        return bool(_RELATIONS[self.relation](self.value, self.bound))
+
+    @property
+    def margin(self) -> float | None:
+        if self.relation == "==":
+            return None
+        value, bound = float(self.value), float(self.bound)
+        return bound - value if self.relation[0] == "<" else value - bound
+
+    def record(self) -> dict:
+        return {"name": self.name, "value": self.value, "bound": self.bound,
+                "relation": self.relation, "passed": self.passed, "margin": self.margin}
+
+    def __str__(self) -> str:
+        text = f"{self.name} {_fmt(self.value)} {self.relation} {_fmt(self.bound)}"
+        return text if self.margin is None else f"{text}, margin {self.margin:.3g}"
+
+
+def _fmt(x) -> str:
+    return f"{x:.4g}" if isinstance(x, float) else str(x)
+
 
 def _outdir(cfg: RunConfig, base, command: str) -> Path:
     root = Path(base) / cfg.digest[:12]
@@ -106,22 +142,9 @@ def _outdir(cfg: RunConfig, base, command: str) -> Path:
 
 
 def _np_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
-def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
-    body = {"config_digest": cfg.digest}
-    body.update(payload)
-    path.write_text(json.dumps(body, indent=2, sort_keys=True,
-                               default=_np_default) + "\n")
 
 
 def _initial_state(cfg: RunConfig) -> SpectralState:
@@ -137,10 +160,11 @@ def _rel_gap(a: SpectralState, b: SpectralState, params: PhysicsParams) -> float
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its payload JSON's file name, the payload and its
+# checks, and `main` prints, writes and exits on them
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, args) -> bool:
+def cmd_simulate(cfg: RunConfig, out: Path, args) -> tuple[str, dict, list[Check]]:
     traj, path, _ = run_with_noise(_initial_state(cfg), cfg.horizon, cfg.stepper(),
                                    cfg.model(), cfg.spec(), cfg.seed)
     write_snapshots(out / "trajectory.bqlb", traj.snapshots, cfg)
@@ -157,23 +181,21 @@ def cmd_simulate(cfg: RunConfig, out: Path, args) -> bool:
                header=f"config {cfg.digest}\nt,norm0,norm1,w_part,theta_part,ell")
 
     n_jumps = int(np.count_nonzero(traj.jump_identity))
-    _write_json(out / "summary.json", {
-        "n_steps": len(traj.times) - 1,
-        "n_jumps": n_jumps,
-        "blew_up": traj.blew_up,
-        "final_norm0": float(traj.norm0[-1]),
-        "final_norm1": float(traj.norm1[-1]),
-        "clock_total": float(traj.clock[-1]),
-        "snapshots": len(traj.snapshots),
-    }, cfg)
     print(f"  {len(traj.times) - 1} steps, {n_jumps} jumps, "
           f"final weighted norm {traj.norm0[-1]:.6g}")
-    if traj.blew_up:
-        print("  trajectory blew up before the horizon")
-    return not traj.blew_up
+    return "summary.json", {
+        "n_steps": len(traj.times) - 1, "n_jumps": n_jumps, "blew_up": traj.blew_up,
+        "final_norm0": float(traj.norm0[-1]), "final_norm1": float(traj.norm1[-1]),
+        "clock_total": float(traj.clock[-1]), "snapshots": len(traj.snapshots),
+    }, [Check("blew_up", traj.blew_up, False, "==")]
 
 
-def cmd_audit(cfg: RunConfig, out: Path, args) -> bool:
+ORDER_RATIO = 0.7           # audit: dissipation residual rate at dt/2 against dt's
+RATE_FLOOR = 1e-12          # audit: a rate at dt under it is roundoff; no decrease asked
+JUMP_TOL = 1e-10            # audit: jump identity residual
+
+
+def cmd_audit(cfg: RunConfig, out: Path, args) -> tuple[str, dict, list[Check]]:
     stepper = cfg.stepper()
     traj, _, _ = run_with_noise(_initial_state(cfg), cfg.horizon, stepper,
                                 cfg.model(), cfg.spec(), cfg.seed)
@@ -187,9 +209,8 @@ def cmd_audit(cfg: RunConfig, out: Path, args) -> bool:
     traj_f, _, _ = run_with_noise(_initial_state(half), half.horizon, half.stepper(),
                                   half.model(), half.spec(), half.seed)
     fine = energy_audit(traj_f, half.stepper())
-    order_ok = (fine.dissipation_residual_rate <= 0.7 * coarse.dissipation_residual_rate
-                or coarse.dissipation_residual_rate < 1e-12)
-    jump_ok = coarse.max_jump_residual <= 1e-10
+    rate = coarse.dissipation_residual_rate
+    order_bound = math.inf if rate < RATE_FLOOR else ORDER_RATIO * rate
 
     # rerun the coarse configuration and require byte-identical snapshots
     traj_r, _, _ = run_with_noise(_initial_state(cfg), cfg.horizon, cfg.stepper(),
@@ -198,36 +219,32 @@ def cmd_audit(cfg: RunConfig, out: Path, args) -> bool:
     write_snapshots(out / "rerun.bqlb", traj_r.snapshots, cfg)
     d1 = hashlib.sha256((out / "first.bqlb").read_bytes()).hexdigest()
     d2 = hashlib.sha256((out / "rerun.bqlb").read_bytes()).hexdigest()
-    repro_ok = d1 == d2
 
     back, meta = read_snapshots(out / "first.bqlb")
-    roundtrip_ok = (meta["digest"] == cfg.digest[:16]
-                    and all(np.array_equal(a.w_hat, b.w_hat)
-                            and np.array_equal(a.theta_hat, b.theta_hat)
-                            for a, b in zip(back, traj.snapshots)))
+    roundtrip = (meta["digest"] == cfg.digest[:16]
+                 and all(np.array_equal(a.w_hat, b.w_hat)
+                         and np.array_equal(a.theta_hat, b.theta_hat)
+                         for a, b in zip(back, traj.snapshots)))
 
-    _write_json(out / "audit.json", {
-        "dissipation_rate": coarse.dissipation_residual_rate,
-        "dissipation_rate_half_dt": fine.dissipation_residual_rate,
-        "max_jump_residual": coarse.max_jump_residual,
-        "n_jumps": coarse.n_jumps,
+    return "audit.json", {
+        "dissipation_rate": rate, "dissipation_rate_half_dt": fine.dissipation_residual_rate,
+        "max_jump_residual": coarse.max_jump_residual, "n_jumps": coarse.n_jumps,
         "snapshot_sha256": d1,
-        "order_ok": order_ok,
-        "jump_ok": jump_ok,
-        "reproducible": repro_ok,
-        "roundtrip_ok": roundtrip_ok,
-    }, cfg)
-    print(f"  dissipation residual rate {coarse.dissipation_residual_rate:.3e} "
-          f"-> {fine.dissipation_residual_rate:.3e} at dt/2 "
-          f"({'ok' if order_ok else 'not shrinking'})")
-    print(f"  jump identity residual {coarse.max_jump_residual:.3e} over "
-          f"{coarse.n_jumps} jumps ({'ok' if jump_ok else 'BAD'})")
-    print(f"  rerun snapshots {'byte-identical' if repro_ok else 'DIFFER'}")
-    print(f"  snapshot roundtrip {'ok' if roundtrip_ok else 'BAD'}")
-    return order_ok and jump_ok and repro_ok and roundtrip_ok
+    }, [Check("blew_up", traj.blew_up, False, "=="),
+        Check("blew_up_half_dt", traj_f.blew_up, False, "=="),
+        Check("dissipation_rate_half_dt", fine.dissipation_residual_rate, order_bound, "<="),
+        Check("max_jump_residual", coarse.max_jump_residual, JUMP_TOL, "<="),
+        Check("rerun_identical", d1 == d2, True, "=="),
+        Check("roundtrip", roundtrip, True, "==")]
 
 
-def cmd_malliavin(cfg: RunConfig, out: Path, args) -> bool:
+PSD_TOL = 1e-10             # malliavin: least eigenvalue, relative to max(eig_max, 1)
+PROBE_SLACK = 1e-12         # malliavin: probe lower over upper, relative likewise
+ADJOINT_TOL = 1e-8          # malliavin: forward against adjoint Gramian, relative likewise
+CONTROL_TOL = 1e-6          # malliavin: damped-window recursion residual
+
+
+def cmd_malliavin(cfg: RunConfig, out: Path, args) -> tuple[str, dict, list[Check]]:
     stepper = cfg.stepper()
     params = cfg.params()
     model = cfg.model()
@@ -240,35 +257,24 @@ def cmd_malliavin(cfg: RunConfig, out: Path, args) -> bool:
     u0 = _initial_state(cfg)
     res = malliavin_forward(u0, n_steps, stepper, model, path, dw, basis)
 
-    payload = {
-        "dim": basis.dim,
-        "level": cfg.level,
-        "ambient_level": 2 * cfg.level,
-        "window": window,
-        "n_jumps": res.n_jumps,
-        "clock_mass": res.clock_mass,
-        "degenerate": res.degenerate,
-    }
-    ok = not res.degenerate
+    payload = {"dim": basis.dim, "level": cfg.level, "ambient_level": 2 * cfg.level,
+               "window": window, "n_jumps": res.n_jumps, "clock_mass": res.clock_mass,
+               "degenerate": res.degenerate}
+    checks = [Check("degenerate", res.degenerate, False, "==")]
     if res.degenerate:
         print("  degenerate window: the clock carried no jump mass")
     else:
         eigs = np.linalg.eigvalsh(0.5 * (res.matrix + res.matrix.T))
         scale = float(eigs[-1])
-        psd_ok = float(eigs[0]) >= -1e-10 * max(scale, 1.0)
+        unit = max(scale, 1.0)
         probe = min_eigen_probe(res.matrix, basis.sublevel_mask(cfg.level),
                                 args.alpha)
-        bounds_ok = probe.lower <= probe.upper + 1e-12 * max(scale, 1.0)
-        payload.update({
-            "eig_min": float(eigs[0]),
-            "eig_max": scale,
-            "alpha": args.alpha,
-            "probe_lower": probe.lower,
-            "probe_upper": probe.upper,
-            "probe_unconstrained": probe.unconstrained,
-            "constraint_active": probe.active,
-        })
-        ok = psd_ok and bounds_ok
+        payload.update({"eig_min": float(eigs[0]), "eig_max": scale, "alpha": args.alpha,
+                        "probe_lower": probe.lower, "probe_upper": probe.upper,
+                        "probe_unconstrained": probe.unconstrained,
+                        "constraint_active": probe.active})
+        checks += [Check("eig_min", float(eigs[0]), -PSD_TOL * unit, ">="),
+                   Check("probe_lower", probe.lower, probe.upper + PROBE_SLACK * unit, "<=")]
         print(f"  gramian dim {basis.dim}, {res.n_jumps} jumps, "
               f"eigenvalues in [{eigs[0]:.3e}, {scale:.3e}]")
         print(f"  constrained minimum in [{probe.lower:.3e}, {probe.upper:.3e}] "
@@ -278,11 +284,8 @@ def cmd_malliavin(cfg: RunConfig, out: Path, args) -> bool:
                             dw=dw, store_full=True)
             res_b = malliavin_backward(traj.states, stepper, model, path, basis)
             gap = float(np.abs(res.matrix - res_b.matrix).max())
-            gap_ok = gap <= 1e-8 * max(scale, 1.0)
             payload["adjoint_gap"] = gap
-            ok = ok and gap_ok
-            print(f"  forward vs adjoint assembly gap {gap:.3e} "
-                  f"({'ok' if gap_ok else 'BAD'})")
+            checks.append(Check("adjoint_gap", gap, ADJOINT_TOL * unit, "<="))
         np.savetxt(out / "gramian.csv", res.matrix, delimiter=",",
                    header=f"config {cfg.digest}\nweighted gramian, dim {basis.dim}")
         np.savetxt(out / "eigenvalues.csv", eigs[::-1], delimiter=",",
@@ -297,27 +300,27 @@ def cmd_malliavin(cfg: RunConfig, out: Path, args) -> bool:
             for i, edges in enumerate(ctl.edge_steps):
                 for w, e in enumerate(edges):
                     fh.write(f"{i},{w},{e},{float(ctl.rho_norms[i, w])!r}\n")
-        ctl_ok = ctl.residual_max <= 1e-6
         payload["control"] = {
             "windows": args.control_windows,
             "recursion_residual_max": ctl.residual_max,
             "n_degenerate": ctl.n_degenerate,
         }
-        ok = ok and ctl_ok
-        print(f"  damped-window recursion residual {ctl.residual_max:.3e} "
-              f"({'ok' if ctl_ok else 'BAD'})")
-    _write_json(out / "malliavin.json", payload, cfg)
-    return ok
+        checks.append(Check("recursion_residual_max", ctl.residual_max, CONTROL_TOL, "<="))
+    return "malliavin.json", payload, checks
 
 
-def cmd_brackets(cfg: RunConfig, out: Path, args) -> bool:
+TOL_EXACT = 1e-10           # brackets: symbolic against operator
+TOL_NUMERIC = 1e-6          # brackets: operator against central differences
+
+
+def cmd_brackets(cfg: RunConfig, out: Path, args) -> tuple[str, dict, list[Check]]:
     params = cfg.params()
     n = cfg.n
     state = sp.random_state(n, rng_stream(cfg.seed, ROLE_SCRATCH),
                             amplitude=max(cfg.amplitude, 0.5))
     pairs = [((0, 1), 0, (1, 0), 0), ((1, 1), 1, (1, 0), 1),
              ((1, 2), 0, (2, 1), 1), ((0, 2), 1, (1, 1), 0)]
-    checks = []
+    rows = []
 
     worst_exact = 0.0
     for j, m, k, mp in pairs:
@@ -325,7 +328,7 @@ def cmd_brackets(cfg: RunConfig, out: Path, args) -> bool:
         op = bracket_z_sigma_field(j, m, k, mp, n, params)
         err = _rel_gap(sym, op, params)
         worst_exact = max(worst_exact, err)
-        checks.append({"pair": [list(j), m, list(k), mp], "symbolic_vs_operator": err})
+        rows.append({"pair": [list(j), m, list(k), mp], "symbolic_vs_operator": err})
 
     worst_num = 0.0
     for j, m, k, mp in pairs[:2]:
@@ -341,28 +344,21 @@ def cmd_brackets(cfg: RunConfig, out: Path, args) -> bool:
         target = sp.psi_state(n, j, m)
         worst_psi = max(worst_psi, _rel_gap(rec, target, params))
 
-    exact_ok = worst_exact <= TOL_EXACT
-    num_ok = worst_num <= TOL_NUMERIC
-    psi_ok = worst_psi <= TOL_NUMERIC
-    _write_json(out / "brackets.json", {
+    return "brackets.json", {
         "n": n,
-        "pairs": checks,
+        "pairs": rows,
         "worst_symbolic_vs_operator": worst_exact,
         "worst_operator_vs_numerical": worst_num,
         "worst_psi_recovery": worst_psi,
-        "tol_exact": TOL_EXACT,
-        "tol_numeric": TOL_NUMERIC,
-    }, cfg)
-    print(f"  symbolic vs operator brackets: {worst_exact:.3e} "
-          f"({'ok' if exact_ok else 'BAD'})")
-    print(f"  operator vs central differences: {worst_num:.3e} "
-          f"({'ok' if num_ok else 'BAD'})")
-    print(f"  vorticity direction recovery: {worst_psi:.3e} "
-          f"({'ok' if psi_ok else 'BAD'})")
-    return exact_ok and num_ok and psi_ok
+    }, [Check("worst_symbolic_vs_operator", worst_exact, TOL_EXACT, "<="),
+        Check("worst_operator_vs_numerical", worst_num, TOL_NUMERIC, "<="),
+        Check("worst_psi_recovery", worst_psi, TOL_NUMERIC, "<=")]
 
 
-def cmd_span(cfg: RunConfig, out: Path, args) -> bool:
+REPLAY_TOL = 1e-8           # span: grid replay of the derivation log
+
+
+def cmd_span(cfg: RunConfig, out: Path, args) -> tuple[str, dict, list[Check]]:
     zset = tuple(cfg.modes)
     result = span_generation(zset, args.level)
     (out / "span.log").write_text("\n".join(result.log_lines()) + "\n")
@@ -375,7 +371,7 @@ def cmd_span(cfg: RunConfig, out: Path, args) -> bool:
         "missing": [list(k) for k in result.missing],
         "success": result.success,
     }
-    ok = result.success
+    checks = [Check("success", result.success, True, "==")]
     print(f"  level {args.level}: {len(result.reached)} modes reached, "
           f"{len(result.missing)} targets missing")
     if result.success and not args.no_verify:
@@ -385,14 +381,15 @@ def cmd_span(cfg: RunConfig, out: Path, args) -> bool:
         replay = verify_span(result, n_v, cfg.params())
         payload.update({"replay_grid": n_v, "replay_checked": replay["checked"],
                         "replay_max_rel_err": replay["max_rel_err"]})
-        ok = replay["max_rel_err"] <= 1e-8
-        print(f"  replayed {replay['checked']} checks on a {n_v}x{n_v} grid, "
-              f"max rel err {replay['max_rel_err']:.3e}")
-    _write_json(out / "summary.json", payload, cfg)
-    return ok
+        checks.append(Check("replay_max_rel_err", replay["max_rel_err"], REPLAY_TOL, "<="))
+        print(f"  replayed {replay['checked']} checks on a {n_v}x{n_v} grid")
+    return "summary.json", payload, checks
 
 
-def cmd_moments(cfg: RunConfig, out: Path, args) -> bool:
+DOUBLING_GAP_MAX = 0.25     # moments: recurrence moment against its doubled-horizon rerun
+
+
+def cmd_moments(cfg: RunConfig, out: Path, args) -> tuple[str, dict, list[Check]]:
     stepper = cfg.stepper()
     model = cfg.model()
     spec = cfg.spec()
@@ -414,9 +411,7 @@ def cmd_moments(cfg: RunConfig, out: Path, args) -> bool:
     rep = stopping_moment_experiment(spec, nu, kappa, model.b0, cfg.seed,
                                      args.eta_paths)
 
-    agree_ok = agreement <= 3.0
-    stop_ok = rep.doubling_gap <= 0.25 and rep.censored == 0 and not rep.heavy_tail
-    _write_json(out / "moments.json", {
+    return "moments.json", {
         "n_paths": args.paths,
         "plateaus": [{"mean": f[0], "stderr": f[1]} for f in fits],
         "plateau_agreement_sigmas": agreement,
@@ -429,17 +424,16 @@ def cmd_moments(cfg: RunConfig, out: Path, args) -> bool:
         "censored": rep.censored,
         "tail_margin": rep.tail_margin,
         "heavy_tail": rep.heavy_tail,
-    }, cfg)
-    print(f"  plateau fits {fits[0][0]:.4g}+-{fits[0][1]:.2g} (rest) vs "
-          f"{fits[1][0]:.4g}+-{fits[1][1]:.2g} (excited): "
-          f"{agreement:.2f} sigma ({'ok' if agree_ok else 'BAD'})")
-    print(f"  recurrence moment {rep.estimate:.4g}, doubling gap "
-          f"{rep.doubling_gap:.3f}, tail margin {rep.tail_margin:.2f} "
-          f"({'ok' if stop_ok else 'BAD'})")
-    return agree_ok and stop_ok
+    }, [Check("plateau_agreement_sigmas", agreement, AGREE_SIGMAS, "<="),
+        Check("doubling_gap", rep.doubling_gap, DOUBLING_GAP_MAX, "<="),
+        Check("censored", rep.censored, 0, "=="),
+        Check("heavy_tail", rep.heavy_tail, False, "==")]
 
 
-def cmd_ergodicity(cfg: RunConfig, out: Path, args) -> bool:
+SLOPE_MIN = 0.8             # ergodicity: e-property log-log slope (acceptance 10)
+
+
+def cmd_ergodicity(cfg: RunConfig, out: Path, args) -> tuple[str, dict, list[Check]]:
     stepper = cfg.stepper()
     model = cfg.model()
     spec = cfg.spec()
@@ -450,14 +444,12 @@ def cmd_ergodicity(cfg: RunConfig, out: Path, args) -> bool:
         "radius": args.radius,
         "mesh_scale": None if args.radius is None else args.mesh_scale,
     }}
-    ok = True
+    checks = []
 
     if not args.skip_eproperty:
         base = _initial_state(cfg)
         ep = eproperty_probe(cfg.seed, stepper, model, spec, base,
                              args.ep_horizon, args.paths)
-        decreasing = bool(np.all(np.diff(ep.sup_gaps) < 0))
-        ep_ok = ep.coupled and ep.slope >= SLOPE_MIN and decreasing
         np.savetxt(out / "eproperty.csv",
                    np.column_stack([ep.deltas, ep.sup_gaps, ep.state_gaps]),
                    delimiter=",", header=f"config {cfg.digest}\ndelta,sup_gap,state_gap")
@@ -468,9 +460,11 @@ def cmd_ergodicity(cfg: RunConfig, out: Path, args) -> bool:
             "slope": ep.slope,
             "coupled": ep.coupled,
         }
-        ok = ok and ep_ok
-        print(f"  equicontinuity: gaps {ep.sup_gaps[0]:.3e} -> {ep.sup_gaps[-1]:.3e}, "
-              f"slope {ep.slope:.2f} ({'ok' if ep_ok else 'BAD'})")
+        # the sup gaps fall strictly as delta halves when their largest step is negative
+        rise = float(np.max(np.diff(ep.sup_gaps), initial=-np.inf))
+        checks += [Check("eproperty_coupled", ep.coupled, True, "=="),
+                   Check("eproperty_slope", ep.slope, SLOPE_MIN, ">="),
+                   Check("eproperty_gap_rise_max", rise, 0.0, "<")]
 
     if not args.skip_invariant:
         inv = invariant_statistics(cfg.seed, [sp.state_zeros(cfg.n), _initial_state(cfg)],
@@ -483,30 +477,26 @@ def cmd_ergodicity(cfg: RunConfig, out: Path, args) -> bool:
                             "short_batches": e.short_batches}
                            for e in rows] for rows in inv.estimates],
         }
-        ok = ok and inv.agree
+        checks.append(Check("invariant_max_gap_sigmas", inv.max_gap_sigmas, AGREE_SIGMAS, "<="))
         with open(out / "invariant.csv", "w") as fh:
             fh.write(f"# config {cfg.digest}\n# start,observable,mean,stderr,lag1\n")
             for i, row in enumerate(inv.estimates):
                 for e in row:
                     fh.write(f"{i},{e.observable},{e.mean!r},{e.stderr!r},{e.lag1!r}\n")
-        short = [e.short_batches for rows in inv.estimates for e in rows]
-        print(f"  invariant statistics agree within {inv.max_gap_sigmas:.2f} sigma, "
-              f"short_batches {sum(short)} of {len(short)} "
-              f"({'ok' if inv.agree else 'BAD'})")
 
     if args.radius is not None:
         rep = irreducibility_probe(cfg.seed, stepper, model, spec, cfg.horizon,
                                    args.paths, args.radius, args.mesh_scale)
+        lower = [e.lower_bound for e in rep.estimates]
         payload["irreducibility"] = {
             "radius": rep.radius,
             "all_positive": rep.all_positive,
-            "lower_bounds": [e.lower_bound for e in rep.estimates],
+            "lower_bounds": lower,
         }
-        ok = ok and rep.all_positive
-        print(f"  hitting probability lower bounds all positive: {rep.all_positive}")
+        checks.append(Check("hitting_lower_bound_min",
+                            float(np.min(lower, initial=np.inf)), 0.0, ">"))
 
-    _write_json(out / "ergodicity.json", payload, cfg)
-    return ok
+    return "ergodicity.json", payload, checks
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +650,12 @@ def main(argv=None) -> int:
         return 2
     out = _outdir(cfg, args.out, args.command)
     print(f"{args.command}: config {cfg.digest[:12]} -> {out}")
-    ok = _HANDLERS[args.command](cfg, out, args)
+    fname, payload, checks = _HANDLERS[args.command](cfg, out, args)
+    for check in checks:
+        print(f"  {'PASS' if check.passed else 'FAIL'}  {check}")
+    body = {"config_digest": cfg.digest, **payload, "checks": [c.record() for c in checks]}
+    (out / fname).write_text(json.dumps(body, indent=2, sort_keys=True,
+                                        default=_np_default) + "\n")
+    ok = all(check.passed for check in checks)
     print(f"{args.command}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1

@@ -454,6 +454,9 @@ class StationaryEstimate:
     short_batches: bool       # batch means still serially correlated
 
 
+AGREE_SIGMAS = 3.0          # agreement bound of invariant and plateau estimates, in sigmas
+
+
 @dataclass
 class InvariantReport:
     estimates: list           # per initial state, list of StationaryEstimate
@@ -516,4 +519,4 @@ def invariant_statistics(seed: int, initials, horizon: float, stepper: Stepper,
     worst = float(np.max([_worst_sigmas([(e.mean, e.stderr) for e in column])
                           for column in zip(*estimates)], initial=0.0))
     return InvariantReport(estimates=estimates, max_gap_sigmas=worst,
-                           agree=bool(worst <= 3.0))
+                           agree=bool(worst <= AGREE_SIGMAS))

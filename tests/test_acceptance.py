@@ -1,8 +1,9 @@
 """End-to-end acceptance checks for the laboratory.
 
-Each numbered check records one PASS/FAIL verdict line, echoed in a
-terminal-summary section at the end of the run, and asserts its stated
-tolerances; wall-clock budgets are asserted where a check carries one.
+Each numbered check records one PASS/FAIL verdict line, built from the
+command line's `Check` records (value, bound and margin of each condition)
+and echoed in a terminal-summary section at the end of the run, and asserts
+its stated tolerances; wall-clock budgets are asserted where a check carries one.
 Every check runs from frozen seeds, so reruns are bit-identical.
 """
 
@@ -12,6 +13,7 @@ import time
 import numpy as np
 
 from boussinesq_lab import spectral as sp
+from boussinesq_lab.cli import Check
 from boussinesq_lab.cli import main as cli_main
 from boussinesq_lab.config import RunConfig
 from boussinesq_lab.ensembles import (default_observables, eproperty_probe,
@@ -40,8 +42,12 @@ MODEL = NoiseModel()
 VERDICTS: list[str] = []
 
 
-def _verdict(num: str, label: str, ok: bool, detail: str) -> bool:
-    line = f"acceptance {num} {label}: {'PASS' if ok else 'FAIL'} ({detail})"
+def _verdict(num: str, label: str, checks: list[Check], detail: str) -> bool:
+    """PASS when every check passes; the line gives the detail, then each
+    check's value, bound and margin."""
+    ok = all(c.passed for c in checks)
+    line = (f"acceptance {num} {label}: {'PASS' if ok else 'FAIL'} "
+            f"({detail}; {'; '.join(map(str, checks))})")
     VERDICTS.append(line)
     print(line, flush=True)
     return ok
@@ -72,9 +78,9 @@ def test_c01_operator_identities():
                             * sp.l2_dot(getattr(v, slot), getattr(v, slot)))
             worst = max(worst, abs(neutral) / max(scale, 1e-300))
     dt = time.perf_counter() - t0
-    ok = worst <= 1e-9 and dt < 10.0
-    assert _verdict("01", "operator identities", ok,
-                    f"worst rel {worst:.2e} over 100 triples at 64^2; {dt:.1f}s < 10s")
+    assert _verdict("01", "operator identities",
+                    [Check("worst_rel", worst, 1e-9, "<="), Check("wall_s", dt, 10.0, "<")],
+                    "100 triples at 64^2")
     assert worst <= 1e-9
     assert dt < 10.0
 
@@ -97,9 +103,10 @@ def test_c02_tangent_correctness():
         dual = max(dual, duality_gap(u0, 0.5, stepper, xi, phi,
                                      model=MODEL, path=path, dw=dw))
     dt = time.perf_counter() - t0
-    ok = fd_gap <= 1e-4 and dual <= 1e-8 and dt < 60.0
-    assert _verdict("02", "tangent correctness", ok,
-                    f"fd gap {fd_gap:.2e} <= 1e-4, duality {dual:.2e} <= 1e-8; {dt:.1f}s < 60s")
+    assert _verdict("02", "tangent correctness",
+                    [Check("fd_gap", fd_gap, 1e-4, "<="), Check("duality_gap", dual, 1e-8, "<="),
+                     Check("wall_s", dt, 60.0, "<")],
+                    "10 directions, 5 duality pairs at 32^2")
     assert fd_gap <= 1e-4
     assert dual <= 1e-8
     assert dt < 60.0
@@ -123,10 +130,10 @@ def test_c03_malliavin_assembly():
         eigs = np.linalg.eigvalsh(0.5 * (fwd.matrix + fwd.matrix.T))
         worst_psd = max(worst_psd, float(-eigs[0] / max(abs(eigs).max(), 1e-300)))
     dt = time.perf_counter() - t0
-    ok = worst_gap <= 1e-8 and worst_psd <= 1e-10 and dt < 120.0
-    assert _verdict("03", "malliavin assembly", ok,
-                    f"fwd/bwd gap {worst_gap:.2e} <= 1e-8, PSD defect {worst_psd:.2e} "
-                    f"<= 1e-10 on 10 windows; {dt:.1f}s < 120s")
+    assert _verdict("03", "malliavin assembly",
+                    [Check("fwd_bwd_gap", worst_gap, 1e-8, "<="),
+                     Check("psd_defect", worst_psd, 1e-10, "<="), Check("wall_s", dt, 120.0, "<")],
+                    "10 windows")
     assert worst_gap <= 1e-8
     assert worst_psd <= 1e-10
     assert dt < 120.0
@@ -162,12 +169,12 @@ def test_c04_bracket_certificate():
         rec, _ = psi_recovery(j, m, state, pars)
         worst_num = max(worst_num, _rel_gap(rec, sp.psi_state(24, j, m)))
     dt = time.perf_counter() - t0
-    ok = replay_err <= 1e-8 and worst_num <= 1e-4 and dt < 60.0
-    assert _verdict("04", "bracket certificate", ok,
+    assert _verdict("04", "bracket certificate",
+                    [Check("replay_err", replay_err, 1e-8, "<="),
+                     Check("identities_vs_oracle", worst_num, 1e-4, "<="),
+                     Check("wall_s", dt, 60.0, "<")],
                     f"level-8 span {len(result.reached)} modes, replay "
-                    f"{replay['checked']} checks err {replay_err:.2e}, first level "
-                    f"{{(1,1),(1,-1)}}, identities vs oracle {worst_num:.2e} <= 1e-4; "
-                    f"{dt:.1f}s < 60s")
+                    f"{replay['checked']} checks, first level {{(1,1),(1,-1)}}")
     assert replay_err <= 1e-8
     assert worst_num <= 1e-4
     assert dt < 60.0
@@ -194,11 +201,11 @@ def test_c05_moment_bound():
     sig_a = float(np.max((mean_a - env_a - c1_hat) / np.maximum(se_a, 1e-300)))
     sig_b = float(np.max((mean_b - c1_hat) / np.maximum(se_b, 1e-300)))
     dt = time.perf_counter() - t0
-    ok = sig_a <= 3.0 and sig_b <= 3.0 and dt < 600.0
-    assert _verdict("05", "moment bound", ok,
-                    f"C1 {c1_hat:.2f} fitted on |U0|^2={na:.2f}, worst excess "
-                    f"{sig_a:.2f} / {sig_b:.2f} sigmas <= 3 over 200 paths; "
-                    f"{dt:.0f}s < 600s")
+    assert _verdict("05", "moment bound",
+                    [Check("excess_sigmas_excited", sig_a, 3.0, "<="),
+                     Check("excess_sigmas_rest", sig_b, 3.0, "<="),
+                     Check("wall_s", dt, 600.0, "<")],
+                    f"C1 {c1_hat:.2f} fitted on |U0|^2={na:.2f}, worst excess over 200 paths")
     assert sig_a <= 3.0
     assert sig_b <= 3.0
     assert dt < 600.0
@@ -211,13 +218,13 @@ def test_c06_stopping_moment():
     rep = stopping_moment_experiment(spec, nu, kappa, b0, seed=60, n_paths=1000)
     det = exp_moment_eta(spec, nu, 0.0, b0, 64, seed=61)
     drift = abs(det["estimate"] - np.exp(10.0)) / np.exp(10.0)
-    ok = (rep.doubling_gap <= 0.20 and rep.censored == 0
-          and not rep.heavy_tail and drift <= 0.01)
-    assert _verdict("06", "stopping moment", ok,
+    assert _verdict("06", "stopping moment",
+                    [Check("doubling_gap", rep.doubling_gap, 0.20, "<="),
+                     Check("censored", rep.censored, 0, "=="),
+                     Check("heavy_tail", rep.heavy_tail, False, "=="),
+                     Check("kappa0_drift", drift, 0.01, "<=")],
                     f"E exp(10 nu eta) {rep.estimate:.0f} vs doubled "
-                    f"{rep.doubled_estimate:.0f} (gap {rep.doubling_gap:.3f} <= 0.2, "
-                    f"0 censored), kappa->0 drift {drift:.2e} <= 1e-2, "
-                    f"tail margin {rep.tail_margin:.1f}")
+                    f"{rep.doubled_estimate:.0f}, tail margin {rep.tail_margin:.1f}")
     assert rep.doubling_gap <= 0.20
     assert rep.censored == 0
     assert drift <= 0.01
@@ -241,10 +248,8 @@ def test_c07_tail_envelope():
     for srs in series[1:]:
         env = np.exp(-nu * srs.level**2 * srs.times) + c_hat / np.sqrt(srs.level)
         worst = max(worst, float(np.max(srs.tail_sq - env)))
-    ok = worst <= atol
-    assert _verdict("07", "tail dissipation envelope", ok,
-                    f"C fitted on N=4 is {c_hat:.2e}, worst excess on N=8,16 "
-                    f"grids {worst:.2e} <= {atol:.0e}")
+    assert _verdict("07", "tail dissipation envelope", [Check("worst_excess", worst, atol, "<=")],
+                    f"C fitted on N=4 is {c_hat:.2e}, excess on N=8,16 grids")
     assert worst <= atol
 
 
@@ -274,8 +279,11 @@ def test_c08_min_eigenvalue_probe():
     fracs = [float(np.mean(lam < eps)) for eps in (1e-2, 1e-4, 1e-6)]
     monotone = fracs[0] >= fracs[1] >= fracs[2]
     toward_zero = fracs[2] < fracs[0] and fracs[2] <= 0.1
-    ok = monotone and toward_zero
-    assert _verdict("08", "min-eigenvalue probe", ok,
+    assert _verdict("08", "min-eigenvalue probe",
+                    [Check("frac_1e-4_within_1e-2", fracs[1], fracs[0], "<="),
+                     Check("frac_1e-6_within_1e-4", fracs[2], fracs[1], "<="),
+                     Check("frac_1e-6_under_1e-2", fracs[2], fracs[0], "<"),
+                     Check("frac_1e-6", fracs[2], 0.1, "<=")],
                     f"fractions below (1e-2, 1e-4, 1e-6) = "
                     f"({fracs[0]:.2f}, {fracs[1]:.2f}, {fracs[2]:.2f}) over {len(lam)} "
                     f"windows, {degenerate} degenerate; spectrum min {lam.min():.1e} "
@@ -297,11 +305,11 @@ def test_c09_ergodicity_signature():
                                MODEL, spec, observables=default_observables(),
                                n_batches=20)
     dt = time.perf_counter() - t0
-    ok = rep.agree and rep.max_gap_sigmas <= 3.0 and dt < 1800.0
-    assert _verdict("09", "ergodicity signature", ok,
-                    f"3 bounded-Lipschitz observables from rest and a large start, "
-                    f"worst gap {rep.max_gap_sigmas:.2f} sigmas <= 3 at T=500; "
-                    f"{dt:.0f}s < 1800s")
+    assert _verdict("09", "ergodicity signature",
+                    [Check("agree", rep.agree, True, "=="),
+                     Check("max_gap_sigmas", rep.max_gap_sigmas, 3.0, "<="),
+                     Check("wall_s", dt, 1800.0, "<")],
+                    "3 bounded-Lipschitz observables from rest and a large start at T=500")
     assert rep.max_gap_sigmas <= 3.0
     assert dt < 1800.0
 
@@ -312,11 +320,12 @@ def test_c10_eproperty():
     base = sp.random_state(32, rng_stream(1001, ROLE_INIT), amplitude=1.0)
     rep = eproperty_probe(1001, stepper, MODEL, spec, base, 0.4, 12)
     drops = np.all(np.diff(rep.sup_gaps) < 0.0)
-    ok = rep.coupled and bool(drops) and rep.slope >= 0.8
-    assert _verdict("10", "e-property", ok,
-                    f"coupled gaps [{' '.join(f'{g:.2e}' for g in rep.sup_gaps)}] "
-                    f"monotone over deltas {rep.deltas}, log-log slope "
-                    f"{rep.slope:.2f} >= 0.8")
+    assert _verdict("10", "e-property",
+                    [Check("coupled", rep.coupled, True, "=="),
+                     Check("gaps_drop", bool(drops), True, "=="),
+                     Check("slope", rep.slope, 0.8, ">=")],
+                    f"gaps [{' '.join(f'{g:.2e}' for g in rep.sup_gaps)}] "
+                    f"over deltas {rep.deltas}")
     assert rep.coupled
     assert drops
     assert rep.slope >= 0.8
@@ -348,10 +357,11 @@ def test_c11_reproducibility(tmp_path):
     rb = stopping_moment_experiment(SubordinatorSpec(), 1.0, 1e-3, 4.0, seed=1102, n_paths=64)
     scalars_equal = ra.estimate == rb.estimate and ra.doubled_estimate == rb.doubled_estimate
 
-    ok = files_equal and arrays_equal and scalars_equal
-    assert _verdict("11", "reproducibility", ok,
-                    f"config {cfg.digest[:12]} reruns byte-identical over "
-                    f"{len(first)} files; ensemble reruns exactly equal")
+    assert _verdict("11", "reproducibility",
+                    [Check("files_equal", files_equal, True, "=="),
+                     Check("arrays_equal", arrays_equal, True, "=="),
+                     Check("scalars_equal", scalars_equal, True, "==")],
+                    f"config {cfg.digest[:12]} reruns over {len(first)} files, ensemble reruns")
     assert files_equal
     assert arrays_equal
     assert scalars_equal

@@ -3,12 +3,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from boussinesq_lab import spectral as sp
-from boussinesq_lab.cli import main, read_snapshots, write_snapshots
+from boussinesq_lab.cli import Check, main, read_snapshots, write_snapshots
 from boussinesq_lab.config import RunConfig, load_config
 from boussinesq_lab.noise import load_path
 
@@ -135,9 +136,27 @@ def test_audit_passes(tiny_cfg, tmp_path):
     out = tmp_path / "runs"
     assert run_cli(cfg_file, out, "audit") == 0
     report = json.loads((out / cfg.digest[:12] / "audit" / "audit.json").read_text())
-    assert report["jump_ok"] and report["order_ok"]
-    assert report["reproducible"] and report["roundtrip_ok"]
+    passed = {c["name"]: c["passed"] for c in report["checks"]}
+    assert passed["max_jump_residual"] and passed["dissipation_rate_half_dt"]
+    assert passed["rerun_identical"] and passed["roundtrip"]
     assert report["max_jump_residual"] < 1e-10
+
+
+def test_audit_fails_a_run_that_blew_up(tmp_path, capsys):
+    # unforced from a huge start, both runs blow up within a few steps; the
+    # rates of the two truncated runs still shrink and with no jumps the jump
+    # residual is 0, so only the blow-up records catch it, as in simulate
+    cfg_file = tmp_path / "blow.ini"
+    cfg_file.write_text("[grid]\nn = 32\ndt = 0.01\n\n[noise]\na = 0\ngrid_step = 0.01\n\n"
+                        "[run]\nhorizon = 2.0\nseed = 5\namplitude = 1000\n")
+    out = tmp_path / "runs"
+    assert run_cli(cfg_file, out, "simulate") == 1
+    assert run_cli(cfg_file, out, "audit") == 1
+    digest = load_config(cfg_file).digest[:12]
+    report = json.loads((out / digest / "audit" / "audit.json").read_text())
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == \
+        ["blew_up", "blew_up_half_dt"]
+    assert "FAIL  blew_up True == False" in capsys.readouterr().out
 
 
 def test_brackets_passes(tiny_cfg, tmp_path):
@@ -250,6 +269,106 @@ def test_ergodicity_eproperty_only(tiny_cfg, tmp_path):
     # the arguments it ran with, null for the parts it skipped
     assert report["args"] == {"paths": 6, "ep_horizon": 0.2, "invariant_horizon": None,
                               "radius": None, "mesh_scale": None}
+
+
+# ---------------------------------------------------------------------------
+# one check record for every verdict
+
+# every command at c11's config (TINY) and the benchmark's five at the
+# defaults: the exit code and each check's pass/fail, as the hand-written
+# verdicts gave them before they became records; all pass but ergodicity's
+# invariant statistics (4.59 sigma) and hitting bounds (all 0)
+PINNED = [
+    (TINY, ("simulate",), 0, {"blew_up": True}),
+    (TINY, ("audit",), 0, {"blew_up": True, "blew_up_half_dt": True,
+                           "dissipation_rate_half_dt": True, "max_jump_residual": True,
+                           "rerun_identical": True, "roundtrip": True}),
+    (TINY, ("malliavin", "--check-adjoint", "--control-windows", "2"), 0,
+     {"degenerate": True, "eig_min": True, "probe_lower": True, "adjoint_gap": True,
+      "recursion_residual_max": True}),
+    (TINY, ("brackets",), 0, {"worst_symbolic_vs_operator": True,
+                              "worst_operator_vs_numerical": True, "worst_psi_recovery": True}),
+    (TINY, ("span",), 0, {"success": True, "replay_max_rel_err": True}),
+    (TINY, ("moments", "--paths", "4", "--eta-paths", "40"), 0,
+     {"plateau_agreement_sigmas": True, "doubling_gap": True, "censored": True,
+      "heavy_tail": True}),
+    (TINY, ("ergodicity", "--paths", "2", "--ep-horizon", "0.2", "--invariant-horizon", "3.0",
+            "--radius", "1.0"), 1,
+     {"eproperty_coupled": True, "eproperty_slope": True, "eproperty_gap_rise_max": True,
+      "invariant_max_gap_sigmas": False, "hitting_lower_bound_min": False}),
+    (None, ("simulate",), 0, {"blew_up": True}),
+    (None, ("audit",), 0, {"blew_up": True, "blew_up_half_dt": True,
+                           "dissipation_rate_half_dt": True, "max_jump_residual": True,
+                           "rerun_identical": True, "roundtrip": True}),
+    (None, ("malliavin", "--check-adjoint"), 0,
+     {"degenerate": True, "eig_min": True, "probe_lower": True, "adjoint_gap": True}),
+    (None, ("brackets",), 0, {"worst_symbolic_vs_operator": True,
+                              "worst_operator_vs_numerical": True, "worst_psi_recovery": True}),
+    (None, ("span",), 0, {"success": True, "replay_max_rel_err": True}),
+]
+
+
+@pytest.fixture(scope="module")
+def pinned_runs(tmp_path_factory):
+    """Exit code and command directory of every PINNED run."""
+    base = tmp_path_factory.mktemp("pinned")
+    (base / "tiny.ini").write_text(TINY)
+    runs = []
+    for i, (text, argv, _, _) in enumerate(PINNED):
+        out = base / f"run{i}"
+        cfg = ["--config", str(base / "tiny.ini")] if text else []
+        code = main([*cfg, "--out", str(out), *argv])
+        digest = (load_config(base / "tiny.ini") if text else RunConfig()).digest[:12]
+        runs.append((code, out / digest / argv[0]))
+    return runs
+
+
+def _payload(command_dir: Path) -> dict:
+    """The command's one payload JSON; span.json is the derivation log."""
+    names = [p for p in command_dir.glob("*.json") if p.name != "span.json"]
+    assert len(names) == 1, names
+    return json.loads(names[0].read_text())
+
+
+def test_verdicts_match_the_pinned_matrix(pinned_runs):
+    for (_, argv, code, passed), (got, command_dir) in zip(PINNED, pinned_runs):
+        checks = _payload(command_dir)["checks"]
+        assert (got, {c["name"]: c["passed"] for c in checks}) == (code, passed), argv
+
+
+def test_every_payload_holds_its_checks(pinned_runs):
+    # each record carries its six fields, and the records all pass exactly
+    # when the command exits 0
+    fields = {"name", "value", "bound", "relation", "passed", "margin"}
+    for (_, argv, _, _), (code, command_dir) in zip(PINNED, pinned_runs):
+        checks = _payload(command_dir)["checks"]
+        assert checks and all(set(c) == fields for c in checks), argv
+        assert all(c["passed"] for c in checks) == (code == 0), argv
+        assert all((c["margin"] is None) == (c["relation"] == "==") for c in checks), argv
+
+
+def test_only_the_check_record_spells_a_verdict():
+    # every verdict is a cli.Check that main prints and writes: no module
+    # spells out a verdict word of its own
+    pkg = Path(sp.__file__).parent
+    words = ("'BAD'", '"BAD"', "'ok' if", '"ok" if', "DIFFER")
+    offenders = [f"{f.name}: {w}" for f in sorted(pkg.glob("*.py"))
+                 for w in words if w in f.read_text()]
+    assert offenders == []
+
+
+def test_check_record_relations_and_margins():
+    assert Check("gap", 1e-9, 1e-8, "<=").passed
+    assert Check("gap", 1e-8, 1e-8, "<=").margin == 0.0
+    assert not Check("gap", 2e-8, 1e-8, "<=").passed
+    assert Check("gap", 2e-8, 1e-8, "<=").margin == -1e-8
+    assert Check("slope", 0.9, 0.8, ">=").margin == pytest.approx(0.1)
+    assert not Check("rise", 0.0, 0.0, "<").passed and not Check("min", 0.0, 0.0, ">").passed
+    assert not Check("sigmas", float("nan"), 3.0, "<=").passed
+    flag = Check("blew_up", True, False, "==")
+    assert not flag.passed and flag.margin is None
+    assert str(flag) == "blew_up True == False"
+    assert str(Check("gap", 2.5e-9, 1e-8, "<=")) == "gap 2.5e-09 <= 1e-08, margin 7.5e-09"
 
 
 # ---------------------------------------------------------------------------
