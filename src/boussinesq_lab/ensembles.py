@@ -260,17 +260,17 @@ class StoppingMomentReport:
     doubled_estimate: float
     doubling_gap: float       # relative change when the path count doubles
     tail_margin: float        # rate-function cost over the moment growth rate
-    heavy_tail: bool
 
 
 def stopping_moment_experiment(spec: SubordinatorSpec, nu: float, kappa: float,
                                b0: float, seed: int, n_paths: int) -> StoppingMomentReport:
-    """Monte Carlo E exp(10 nu eta_1) with a doubling check and a tail flag.
+    """Monte Carlo E exp(10 nu eta_1), rerun at twice the paths, and its tail margin.
 
     The estimate is trustworthy only when the exponential growth rate 10 nu
     is well below the large-deviation cost of the clock outrunning the drift,
     i.e. when the clock would have to sustain rate nu / (8 b0 kappa) to keep
-    eta large; margins under 2 are flagged as heavy-tailed.
+    eta large; `tail_margin` is that cost over 10 nu, infinite without a
+    threshold or a clock.
     """
     first = exp_moment_eta(spec, nu, kappa, b0, n_paths, seed)
     second = exp_moment_eta(spec, nu, kappa, b0, 2 * n_paths, seed + 1)
@@ -284,7 +284,7 @@ def stopping_moment_experiment(spec: SubordinatorSpec, nu: float, kappa: float,
         estimate=first["estimate"], stderr=first["stderr"],
         n_paths=n_paths, censored=first["censored"],
         doubled_estimate=second["estimate"],
-        doubling_gap=gap, tail_margin=float(margin), heavy_tail=bool(margin < 2.0))
+        doubling_gap=gap, tail_margin=float(margin))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +377,6 @@ class IrreducibilityReport:
     radius: float
     horizon: float
     estimates: list
-    all_positive: bool
 
 
 def irreducibility_probe(seed: int, stepper: Stepper, model: NoiseModel,
@@ -417,9 +416,7 @@ def irreducibility_probe(seed: int, stepper: Stepper, model: NoiseModel,
             lower = 0.0
         estimates.append(HittingEstimate(start=(a, b), hits=hits, n_paths=n_paths,
                                          lower_bound=lower))
-    return IrreducibilityReport(
-        radius=radius, horizon=horizon, estimates=estimates,
-        all_positive=all(e.lower_bound > 0 for e in estimates))
+    return IrreducibilityReport(radius=radius, horizon=horizon, estimates=estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +451,10 @@ class StationaryEstimate:
     short_batches: bool       # batch means still serially correlated
 
 
-AGREE_SIGMAS = 3.0          # agreement bound of invariant and plateau estimates, in sigmas
-
-
 @dataclass
 class InvariantReport:
     estimates: list           # per initial state, list of StationaryEstimate
     max_gap_sigmas: float     # worst cross-initial gap in combined errors
-    agree: bool
 
 
 def _stationary_estimate(name: str, series: np.ndarray, n_batches: int) -> StationaryEstimate:
@@ -518,5 +511,4 @@ def invariant_statistics(seed: int, initials, horizon: float, stepper: Stepper,
     # per observable, its estimates from every start
     worst = float(np.max([_worst_sigmas([(e.mean, e.stderr) for e in column])
                           for column in zip(*estimates)], initial=0.0))
-    return InvariantReport(estimates=estimates, max_gap_sigmas=worst,
-                           agree=bool(worst <= AGREE_SIGMAS))
+    return InvariantReport(estimates=estimates, max_gap_sigmas=worst)

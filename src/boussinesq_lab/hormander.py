@@ -304,7 +304,6 @@ def induction_set(level: int) -> list[Mode]:
 
 @dataclass(frozen=True)
 class Derivation:
-    mode: Mode
     kind: str                     # forced | pair-sum | pair-difference
     parents: tuple[Mode, Mode] | None
     prefactor: Fraction | None    # units of g; nonzero certifies the step
@@ -383,7 +382,7 @@ def span_generation(zset, level: int) -> SpanResult:
             raise ValueError(f"generator {z} must be canonical")
     max_norm1 = level + 2 + max(abs(z[0]) + abs(z[1]) for z in zset)
 
-    reached: dict = {z: Derivation(z, "forced", None, None, 0) for z in zset}
+    reached: dict = {z: Derivation("forced", None, None, 0) for z in zset}
     frontier = set(zset)
     depth = 0
     while frontier:
@@ -405,8 +404,8 @@ def span_generation(zset, level: int) -> SpanResult:
                         continue
                     c = coeff(j, k)
                     if c != 0:
-                        reached[canon] = Derivation(canon, kind, (j, k),
-                                                    Fraction(perp_dot(j, k)) * c, depth)
+                        reached[canon] = Derivation(kind, (j, k), Fraction(perp_dot(j, k)) * c,
+                                                    depth)
                         new_modes.add(canon)
         frontier = new_modes
 
@@ -428,82 +427,51 @@ def span_generation(zset, level: int) -> SpanResult:
                       success=success)
 
 
-def verify_span(result: SpanResult, n: int, params: PhysicsParams) -> dict:
-    """Replay every derivation both symbolically and on the grid.
+def verify_span(result: SpanResult, params: PhysicsParams) -> dict:
+    """Replay every derivation both symbolically and on the grid, and report.
 
-    Each pair step must reduce, as an exact rational identity, to a single
-    trig element with the recorded prefactor, and the same combination of
-    operator-evaluated bracket fields must match the grid element to 1e-10
-    relative to its largest coefficient (floored at 1). Every
-    mode touched by a replayed product has to survive the 2/3 dealiasing,
-    so the grid must satisfy 3 k < n for the largest wavenumber k involved.
+    Each pair step should reduce, as an exact rational identity, to a single
+    trig element with the recorded prefactor; `symbolic_mismatches` lists the
+    (mode, parity) of every check whose isolating combination does not. The
+    same combination of operator-evaluated bracket fields is compared with
+    that recorded element on the grid, relative to its largest coefficient
+    (floored at 1); `max_rel_err` is the worst. The grid is the least even n
+    with 3 need < n, 12 at least, for the largest wavenumber need of the
+    log, so every mode touched by a replayed product survives the 2/3
+    dealiasing. The report holds no verdict: the caller bounds it.
 
     The checks, two per derivation (one per parity), run in blocks of
     REPLAY_BLOCK: one `bracket_fields` call evaluates the brackets of a
     block, and each check combines its own on the half storage, whose
     largest coefficient is the full array's. A block is streamed, so memory
-    does not grow with the log. The first failing check raises, as a replay
-    check by check would: a symbolic failure waits for the grid checks of
-    the block before it.
+    does not grow with the log.
     """
-    need = 0
-    for der in result.reached.values():
-        if der.kind == "forced":
-            continue
-        j, k = der.parents
-        need = max(need, abs(j[0]), abs(j[1]), abs(k[0]), abs(k[1]),
-                   abs(der.mode[0]), abs(der.mode[1]))
-    if 3 * need >= n:
-        raise ValueError(f"grid n={n} dealiases above wavenumber {(n - 1) // 3}, "
-                         f"but the log touches {need}; need n >= {3 * need + 1}")
+    need = max(max(abs(k[0]), abs(k[1])) for k in result.reached)
+    n = max(3 * need + 1 + (3 * need + 1) % 2, 12)
     checks = [(mode, der, parity) for mode, der in sorted(result.reached.items())
               if der.kind != "forced" for parity in (0, 1)]
-    checked = 0
+    mismatches = []
     max_err = 0.0
     for start in range(0, len(checks), REPLAY_BLOCK):
-        block, pieces, failure = [], [], None
-        for mode, der, parity in checks[start:start + REPLAY_BLOCK]:
-            try:
-                want = _symbolic_replay(mode, der, parity)
-            except Exception as exc:        # raised after the grid checks before it
-                failure = exc
-                break
-            j, k = der.parents
-            block.append((mode, parity, want, combo_pieces(der.kind, parity)))
-            pieces += [(j, m, k, mp) for (m, mp), _ in block[-1][3]]
-        fw, ft = bracket_fields(pieces, n, params) if pieces else (None, None)
+        block = checks[start:start + REPLAY_BLOCK]
+        fw, ft = bracket_fields([(der.parents[0], m, der.parents[1], mp)
+                                 for _, der, parity in block
+                                 for (m, mp), _ in combo_pieces(der.kind, parity)], n, params)
         row = 0
-        for mode, parity, ((canon, mc), coef), combo in block:
+        for mode, der, parity in block:
+            j, k = der.parents
+            sgn = 1 if der.kind == "pair-sum" else -1
+            canon, mc, s = sp.canonicalize((j[0] + sgn * k[0], j[1] + sgn * k[1]), parity)
+            coef = s * der.prefactor
+            if pair_combo(j, k, der.kind, parity) != {(canon, mc): coef}:
+                mismatches.append((mode, parity))
             field_w = field_t = 0.0
-            for _, fac in combo:
+            for _, fac in combo_pieces(der.kind, parity):
                 field_w = field_w + fw[row] * float(fac)
                 field_t = field_t + ft[row] * float(fac)
                 row += 1
             want_t = sp.sigma_state(n, canon, mc).halves()[1] * (params.g * float(coef))
-            err = np.abs(field_t - want_t).max()
-            err = max(err, np.abs(field_w).max())
-            scale = max(np.abs(want_t).max(), 1.0)
-            max_err = max(max_err, err / scale)
-            if err > 1e-10 * scale:
-                raise AssertionError(f"grid replay failed at {mode} parity {parity}: "
-                                     f"err {err:.3e}")
-            checked += 1
-        if failure is not None:
-            raise failure
-    return {"checked": checked, "max_rel_err": max_err}
-
-
-def _symbolic_replay(mode: Mode, der: Derivation, parity: int):
-    """The symbolic check of one derivation at one parity: the isolating
-    combination must reduce to the single element with the recorded
-    prefactor. Returns that element ((mode, parity), coefficient); raises
-    AssertionError otherwise."""
-    j, k = der.parents
-    combo = pair_combo(j, k, der.kind, parity)
-    raw = (j[0] + k[0], j[1] + k[1]) if der.kind == "pair-sum" else (j[0] - k[0], j[1] - k[1])
-    canon, mc, s = sp.canonicalize(raw, parity)
-    want = {(canon, mc): s * der.prefactor}
-    if combo != want:
-        raise AssertionError(f"symbolic replay failed at {mode} parity {parity}: "
-                             f"{combo} != {want}")
-    return (canon, mc), s * der.prefactor
+            err = max(np.abs(field_t - want_t).max(), np.abs(field_w).max())
+            max_err = max(max_err, err / max(np.abs(want_t).max(), 1.0))
+    return {"grid": n, "checked": len(checks), "max_rel_err": max_err,
+            "symbolic_mismatches": mismatches}

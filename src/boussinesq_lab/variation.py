@@ -472,7 +472,7 @@ def min_eigen_probe(matrix: np.ndarray, p_mask: np.ndarray, alpha: float) -> Eig
         if cand is not None:
             uppers.append(cand)
     upper = min(uppers)
-    return EigenProbe(lower=float(min(best_lower, upper)), upper=float(upper),
+    return EigenProbe(lower=float(best_lower), upper=float(upper),
                       unconstrained=lam0, mu=float(mu),
                       boundary_gap=float(abs(pm - alpha)), active=True)
 

@@ -146,10 +146,9 @@ def test_c04_bracket_certificate():
     log = result.log_lines()
     assert log and log[-1].endswith("PASS")
 
-    need = max(max(abs(k[0]), abs(k[1])) for k in result.reached)
-    n_v = max(3 * need + (3 * need) % 2, 12)
-    replay = verify_span(result, n_v, PARAMS)
+    replay = verify_span(result, PARAMS)
     replay_err = replay["max_rel_err"]
+    mismatches = len(replay["symbolic_mismatches"])
 
     first = {tuple(k) for k in induction_set(1)}
     assert first == {(1, 1), (1, -1)}
@@ -170,12 +169,15 @@ def test_c04_bracket_certificate():
         worst_num = max(worst_num, _rel_gap(rec, sp.psi_state(24, j, m)))
     dt = time.perf_counter() - t0
     assert _verdict("04", "bracket certificate",
-                    [Check("replay_err", replay_err, 1e-8, "<="),
+                    [Check("replay_symbolic_mismatches", mismatches, 0, "=="),
+                     Check("replay_err", replay_err, 1e-10, "<="),
                      Check("identities_vs_oracle", worst_num, 1e-4, "<="),
                      Check("wall_s", dt, 60.0, "<")],
                     f"level-8 span {len(result.reached)} modes, replay "
-                    f"{replay['checked']} checks, first level {{(1,1),(1,-1)}}")
-    assert replay_err <= 1e-8
+                    f"{replay['checked']} checks on the {replay['grid']} grid, "
+                    f"first level {{(1,1),(1,-1)}}")
+    assert mismatches == 0
+    assert replay_err <= 1e-10
     assert worst_num <= 1e-4
     assert dt < 60.0
 
@@ -221,7 +223,7 @@ def test_c06_stopping_moment():
     assert _verdict("06", "stopping moment",
                     [Check("doubling_gap", rep.doubling_gap, 0.20, "<="),
                      Check("censored", rep.censored, 0, "=="),
-                     Check("heavy_tail", rep.heavy_tail, False, "=="),
+                     Check("tail_margin", rep.tail_margin, 2.0, ">="),
                      Check("kappa0_drift", drift, 0.01, "<=")],
                     f"E exp(10 nu eta) {rep.estimate:.0f} vs doubled "
                     f"{rep.doubled_estimate:.0f}, tail margin {rep.tail_margin:.1f}")
@@ -306,8 +308,7 @@ def test_c09_ergodicity_signature():
                                n_batches=20)
     dt = time.perf_counter() - t0
     assert _verdict("09", "ergodicity signature",
-                    [Check("agree", rep.agree, True, "=="),
-                     Check("max_gap_sigmas", rep.max_gap_sigmas, 3.0, "<="),
+                    [Check("max_gap_sigmas", rep.max_gap_sigmas, 3.0, "<="),
                      Check("wall_s", dt, 1800.0, "<")],
                     "3 bounded-Lipschitz observables from rest and a large start at T=500")
     assert rep.max_gap_sigmas <= 3.0

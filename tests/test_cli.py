@@ -1,5 +1,7 @@
 """Command line behavior: exits, outputs, digests, snapshot container."""
 
+import ast
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from boussinesq_lab import cli, hormander
 from boussinesq_lab import spectral as sp
 from boussinesq_lab.cli import Check, main, read_snapshots, write_snapshots
 from boussinesq_lab.config import RunConfig, load_config
@@ -178,8 +181,55 @@ def test_span_passes(tiny_cfg, tmp_path, capsys):
     log = json.loads((base / "span.json").read_text())
     assert log["success"]
     summary = json.loads((base / "summary.json").read_text())
-    assert summary["replay_max_rel_err"] <= 1e-8
+    assert summary["replay_max_rel_err"] <= 1e-10
+    assert summary["replay_symbolic_mismatches"] == []
     assert summary["missing"] == []
+
+
+def test_span_fails_a_grid_replay_off_by_1e_9(tiny_cfg, tmp_path, monkeypatch, capsys):
+    # one product off by 1e-9 of the largest temperature coefficient fails
+    # the replay record, and the command still writes its payload
+    cfg_file, cfg = tiny_cfg
+    real, calls = hormander.bracket_fields, []
+
+    def nudged(pieces, n, params):
+        fw, ft = real(pieces, n, params)
+        if not calls:
+            ft[0] += 1e-9 * np.abs(ft).max()
+        calls.append(1)
+        return fw, ft
+
+    monkeypatch.setattr(hormander, "bracket_fields", nudged)
+    out = tmp_path / "runs"
+    assert run_cli(cfg_file, out, "span", "--level", "4") == 1
+    summary = json.loads((out / cfg.digest[:12] / "span" / "summary.json").read_text())
+    assert [c["name"] for c in summary["checks"] if not c["passed"]] == ["replay_max_rel_err"]
+    assert summary["replay_symbolic_mismatches"] == []
+    assert "FAIL  replay_max_rel_err" in capsys.readouterr().out
+
+
+def test_span_fails_a_corrupted_prefactor(tiny_cfg, tmp_path, monkeypatch, capsys):
+    # a log whose recorded prefactor is off by one fails the symbolic record,
+    # and the payload names both checks of the derivation
+    cfg_file, cfg = tiny_cfg
+    real = cli.span_generation
+    bad = [mode for mode, der in sorted(real(cfg.modes, 4).reached.items())
+           if der.kind != "forced"][5]
+
+    def corrupted(zset, level):
+        res = real(zset, level)
+        reached = dict(res.reached)
+        reached[bad] = dataclasses.replace(reached[bad], prefactor=reached[bad].prefactor + 1)
+        return dataclasses.replace(res, reached=reached)
+
+    monkeypatch.setattr(cli, "span_generation", corrupted)
+    out = tmp_path / "runs"
+    assert run_cli(cfg_file, out, "span", "--level", "4") == 1
+    summary = json.loads((out / cfg.digest[:12] / "span" / "summary.json").read_text())
+    assert summary["replay_symbolic_mismatches"] == [[list(bad), 0], [list(bad), 1]]
+    failed = {c["name"] for c in summary["checks"] if not c["passed"]}
+    assert "replay_symbolic_mismatches" in failed
+    assert "FAIL  replay_symbolic_mismatches 2 == 0" in capsys.readouterr().out
 
 
 def test_malliavin_passes(tiny_cfg, tmp_path):
@@ -194,6 +244,30 @@ def test_malliavin_passes(tiny_cfg, tmp_path):
     assert matrix.shape == (report["dim"], report["dim"])
     eigs = np.loadtxt(base / "eigenvalues.csv", delimiter=",")
     assert len(eigs) == report["dim"] and eigs[0] == report["eig_max"]
+
+
+def test_malliavin_fails_a_probe_lower_bound_above_its_candidate(tiny_cfg, tmp_path,
+                                                                  monkeypatch, capsys):
+    # every eigenvalue the probe decomposes lifted by 1e-9 max(eig_max, 1)
+    # lifts its Lagrangian lower bound over the candidate it evaluates
+    # directly, and only the probe record fails
+    cfg_file, cfg = tiny_cfg
+    out = tmp_path / "runs"
+    assert run_cli(cfg_file, out, "malliavin") == 0
+    fname = out / cfg.digest[:12] / "malliavin" / "malliavin.json"
+    lift = 1e-9 * max(json.loads(fname.read_text())["eig_max"], 1.0)
+    real = np.linalg.eigh
+
+    def lifted(a, *args, **kwargs):
+        vals, vecs = real(a, *args, **kwargs)
+        return vals + lift, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", lifted)
+    assert run_cli(cfg_file, out, "malliavin") == 1
+    report = json.loads(fname.read_text())
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["probe_lower"]
+    assert report["probe_lower"] > report["probe_upper"]
+    assert "FAIL  probe_lower" in capsys.readouterr().out
 
 
 def test_malliavin_control_trace(tiny_cfg, tmp_path):
@@ -255,7 +329,7 @@ def test_moments_passes(tiny_cfg, tmp_path):
     report = json.loads((out / cfg.digest[:12] / "moments" / "moments.json").read_text())
     assert report["plateau_agreement_sigmas"] <= 3.0
     assert report["censored"] == 0
-    assert not report["heavy_tail"]
+    assert report["tail_margin"] >= 2.0
 
 
 def test_ergodicity_eproperty_only(tiny_cfg, tmp_path):
@@ -288,10 +362,11 @@ PINNED = [
       "recursion_residual_max": True}),
     (TINY, ("brackets",), 0, {"worst_symbolic_vs_operator": True,
                               "worst_operator_vs_numerical": True, "worst_psi_recovery": True}),
-    (TINY, ("span",), 0, {"success": True, "replay_max_rel_err": True}),
+    (TINY, ("span",), 0, {"success": True, "replay_symbolic_mismatches": True,
+                          "replay_max_rel_err": True}),
     (TINY, ("moments", "--paths", "4", "--eta-paths", "40"), 0,
      {"plateau_agreement_sigmas": True, "doubling_gap": True, "censored": True,
-      "heavy_tail": True}),
+      "tail_margin": True}),
     (TINY, ("ergodicity", "--paths", "2", "--ep-horizon", "0.2", "--invariant-horizon", "3.0",
             "--radius", "1.0"), 1,
      {"eproperty_coupled": True, "eproperty_slope": True, "eproperty_gap_rise_max": True,
@@ -304,7 +379,8 @@ PINNED = [
      {"degenerate": True, "eig_min": True, "probe_lower": True, "adjoint_gap": True}),
     (None, ("brackets",), 0, {"worst_symbolic_vs_operator": True,
                               "worst_operator_vs_numerical": True, "worst_psi_recovery": True}),
-    (None, ("span",), 0, {"success": True, "replay_max_rel_err": True}),
+    (None, ("span",), 0, {"success": True, "replay_symbolic_mismatches": True,
+                          "replay_max_rel_err": True}),
 ]
 
 
@@ -349,12 +425,33 @@ def test_every_payload_holds_its_checks(pinned_runs):
 
 def test_only_the_check_record_spells_a_verdict():
     # every verdict is a cli.Check that main prints and writes: no module
-    # spells out a verdict word of its own
+    # spells out a verdict word of its own, or decides one by raising
     pkg = Path(sp.__file__).parent
-    words = ("'BAD'", '"BAD"', "'ok' if", '"ok" if', "DIFFER")
+    words = ("'BAD'", '"BAD"', "'ok' if", '"ok" if', "DIFFER", "AssertionError")
     offenders = [f"{f.name}: {w}" for f in sorted(pkg.glob("*.py"))
                  for w in words if w in f.read_text()]
+    offenders += [f"{f.name}:{node.lineno}: assert" for f in sorted(pkg.glob("*.py"))
+                  for node in ast.walk(ast.parse(f.read_text()))
+                  if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_payload_json_is_strict_when_a_bound_is_infinite(tmp_path):
+    # an unforced run from rest has a dissipation rate of 0, under RATE_FLOOR,
+    # so the dt/2 rate has no bound: its bound and margin are written as
+    # null, which strict JSON readers accept, and the record still passes
+    cfg_file = tmp_path / "quiet.ini"
+    cfg_file.write_text(TINY.replace("[run]", "a = 0\n\n[run]") + "amplitude = 0\n")
+    out = tmp_path / "runs"
+    assert run_cli(cfg_file, out, "audit") == 0
+    text = (out / load_config(cfg_file).digest[:12] / "audit" / "audit.json").read_text()
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    records = {c["name"]: c for c in json.loads(text, parse_constant=refuse)["checks"]}
+    rate = records["dissipation_rate_half_dt"]
+    assert rate["bound"] is None and rate["margin"] is None and rate["passed"]
 
 
 def test_check_record_relations_and_margins():
